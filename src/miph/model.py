@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from .exceptions import NumericalError
 from .linalg import expm_batch, kron_product, kron_sum, solve
@@ -53,6 +52,11 @@ __all__ = [
 
 _SURVIVAL_TRUNCATION = 1e-12
 _DENOM_FLOOR = 1e-300
+
+# Composite Gauss-Legendre rule for conditional expectations: 8 equal panels
+# of 32 nodes each in log operational time. Nodes and weights live on [-1, 1].
+_GL_PANELS = 8
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
 
 @dataclass(frozen=True)
@@ -164,21 +168,24 @@ def _factor_rows(margin: Margin, y: np.ndarray, kind: str) -> np.ndarray:
 
     Row m, column j is ``e_j' exp(T x_m) 1`` (kind="survival") or
     ``e_j' exp(T x_m) t * exp(beta y_m)`` (kind="density"), with
-    ``x = g^{-1}(y)``. Ages far enough out that the operational time
-    overflows get exact-zero rows (the mathematical limit).
+    ``x = g^{-1}(y)``. Each distinct age is exponentiated once and its row
+    is copied to every repeat, so a grid's rows cost one exponential per
+    distinct age. Ages far enough out that the operational time overflows
+    get exact-zero rows (the mathematical limit).
     """
+    ages, inverse = np.unique(y, return_inverse=True)
     beta = margin.transform.beta
     with np.errstate(over="ignore"):
-        x = np.expm1(beta * y) / beta
+        x = np.expm1(beta * ages) / beta
     ok = np.isfinite(x)
-    out = np.zeros((y.size, margin.sub.dim))
+    out = np.zeros((ages.size, margin.sub.dim))
     if np.any(ok):
         mats = expm_batch(margin.sub.matrix[None, :, :] * x[ok, None, None])
         if kind == "survival":
             out[ok] = mats.sum(axis=-1)
         else:
-            out[ok] = (mats @ margin.sub.exit_rates) * np.exp(beta * y[ok])[:, None]
-    return out
+            out[ok] = (mats @ margin.sub.exit_rates) * np.exp(beta * ages[ok])[:, None]
+    return out[inverse]
 
 
 def joint_density(model: MIPHModel, pi, y):
@@ -408,17 +415,23 @@ def cross_ratio(model: MIPHModel, pi, u: float) -> float:
 
 def _survival_safe(margin: Margin, pi: np.ndarray, y: float) -> float:
     """Marginal survival that returns 0 past the transform's overflow point
-    instead of raising; quadrature probes arbitrarily far out."""
+    instead of raising; the truncation search probes arbitrarily far out."""
     val = _factor_rows(margin, np.array([float(y)]), "survival")[0] @ pi
     return float(val)
 
 
 def _truncation_point(margin: Margin, pi: np.ndarray) -> float:
     hi = 0.5
+    if _survival_safe(margin, pi, hi) < _SURVIVAL_TRUNCATION:
+        # a steep clock: halve while survival at half the age is still below
+        # the cut, so the integration range does not overshoot the support
+        while _survival_safe(margin, pi, 0.5 * hi) < _SURVIVAL_TRUNCATION:
+            hi *= 0.5
+        return hi
     for _ in range(200):
+        hi *= 2.0
         if _survival_safe(margin, pi, hi) < _SURVIVAL_TRUNCATION:
             return hi
-        hi *= 2.0
     raise NumericalError("survival does not decay; expectation diverges")
 
 
@@ -428,8 +441,17 @@ def conditional_expectation(
     """E[Y_margin], optionally given survival of another margin.
 
     ``given = (l, y_l)`` conditions on ``Y_l >= y_l`` first. The expectation
-    integrates the (conditional) marginal survival by adaptive quadrature
-    with relative tolerance 1e-7, truncated where survival drops below 1e-12.
+    integrates the (conditional) marginal survival over ``[0, hi]``: ``hi``
+    is the first of 0.5, 1, 2, ... at which survival is below 1e-12, or, if
+    it already is at 0.5, the smallest of 0.5, 0.25, ... at which it is.
+
+    The integral runs in log operational time ``u = log x``, where each
+    exponential ``exp(-lambda x)`` falls off over a width of order one
+    whatever ``lambda``, and so does the Gompertz cliff at old ages. A fixed
+    composite Gauss-Legendre rule, 8 equal panels of 32 nodes, covers ``u``
+    from ``log(1e-12 / max exit rate)`` to ``log x(hi)``; all 256 node
+    survivals come from one batched exponential. Below the first node
+    survival is 1 to within 1e-12, so that piece contributes its length.
     """
     margin = _check_margin(model, margin)
     if given is not None:
@@ -443,11 +465,17 @@ def conditional_expectation(
     pi = validate_initial_vector(pi, model.dim)
     m = model.margins[margin]
     hi = _truncation_point(m, pi)
-    val, _ = integrate.quad(
-        lambda t: _survival_safe(m, pi, t), 0.0, hi, epsabs=1e-12, epsrel=1e-7,
-        limit=200,
-    )
-    return float(val)
+    beta = m.transform.beta
+    u_lo = np.log(_SURVIVAL_TRUNCATION / m.sub.exit_rates.max())
+    u_hi = beta * hi + np.log(-np.expm1(-beta * hi) / beta)  # log x(hi)
+    half = 0.5 * (u_hi - u_lo) / _GL_PANELS
+    centres = u_lo + half * (2.0 * np.arange(_GL_PANELS) + 1.0)
+    u = (centres[:, None] + half * _GL_NODES[None, :]).ravel()
+    y = np.logaddexp(0.0, u + np.log(beta)) / beta  # log1p(beta x) / beta
+    dy_du = np.exp(u - beta * y)  # x / (1 + beta x)
+    survival = _factor_rows(m, y, "survival") @ pi
+    head = np.logaddexp(0.0, u_lo + np.log(beta)) / beta
+    return float(head + half * (survival * dy_du) @ np.tile(_GL_WEIGHTS, _GL_PANELS))
 
 
 def _draw_starts(pi_rows: np.ndarray, rng) -> np.ndarray:

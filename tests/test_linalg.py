@@ -22,7 +22,7 @@ from miph.linalg import (
     van_loan_integral,
 )
 
-from conftest import random_chain
+from conftest import DIAG_1, DIAG_2, SUPER_1, SUPER_2, chain_matrix, random_chain
 
 FIXED_T = np.array([[-2.0, 1.0], [0.0, -1.5]])
 
@@ -136,6 +136,39 @@ class TestExpmBatch:
             expm_batch(np.ones((4, 2, 3)))
         with pytest.raises(ValueError):
             expm_batch(np.full((2, 2, 2), np.inf))
+
+
+class TestExpmBatchStiffRegime:
+    """Row sums of exp(T x) for the published sub-intensities (rates from
+    1e-10 to 10) against mpmath at 40 digits, out to the operational times
+    that the conditional-expectation nodes reach (about 2e8 and beyond).
+
+    Relative error where mpmath's value is a normal float64, absolute error
+    where it underflows. The bounds hold the measured errors with some room:
+    at most 5e-14 up to x = 1e2, 5e-12 at 1e4, 4e-10 at 1e6 and 3e-8 at 2e8,
+    the last from the growth of rounding error over about 29 squarings.
+    """
+
+    BOUNDS = {1e-5: 1e-13, 1e-2: 1e-13, 1.0: 1e-13, 1e2: 1e-13,
+              1e4: 2e-11, 1e6: 2e-9, 2e8: 1e-7}
+
+    @pytest.mark.parametrize("diag, superdiag", [(DIAG_1, SUPER_1),
+                                                 (DIAG_2, SUPER_2)])
+    def test_row_sums_against_mpmath(self, diag, superdiag):
+        t = chain_matrix(diag, superdiag)
+        xs = np.array(sorted(self.BOUNDS))
+        got = expm_batch(t[None, :, :] * xs[:, None, None]).sum(axis=-1)
+        mp.mp.dps = 40
+        tiny = np.finfo(float).tiny
+        for x, row in zip(xs, got):
+            exact = mp.expm(mp.matrix(t.tolist()) * mp.mpf(x))
+            for i, value in enumerate(row):
+                ref = mp.fsum(exact[i, j] for j in range(t.shape[0]))
+                err = abs(mp.mpf(value) - ref)
+                if ref >= tiny:
+                    assert err / ref <= self.BOUNDS[x], (x, i, float(err / ref))
+                else:
+                    assert err <= tiny, (x, i, float(err))
 
 
 def simpson_van_loan(t, c, x, panels=2000):

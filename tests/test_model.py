@@ -7,11 +7,13 @@ Reference dependence values for the spousal model live in the acceptance
 suite; here a couple of them pin the same fixtures at looser cost.
 """
 
+import mpmath as mp
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
 
+import miph.model
 from miph import (
     GompertzTransform,
     Margin,
@@ -37,6 +39,7 @@ from miph import (
 
 from conftest import (
     COUPLE_AGES_YEARS,
+    COUPLE_PI_RAW,
     couple_pi,
     random_bivariate_model,
     random_chain,
@@ -199,6 +202,47 @@ class TestJointEvaluation:
             s = joint_survival(model, pi, np.full(3, y))
             s_prod = marginal_survival(model, pi, 0, y) ** 3
             assert s >= s_prod - 1e-15
+
+    def test_repeated_ages_are_exponentiated_once(self, spousal_model,
+                                                  monkeypatch):
+        # repeated ages plus ages past the Gompertz overflow point
+        # (beta * y > 709 for both margins)
+        ages = np.array([0.0, 0.12, 0.3, 0.12, 0.3, 0.3, 25.0, 25.0, 40.0, 0.45])
+        pts = np.column_stack([ages, ages[::-1]])
+        pts = np.vstack([pts, pts[:, ::-1], [[0.12, 0.12], [25.0, 0.3]]])
+        pi = couple_pi(1)
+        for margin, col in zip(spousal_model.margins, pts.T):
+            for kind in ("survival", "density"):
+                pointwise = np.vstack([
+                    miph.model._factor_rows(margin, np.array([y]), kind)
+                    for y in col
+                ])
+                assert np.array_equal(
+                    miph.model._factor_rows(margin, col, kind), pointwise
+                )
+        # the per-state factors agree bit for bit; the final ``factors @ pi``
+        # may round differently in the last bit for a 1-row and an n-row
+        # product (BLAS row blocking)
+        for fn in (joint_density, joint_survival, joint_cdf):
+            pointwise = np.array([fn(spousal_model, pi, y) for y in pts])
+            np.testing.assert_array_max_ulp(
+                fn(spousal_model, pi, pts), pointwise, maxulp=2
+            )
+        overflowed = (pts >= 25.0).any(axis=1)
+        assert np.all(joint_survival(spousal_model, pi, pts)[overflowed] == 0.0)
+        assert np.all(joint_density(spousal_model, pi, pts)[overflowed] == 0.0)
+
+        sizes = []
+        real = miph.model.expm_batch
+
+        def counting(a):
+            sizes.append(a.shape[0])
+            return real(a)
+
+        monkeypatch.setattr(miph.model, "expm_batch", counting)
+        joint_survival(spousal_model, pi, pts)
+        finite = [np.unique(col[col < 25.0]).size for col in pts.T]
+        assert sizes == finite
 
 
 class TestIndependenceDegeneracy:
@@ -374,6 +418,92 @@ class TestDependenceMeasures:
         assert kendall_tau(model, pi) > 0.0
         assert psi1(model, pi, 0.6, 0.6) > 1.0
         assert cross_ratio(model, pi, 0.6) >= 1.0
+
+
+def _adaptive_expectation(model, pi):
+    """E[Y_1] by adaptive quadrature of the scalar marginal survival over the
+    same truncated range as the library."""
+    hi = miph.model._truncation_point(model.margins[0], pi)
+    val, _ = scipy.integrate.quad(
+        lambda y: marginal_survival(model, pi, 0, y), 0.0, hi,
+        epsabs=0.0, epsrel=1e-10, limit=500,
+    )
+    return val
+
+
+def _log_uniform_chain(rng, p: int, slow: float, fast: float = 2.0):
+    """Feed-forward sub-intensity with rates drawn log-uniformly in
+    [slow, fast] and an exit from every state."""
+    rates = lambda n: np.exp(rng.uniform(np.log(slow), np.log(fast), size=n))
+    sup = rates(p - 1)
+    m = np.diag(sup, k=1) if p > 1 else np.zeros((1, 1))
+    m[np.arange(p), np.arange(p)] = -(np.concatenate([sup, [0.0]]) + rates(p))
+    return SubIntensity(m)
+
+
+class TestConditionalExpectationQuadrature:
+    """The fixed Gauss-Legendre rule against independent integrals: adaptive
+    quadrature of the scalar survival, and the closed form for mixtures of
+    exponential chains."""
+
+    @pytest.mark.parametrize("couple", sorted(COUPLE_PI_RAW))
+    def test_reference_couples_against_adaptive_quadrature(self, spousal_model,
+                                                           couple):
+        pi = couple_pi(couple)
+        for margin in (0, 1):
+            for given in (None, 0.0, 0.10, 0.20, 0.29):
+                if given is None:
+                    reduced = MIPHModel(margins=(spousal_model.margins[margin],))
+                    start = pi
+                    got = conditional_expectation(spousal_model, pi, margin)
+                else:
+                    reduced, start = condition_on_survival(
+                        spousal_model, pi, 1 - margin, given
+                    )
+                    got = conditional_expectation(
+                        spousal_model, pi, margin, given=(1 - margin, given)
+                    )
+                np.testing.assert_allclose(
+                    got, _adaptive_expectation(reduced, start), rtol=1e-8
+                )
+
+    def test_random_models_against_adaptive_quadrature(self):
+        rng = np.random.default_rng(307)
+        for _ in range(20):
+            p = int(rng.integers(1, 8))
+            beta = float(np.exp(rng.uniform(np.log(0.01), np.log(63.0))))
+            slow = float(np.exp(rng.uniform(np.log(1e-4), np.log(0.5))))
+            model = MIPHModel(margins=(
+                Margin(_log_uniform_chain(rng, p, slow), GompertzTransform(beta)),
+            ))
+            pi = random_pi(rng, p)
+            np.testing.assert_allclose(
+                conditional_expectation(model, pi, 0),
+                _adaptive_expectation(model, pi), rtol=1e-8,
+            )
+
+    @pytest.mark.parametrize("beta", [0.01, 0.1, 1.0, 10.0, 63.0, 1000.0])
+    def test_stiff_mixtures_against_closed_form(self, beta):
+        # a fast and a very slow exponential state: the survival falls by
+        # 99 % over a span thousands of times shorter than its support
+        # (beta = 1000 puts the whole support below the first truncation
+        # probe at 0.5). With x(y) = (exp(beta y) - 1) / beta, a state with
+        # exit rate lam contributes exp(lam / beta) E1(lam / beta) / beta.
+        mp.mp.dps = 30
+        pi = np.array([0.99, 0.01])
+        for fast in (2.0, 10.0, 100.0, 1e4):
+            rates = (fast, 1e-4)
+            model = MIPHModel(margins=(
+                Margin(SubIntensity(np.diag([-r for r in rates])),
+                       GompertzTransform(beta)),
+            ))
+            exact = float(sum(
+                w * mp.exp(r / mp.mpf(beta)) * mp.e1(r / mp.mpf(beta)) / beta
+                for w, r in zip(pi, rates)
+            ))
+            np.testing.assert_allclose(
+                conditional_expectation(model, pi, 0), exact, rtol=1e-8
+            )
 
 
 class TestSpousalReference:
