@@ -6,7 +6,7 @@ and a periodic transform-parameter update). Individual parameters are not
 identifiable -- many parameterizations give the same law -- so the check
 that matters is agreement of the fitted survival surface with the truth.
 
-Run from the repository root (about half a minute):
+Run from the repository root (under ten seconds):
 
     python3 demos/04_fitting.py
 """

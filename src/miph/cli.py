@@ -138,7 +138,6 @@ def _cmd_fit(args) -> int:
         seed=args.seed,
         beta_init=args.beta_init,
         i_step_every=args.i_step_every,
-        i_step_mode=args.i_step_mode,
     )
     report = estimation.fit(obs, config)
 
@@ -366,8 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--beta-init", type=float, default=1.0)
     p_fit.add_argument("--i-step-every", type=int, default=1,
                        help="how often to update the transforms (0 = frozen)")
-    p_fit.add_argument("--i-step-mode", choices=("joint", "coordinate"),
-                       default="joint")
     common(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 

@@ -11,11 +11,12 @@ covariates. One EM iteration runs four steps:
   the integrand's middle factor is rank one.
 * R: weighted multinomial-logistic regression of the B-weights on the
   covariates (softmax link, state 0 is the zero reference row), by damped
-  Newton iteration.
+  Newton iteration that stops once the Newton decrement falls to the
+  rounding resolution of the objective.
 * M: closed-form rate updates ``t_ks = E[N_ks] / E[Z_k]`` on the admissible
   structure pattern.
-* I: numeric update of the time-transform parameters by direct search on the
-  observed log-likelihood over log(beta).
+* I: guarded Newton ascent of the observed log-likelihood over
+  theta = log(beta), on its analytic gradient and exact d x d Hessian.
 
 Times enter estimation on the internal scale (years / 100); see `dataio`.
 """
@@ -26,8 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.special import logsumexp
 
 from .exceptions import NumericalError
 from .linalg import expm_batch
@@ -57,6 +56,11 @@ __all__ = [
 
 _DENOM_FLOOR = 1e-300
 _STAT_TOL = 1e-12
+_EPS = np.finfo(float).eps
+# I-step budget and stopping rule: likelihood evaluations per call, and the
+# Newton decrement per observation below which the step stops
+_I_STEP_MAX_EVALS = 12
+_I_STEP_DECREMENT_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -157,7 +161,10 @@ class FitConfig:
     ``loglik_tolerance`` is per observation: the loop stops once successive
     log-likelihoods differ by less than ``loglik_tolerance * n``. Set it to
     None to always run ``max_iterations`` (fixed-iteration protocol).
-    ``i_step_every = 0`` freezes the transform parameters at ``beta_init``.
+    ``i_step_every = 0`` freezes the transform parameters at ``beta_init``;
+    otherwise every ``i_step_every``-th iteration runs the Newton I-step,
+    which keeps log(beta) inside ``log_beta_bounds``. The R- and I-step
+    stopping rules are scale-aware and have no knobs here.
     """
 
     p: int
@@ -167,10 +174,7 @@ class FitConfig:
     seed: int = 0
     beta_init: float | tuple = 1.0
     i_step_every: int = 1
-    i_step_mode: str = "joint"
-    i_step_maxfev: int = 200
     log_beta_bounds: tuple = (-5.0, 7.0)
-    r_step_grad_tol: float = 1e-8
     r_step_coef_cap: float = 1e3
     m_step_diag_floor: float = -1e-8
 
@@ -183,8 +187,6 @@ class FitConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.i_step_every < 0:
             raise ValueError("i_step_every must be >= 0")
-        if self.i_step_mode not in ("joint", "coordinate"):
-            raise ValueError(f"unknown i_step_mode {self.i_step_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -356,13 +358,23 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     )
 
 
-def r_step(b, covariates, gamma_init=None, *, grad_tol: float = 1e-8,
-           max_iter: int = 200, coef_cap: float = 1e3):
+def _log_softmax(eta):
+    """Row-wise log-softmax with max subtraction."""
+    shifted = eta - eta.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
+def r_step(b, covariates, gamma_init=None, *, max_iter: int = 200,
+           coef_cap: float = 1e3):
     """Weighted multinomial-logistic update of the initial-vector link.
 
     Maximizes ``sum_m sum_k b[m, k] log softmax(A_m gamma')_k`` over the
     coefficient rows 1..p-1 (row 0 is the zero reference) by Newton iteration
-    with step halving; the objective is concave. Coefficients are capped at
+    with step halving; the objective is concave. Every step must raise the
+    objective strictly, except the last: once the Newton decrement
+    ``lambda^2 / 2`` is at most ``16 eps |objective|``, below what the
+    objective can resolve, one full step is taken if it does not lower the
+    objective, and the iteration stops. Coefficients are capped at
     ``coef_cap`` in absolute value, with a warning, when the weights are
     quasi-separated and the maximizer runs away.
 
@@ -386,25 +398,24 @@ def r_step(b, covariates, gamma_init=None, *, grad_tol: float = 1e-8,
         return gamma, np.ones((n, 1))
 
     weight = b.sum(axis=1)  # (n,) ~= d
+    kk = np.arange(p - 1)
 
     def value_and_probs(gm):
-        eta = a @ gm.T
-        logp = eta - logsumexp(eta, axis=1, keepdims=True)
+        logp = _log_softmax(a @ gm.T)
         return float((b * logp).sum()), np.exp(logp)
 
     cur, probs = value_and_probs(gamma)
     for _ in range(max_iter):
         resid = b - weight[:, None] * probs  # (n, p)
         grad = resid[:, 1:].T @ a  # (p-1, g)
-        if np.max(np.abs(grad)) <= grad_tol:
-            break
 
+        # -Hessian = blockdiag_k(sum_m w pf_k a a') - X' W X with
+        # X[m, k*g + j] = pf[m, k] a[m, j]
         pf = probs[:, 1:]  # (n, p-1)
-        diag = np.einsum("m,mk,ma,mb->kab", weight, pf, a, a)
-        cross = np.einsum("m,mk,ml,ma,mb->kalb", weight, pf, pf, a, a)
-        neg_hess = -cross
-        kk = np.arange(p - 1)
-        neg_hess[kk, :, kk, :] += diag
+        x = (pf[:, :, None] * a[:, None, :]).reshape(n, (p - 1) * g)
+        wx = weight[:, None] * x
+        neg_hess = -(wx.T @ x).reshape(p - 1, g, p - 1, g)
+        neg_hess[kk, :, kk, :] += (wx.T @ a).reshape(p - 1, g, g)
         neg_hess = neg_hess.reshape((p - 1) * g, (p - 1) * g)
 
         try:
@@ -414,6 +425,7 @@ def r_step(b, covariates, gamma_init=None, *, grad_tol: float = 1e-8,
             direction = np.linalg.solve(
                 neg_hess + ridge * np.eye(neg_hess.shape[0]), grad.ravel()
             )
+        at_resolution = 0.5 * float(grad.ravel() @ direction) <= 16.0 * _EPS * abs(cur)
         direction = direction.reshape(p - 1, g)
 
         step = 1.0
@@ -422,9 +434,11 @@ def r_step(b, covariates, gamma_init=None, *, grad_tol: float = 1e-8,
             trial = gamma.copy()
             trial[1:] += step * direction
             new, new_probs = value_and_probs(trial)
-            if new >= cur:
+            if new > cur or (at_resolution and new >= cur):
                 gamma, cur, probs = trial, new, new_probs
                 improved = True
+                break
+            if at_resolution:
                 break
             step *= 0.5
         if not improved:
@@ -438,6 +452,8 @@ def r_step(b, covariates, gamma_init=None, *, grad_tol: float = 1e-8,
             gamma = np.clip(gamma, -coef_cap, coef_cap)
             gamma[0] = 0.0
             _, probs = value_and_probs(gamma)
+            break
+        if at_resolution:
             break
     return gamma, probs
 
@@ -479,33 +495,85 @@ def m_step(stats: SufficientStats, structure, *, diag_floor: float = -1e-8):
 
 
 def _age_scale_loglik(y, delta, per_obs_pi, subs, betas):
-    """Observed log-likelihood with the transform Jacobians included.
+    """Observed log-likelihood with the transform Jacobians included, and its
+    gradient and Hessian in theta = log(beta).
 
-    Returns (total, floored_rows): rows whose likelihood underflows 1e-300
-    contribute log(1e-300) and are reported back to the caller.
+    Returns ``(total, floored_rows, grad, hess)``: rows whose likelihood
+    underflows 1e-300 contribute the constant log(1e-300), so nothing to the
+    (d,) gradient or the (d, d) Hessian, and are reported back to the caller.
+
+    Margin i's factor is ``u = e_j' exp(T x) v`` (v = 1 censored, v = t with
+    the Jacobian exp(beta y) for an observed death) at
+    ``x = expm1(beta y) / beta``. As T commutes with exp(T x), the
+    x-derivatives of u are ``exp(T x) T v`` and ``exp(T x) T^2 v``, taken
+    from the same exponentials; the chain rule uses
+    ``x_beta = (y e^{beta y} - x) / beta`` and
+    ``x_betabeta = (y^2 e^{beta y} - 2 x_beta) / beta``.
     """
     n, d = y.shape
     lik = per_obs_pi.copy()
+    factors, first, second = [], [], []  # per margin: f, df/dtheta, d2f/dtheta2
     for i, sub in enumerate(subs):
         beta = betas[i]
         with np.errstate(over="ignore"):
             x = np.expm1(beta * y[:, i]) / beta
         ok = np.isfinite(x)
-        factors = np.zeros((n, sub.dim))
+        f = np.zeros((n, sub.dim))
+        f1 = np.zeros((n, sub.dim))
+        f2 = np.zeros((n, sub.dim))
         if np.any(ok):
             mats = expm_batch(sub.matrix[None, :, :] * x[ok, None, None])
-            died = delta[ok, i].astype(bool)
-            vals = np.where(
-                died[:, None],
-                (mats @ sub.exit_rates) * np.exp(beta * y[ok, i])[:, None],
-                mats.sum(axis=-1),
-            )
-            factors[ok] = vals
-        lik *= factors
+            died = delta[ok, i].astype(bool)[:, None]
+            yo, xo = y[ok, i, None], x[ok, None]
+            jac = np.exp(beta * yo)
+            t_t = sub.matrix @ sub.exit_rates
+            e_t, e_tt = mats @ sub.exit_rates, mats @ t_t
+            # u = exp(T x) v and its x-derivatives; T 1 = -t for survival
+            u = np.where(died, e_t, mats.sum(axis=-1))
+            u_x = np.where(died, e_tt, -e_t)
+            u_xx = np.where(died, mats @ (sub.matrix @ t_t), -e_tt)
+            # an observed death carries the Jacobian exp(beta y)
+            y_d = np.where(died, yo, 0.0)
+            j_d = np.where(died, jac, 1.0)
+            f[ok] = u * j_d
+            # 0 * inf in rows whose x_beta overflows; those rows are floored
+            with np.errstate(over="ignore", invalid="ignore"):
+                x_b = (yo * jac - xo) / beta
+                x_bb = (yo * yo * jac - 2.0 * x_b) / beta
+                u_b = u_x * x_b
+                u_bb = u_xx * x_b * x_b + u_x * x_bb
+                f_b = (u_b + y_d * u) * j_d
+                f_bb = (u_bb + 2.0 * y_d * u_b + y_d * y_d * u) * j_d
+                f1[ok] = beta * f_b
+                f2[ok] = beta * f_b + beta * beta * f_bb
+        lik *= f
+        factors.append(f)
+        first.append(f1)
+        second.append(f2)
     rows = lik.sum(axis=1)
-    floored = np.flatnonzero(~(rows >= _DENOM_FLOOR))
-    safe = np.clip(rows, _DENOM_FLOOR, None)
-    return float(np.log(safe).sum()), floored
+    keep = rows >= _DENOM_FLOOR
+    floored = np.flatnonzero(~keep)
+    total = float(np.log(np.clip(rows, _DENOM_FLOOR, None)).sum())
+    inv = 1.0 / rows[keep]
+
+    def weighted(replace):
+        """Per-row sum_j pi_j prod_l f_l with margin l's factor swapped for
+        ``replace[l]``, divided by the row likelihood."""
+        w = per_obs_pi[keep]
+        for l in range(d):
+            w *= replace.get(l, factors[l])[keep]
+        return w.sum(axis=1) * inv
+
+    score = [weighted({i: first[i]}) for i in range(d)]
+    grad = np.array([s.sum() for s in score])
+    hess = np.zeros((d, d))
+    for i in range(d):
+        hess[i, i] = (weighted({i: second[i]}) - score[i] * score[i]).sum()
+        for k in range(i):
+            hess[i, k] = hess[k, i] = (
+                weighted({i: first[i], k: first[k]}) - score[i] * score[k]
+            ).sum()
+    return total, floored, grad, hess
 
 
 def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
@@ -522,7 +590,7 @@ def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
     per_obs_pi = model.initial_vectors(obs.covariates)
     subs = [m.sub for m in model.margins]
     betas = np.array([m.transform.beta for m in model.margins])
-    total, floored = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas)
+    total, floored, _, _ = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas)
     if floored.size:
         raise NumericalError(
             f"likelihood underflowed to 0 for rows {floored[:10].tolist()}"
@@ -532,63 +600,61 @@ def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
 
 
 def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init, *,
-           mode: str = "joint", log_bounds=(-5.0, 7.0), maxfev: int = 200,
-           xatol: float = 1e-4, fatol: float = 1e-7) -> np.ndarray:
-    """Update the transform parameters by direct search on the observed
-    log-likelihood over log(beta).
+           log_bounds=(-5.0, 7.0)) -> np.ndarray:
+    """Update the transform parameters by guarded Newton ascent of the
+    observed log-likelihood over theta = log(beta).
 
-    ``mode="joint"`` runs one Nelder-Mead search over all margins at once
-    (box-bounded in log space); ``mode="coordinate"`` runs a bounded scalar
-    search margin by margin. Either way the incumbent is kept whenever the
-    search fails to improve on it, so the step never lowers the likelihood.
+    Each iteration solves with the exact d x d Hessian, its eigenvalues
+    clamped so the model is concave, caps the step at 1 in every log(beta),
+    keeps theta inside ``log_bounds``, and halves the step until the
+    likelihood rises strictly. The step stops once the Newton decrement is
+    at most 1e-9 per observation, when no halving ascends, or after 12
+    likelihood evaluations. The incumbent is returned unless a step
+    improved on it, so the step never lowers the likelihood.
     """
     betas_init = _as_betas(betas_init, obs.n_margins)
     per_obs_pi = np.asarray(per_obs_pi, dtype=float)
     lo, hi = float(log_bounds[0]), float(log_bounds[1])
 
-    def negative(log_betas):
-        betas = np.exp(np.clip(log_betas, lo, hi))
-        total, _ = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas)
-        return -total
+    def evaluate(theta):
+        total, _, grad, hess = _age_scale_loglik(
+            obs.y, obs.delta, per_obs_pi, subs, np.exp(theta))
+        return total, grad, hess
 
-    x0 = np.clip(np.log(betas_init), lo, hi)
-    f0 = negative(x0)
-    if not np.isfinite(f0):
+    theta = np.log(betas_init)
+    cur, grad, hess = evaluate(theta)
+    if not np.isfinite(cur):
         raise NumericalError("transform objective is non-finite at the incumbent")
-
-    if mode == "joint":
-        # explicit warm simplex: scipy's default shrinks to ~2.5e-4 steps
-        # around zero coordinates, which stalls the search at log(beta) = 0
-        simplex = np.tile(x0, (x0.size + 1, 1))
-        for k in range(x0.size):
-            simplex[k + 1, k] = np.clip(x0[k] + 0.1, lo, hi)
-        res = optimize.minimize(
-            negative, x0, method="Nelder-Mead",
-            bounds=[(lo, hi)] * x0.size,
-            options={"maxfev": maxfev, "xatol": xatol, "fatol": fatol,
-                     "initial_simplex": simplex},
-        )
-        if np.isfinite(res.fun) and res.fun < f0:
-            return np.exp(np.clip(res.x, lo, hi))
-        return betas_init
-    if mode == "coordinate":
-        log_betas = x0.copy()
-        best = f0
-        for i in range(log_betas.size):
-            def scalar(v, i=i):
-                trial = log_betas.copy()
-                trial[i] = v
-                return negative(trial)
-
-            res = optimize.minimize_scalar(
-                scalar, bounds=(lo, hi), method="bounded",
-                options={"xatol": xatol},
-            )
-            if np.isfinite(res.fun) and res.fun < best:
-                log_betas[i] = res.x
-                best = res.fun
-        return np.exp(log_betas)
-    raise ValueError(f"unknown mode {mode!r}")
+    evals = 1
+    best = betas_init
+    while evals < _I_STEP_MAX_EVALS:
+        if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
+            break
+        vals, vecs = np.linalg.eigh(-hess)
+        floor = 1e-8 * np.max(np.abs(vals))
+        if not floor > 0.0:
+            break
+        direction = vecs @ ((vecs.T @ grad) / np.maximum(vals, floor))
+        if 0.5 * float(grad @ direction) <= _I_STEP_DECREMENT_TOL * obs.n:
+            break
+        direction /= max(1.0, np.max(np.abs(direction)))
+        step = 1.0
+        accepted = False
+        while evals < _I_STEP_MAX_EVALS:
+            trial = np.clip(theta + step * direction, lo, hi)
+            if np.array_equal(trial, theta):
+                break
+            new, new_grad, new_hess = evaluate(trial)
+            evals += 1
+            if new > cur:
+                theta, cur, grad, hess = trial, new, new_grad, new_hess
+                best = np.exp(theta)
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+    return best
 
 
 def _make_structure(name: str, p: int):
@@ -635,21 +701,18 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
             stats = e_step(x, obs.delta, per_obs_pi, subs)
             gamma, per_obs_pi = r_step(
                 stats.b, obs.covariates, gamma,
-                grad_tol=config.r_step_grad_tol,
                 coef_cap=config.r_step_coef_cap,
             )
             subs = m_step(stats, structure, diag_floor=config.m_step_diag_floor)
             if config.i_step_every and it % config.i_step_every == 0:
                 betas = i_step(
                     obs, per_obs_pi, subs, betas,
-                    mode=config.i_step_mode,
                     log_bounds=config.log_beta_bounds,
-                    maxfev=config.i_step_maxfev,
                 )
         except NumericalError as err:
             raise NumericalError(f"EM iteration {it}: {err}") from err
 
-        ll, floored = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas)
+        ll, floored, _, _ = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas)
         if floored.size:
             warnings.warn(
                 f"iteration {it}: {floored.size} row(s) at the likelihood floor",

@@ -108,7 +108,8 @@ def expm_batch(a) -> np.ndarray:
     scaling power from its 1-norm, and the squaring loop masks matrices that
     are already done. Always uses the degree-13 approximant (no degree
     switching), trading a few matmuls on easy inputs for simplicity; accuracy
-    matches the scalar path to ~1e-13.
+    matches the scalar path to ~1e-13. A zero matrix maps to the exact
+    identity.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -148,6 +149,8 @@ def expm_batch(a) -> np.ndarray:
         + b[0] * eye
     )
     r = np.linalg.solve(v - u, v + u)
+    # the Pade solve of b0*I by b0*I rounds the diagonal to 1 - eps/2
+    r[norms == 0.0] = np.eye(p)
 
     for k in range(int(s.max()) if s.size else 0):
         todo = s > k

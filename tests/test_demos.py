@@ -1,8 +1,6 @@
 """Smoke test for the demo scripts: each runs to completion and prints.
 
-``04_fitting.py`` is left out: it runs an EM fit that takes about half a
-minute, and the fitting path is covered by the estimation and acceptance
-suites.
+``04_fitting.py`` runs a full EM fit, the slowest of the five (seconds).
 """
 
 import os
@@ -14,7 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ("01_building_blocks.py", "02_joint_model.py",
-         "03_dependence_measures.py", "05_beran_diagnostics.py")
+         "03_dependence_measures.py", "04_fitting.py",
+         "05_beran_diagnostics.py")
 
 
 @pytest.mark.parametrize("name", DEMOS)

@@ -40,7 +40,9 @@ from miph import (
     sample_joint,
     transform_data,
 )
+from miph import estimation
 from miph.estimation import _age_scale_loglik
+from miph.linalg import expm_batch
 
 from conftest import random_chain, random_pi
 
@@ -334,6 +336,32 @@ class TestRStep:
         with pytest.raises(ValueError):
             r_step(np.ones((3, 2)), np.ones((3, 1)), gamma_init=np.ones((2, 1)))
 
+    def test_no_stall_over_the_desk_fit(self, monkeypatch):
+        """Acceptance-7 data for 40 EM iterations: every R-step call stops
+        within 10 objective evaluations. An absolute gradient tolerance
+        below the objective's rounding floor made thousands at iteration 40."""
+        from test_acceptance import _synthetic_for_em
+
+        _, obs = _synthetic_for_em(seed=1031, n=2000, p=3, betas=(2.0, 2.5),
+                                   censoring=0.2, n_covariates=2)
+        evals = []
+        log_softmax, inner = estimation._log_softmax, estimation.r_step
+
+        def counting_log_softmax(eta):
+            evals[-1] += 1
+            return log_softmax(eta)
+
+        def counted_r_step(*args, **kwargs):
+            evals.append(0)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_log_softmax", counting_log_softmax)
+        monkeypatch.setattr(estimation, "r_step", counted_r_step)
+        fit(obs, FitConfig(p=3, max_iterations=40, loglik_tolerance=None,
+                           i_step_every=2, beta_init=1.0, seed=41))
+        assert len(evals) == 40
+        assert max(evals) <= 10, evals
+
 
 class TestMStep:
     def test_exact_ratios(self):
@@ -406,6 +434,31 @@ class TestMStep:
         assert sub.matrix[1, 0] == 0.0
 
 
+def reference_age_scale_loglik(y, delta, per_obs_pi, subs, betas):
+    """The log-likelihood value as coded before the derivatives were added:
+    the value half of `_age_scale_loglik` must stay bit-equal to it."""
+    n, d = y.shape
+    lik = per_obs_pi.copy()
+    for i, sub in enumerate(subs):
+        beta = betas[i]
+        with np.errstate(over="ignore"):
+            x = np.expm1(beta * y[:, i]) / beta
+        ok = np.isfinite(x)
+        factors = np.zeros((n, sub.dim))
+        if np.any(ok):
+            mats = expm_batch(sub.matrix[None, :, :] * x[ok, None, None])
+            died = delta[ok, i].astype(bool)
+            factors[ok] = np.where(
+                died[:, None],
+                (mats @ sub.exit_rates) * np.exp(beta * y[ok, i])[:, None],
+                mats.sum(axis=-1),
+            )
+        lik *= factors
+    rows = lik.sum(axis=1)
+    floored = np.flatnonzero(~(rows >= 1e-300))
+    return float(np.log(np.clip(rows, 1e-300, None)).sum()), floored
+
+
 class TestIStep:
     def _age_data(self, seed=373, n=400, betas=(3.0, 2.0)):
         rng = np.random.default_rng(seed)
@@ -419,14 +472,71 @@ class TestIStep:
         return obs, np.tile(pi, (n, 1)), [sub, sub]
 
     def _loglik(self, obs, pi_rows, subs, betas):
-        total, _ = _age_scale_loglik(obs.y, obs.delta, pi_rows, subs,
-                                     np.asarray(betas, dtype=float))
+        total, *_ = _age_scale_loglik(obs.y, obs.delta, pi_rows, subs,
+                                      np.asarray(betas, dtype=float))
         return total
+
+    def _mixed_case(self, rng, p, n=60):
+        """Two margins with their own rates, censored and observed rows;
+        row 0 is past the Gompertz overflow in margin 0, and row 3's
+        operational time in margin 1 is finite but its likelihood is 0."""
+        subs = [random_chain(rng, p) for _ in range(2)]
+        y = rng.uniform(0.05, 1.5, size=(n, 2))
+        delta = (rng.random((n, 2)) < 0.5).astype(int)
+        delta[1], delta[2] = (1, 1), (0, 0)
+        y[0, 0] = 2000.0
+        y[3, 1] = 100.0
+        pi_rows = np.vstack([random_pi(rng, p) for _ in range(n)])
+        return y, delta, pi_rows, subs, rng.uniform(0.5, 5.0, size=2)
+
+    def test_analytic_derivatives_match_central_differences(self):
+        rng = np.random.default_rng(367)
+        h = 1e-5
+        for p in (1, 2, 3, 4, 3, 2):
+            y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
+            total, floored, grad, hess = _age_scale_loglik(
+                y, delta, pi_rows, subs, betas)
+            assert np.isfinite(total)
+            np.testing.assert_array_equal(floored, [0, 3])
+            theta = np.log(betas)
+            num_grad = np.zeros(2)
+            num_hess = np.zeros((2, 2))
+            for i in range(2):
+                e = np.zeros(2)
+                e[i] = h
+                up = _age_scale_loglik(y, delta, pi_rows, subs, np.exp(theta + e))
+                down = _age_scale_loglik(y, delta, pi_rows, subs, np.exp(theta - e))
+                num_grad[i] = (up[0] - down[0]) / (2 * h)
+                num_hess[i] = (up[2] - down[2]) / (2 * h)
+            assert np.max(np.abs(grad - num_grad)) <= 1e-6 * np.max(np.abs(num_grad))
+            assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(num_hess))
+            np.testing.assert_array_equal(hess, hess.T)
+
+    def test_floored_rows_add_no_derivative(self):
+        rng = np.random.default_rng(371)
+        y, delta, pi_rows, subs, betas = self._mixed_case(rng, 3)
+        _, floored, grad, hess = _age_scale_loglik(y, delta, pi_rows, subs, betas)
+        rest = np.delete(np.arange(y.shape[0]), floored)
+        _, _, grad_rest, hess_rest = _age_scale_loglik(
+            y[rest], delta[rest], pi_rows[rest], subs, betas)
+        np.testing.assert_array_equal(floored, [0, 3])
+        np.testing.assert_allclose(grad, grad_rest, rtol=1e-13)
+        np.testing.assert_allclose(hess, hess_rest, rtol=1e-13)
+
+    def test_value_bit_equal_to_reference(self):
+        rng = np.random.default_rng(373)
+        for p in (1, 2, 3, 5):
+            y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
+            total, floored, _, _ = _age_scale_loglik(y, delta, pi_rows, subs, betas)
+            ref_total, ref_floored = reference_age_scale_loglik(
+                y, delta, pi_rows, subs, betas)
+            assert total == ref_total
+            np.testing.assert_array_equal(floored, ref_floored)
 
     def test_joint_mode_improves_and_flattens_gradient(self):
         obs, pi_rows, subs = self._age_data()
         start = np.array([1.0, 1.0])
-        got = i_step(obs, pi_rows, subs, start, mode="joint")
+        got = i_step(obs, pi_rows, subs, start)
         before = self._loglik(obs, pi_rows, subs, start)
         after = self._loglik(obs, pi_rows, subs, got)
         assert after > before
@@ -445,10 +555,10 @@ class TestIStep:
         g1 = np.abs(grad_log_beta(got)).max()
         assert g1 < 0.05 * g0
 
-    def test_coordinate_mode_improves(self):
+    def test_improves_from_bad_start(self):
         obs, pi_rows, subs = self._age_data(seed=379)
         start = np.array([1.0, 1.0])
-        got = i_step(obs, pi_rows, subs, start, mode="coordinate")
+        got = i_step(obs, pi_rows, subs, start)
         assert (self._loglik(obs, pi_rows, subs, got)
                 > self._loglik(obs, pi_rows, subs, start))
 
@@ -459,10 +569,31 @@ class TestIStep:
         second = i_step(obs, pi_rows, subs, first)
         assert self._loglik(obs, pi_rows, subs, second) >= ll_first - 1e-9
 
-    def test_rejects_unknown_mode(self):
-        obs, pi_rows, subs = self._age_data(seed=389, n=20)
-        with pytest.raises(ValueError):
-            i_step(obs, pi_rows, subs, np.array([1.0, 1.0]), mode="grid")
+    def test_stays_inside_the_bounds(self, monkeypatch):
+        # the likelihood rises towards beta = (3, 2), above the upper bound
+        obs, pi_rows, subs = self._age_data(seed=389, n=150)
+        calls = []
+        monkeypatch.setattr(estimation, "expm_batch",
+                            lambda a: calls.append(1) or expm_batch(a))
+        start = np.array([1.0, 1.0])
+        got = i_step(obs, pi_rows, subs, start, log_bounds=(-5.0, 0.0))
+        np.testing.assert_array_equal(got, start)
+        assert len(calls) == 2  # one evaluation: the incumbent
+        got = i_step(obs, pi_rows, subs, np.array([0.5, 0.5]),
+                     log_bounds=(-5.0, 0.0))
+        assert np.all(got <= 1.0)
+        assert (self._loglik(obs, pi_rows, subs, got)
+                > self._loglik(obs, pi_rows, subs, [0.5, 0.5]))
+
+    def test_exponential_budget(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimation, "expm_batch",
+                            lambda a: calls.append(1) or expm_batch(a))
+        for seed, start in ((373, (1.0, 1.0)), (379, (0.01, 50.0)), (383, (3.0, 2.0))):
+            obs, pi_rows, subs = self._age_data(seed=seed, n=150)
+            calls.clear()
+            i_step(obs, pi_rows, subs, np.array(start))
+            assert 1 <= len(calls) <= 24
 
 
 class TestObservedLoglik:

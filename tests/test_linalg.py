@@ -122,6 +122,15 @@ class TestExpmBatch:
         assert got.min() >= -1e-14
         assert got.sum(axis=2).max() <= 1.0 + 1e-12
 
+    def test_zero_matrix_is_exact_identity(self):
+        rng = np.random.default_rng(29)
+        stack = np.zeros((3, 10, 10))
+        stack[1] = random_chain(rng, 10).matrix
+        got = expm_batch(stack)
+        for k in (0, 2):
+            np.testing.assert_array_equal(got[k], np.eye(10))
+        np.testing.assert_array_equal(got[1], expm_batch(stack[1]))
+
     def test_batch_shapes_roundtrip(self):
         rng = np.random.default_rng(23)
         stack = rng.uniform(-1.0, 1.0, size=(3, 2, 5, 5))

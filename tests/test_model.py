@@ -139,6 +139,11 @@ class TestJointEvaluation:
         np.testing.assert_allclose(joint_cdf(model, pi, big), 1.0, atol=1e-10)
         np.testing.assert_allclose(joint_survival(model, pi, big), 0.0, atol=1e-12)
 
+    def test_cdf_is_zero_at_age_zero_for_the_reference_model(self, spousal_model):
+        pi = couple_pi(1)
+        pts = np.array([[0.45, 0.0], [0.0, 0.3], [0.0, 0.0]])
+        np.testing.assert_array_equal(joint_cdf(spousal_model, pi, pts), 0.0)
+
     def test_density_is_mixed_survival_derivative(self):
         model, pi = random_bivariate_model(np.random.default_rng(137), p=3)
         h = 1e-5
