@@ -62,7 +62,6 @@ from .phasetype import (
     ph_density,
     ph_survival,
     random_sub_intensity,
-    sample_absorption_time,
     sample_absorption_times,
     validate_initial_vector,
 )
@@ -118,7 +117,6 @@ __all__ = [
     "ph_density",
     "ph_survival",
     "random_sub_intensity",
-    "sample_absorption_time",
     "sample_absorption_times",
     "validate_initial_vector",
     "__version__",

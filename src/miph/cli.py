@@ -102,23 +102,6 @@ def _initial_vector(mdl, ages_arg: str | None) -> np.ndarray:
 
 
 @contextlib.contextmanager
-def _thread_limit(threads):
-    if threads is None:
-        yield
-        return
-    if threads < 1:
-        raise DataValidationError("--threads must be >= 1")
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:  # pragma: no cover - declared dependency
-        _warn("threadpoolctl unavailable; --threads ignored")
-        yield
-        return
-    with threadpool_limits(limits=int(threads)):
-        yield
-
-
-@contextlib.contextmanager
 def _open_output(path):
     if path is None:
         yield sys.stdout
@@ -264,19 +247,8 @@ def _cmd_simulate(args) -> int:
             "model expects a custom design; the CLI only builds the standard one"
         )
     obs = dataio.generate_synthetic(mdl, sampler, args.censoring_rate, n, args.seed)
-    if args.output is None:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(["time1", "time2", "delta1", "delta2", "age1", "age2"])
-        for m in range(obs.n):
-            writer.writerow(
-                [format(obs.y[m, 0] * dataio.TIME_SCALE, ".17g"),
-                 format(obs.y[m, 1] * dataio.TIME_SCALE, ".17g"),
-                 int(obs.delta[m, 0]), int(obs.delta[m, 1]),
-                 format(obs.covariates[m, 1] * dataio.TIME_SCALE, ".17g"),
-                 format(obs.covariates[m, 2] * dataio.TIME_SCALE, ".17g")]
-            )
-    else:
-        dataio.write_csv(args.output, obs)
+    dataio.write_csv(sys.stdout if args.output is None else args.output, obs)
+    if args.output is not None:
         print(f"wrote {obs.n} rows to {args.output}")
     return 0
 
@@ -349,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0,
                        help="random seed where the command draws anything")
-        p.add_argument("--threads", type=int, default=None,
-                       help="cap BLAS threads (default: machine parallelism)")
         p.add_argument("--output", default=None, help="output file/directory")
 
     p_fit = sub.add_parser("fit", help="estimate a model from a lifetime CSV")
@@ -419,8 +389,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _thread_limit(args.threads):
-            return args.func(args)
+        return args.func(args)
     except (NumericalError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3

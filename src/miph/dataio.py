@@ -14,6 +14,7 @@ coefficients or a fixed initial vector.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 
@@ -117,8 +118,9 @@ def load_csv(path) -> ObservationSet:
 def write_csv(path, obs: ObservationSet) -> None:
     """Write an ObservationSet back to the bivariate CSV schema (years).
 
-    Floats are written with 17 significant digits, so a load/write cycle
-    round-trips every field to full double precision.
+    ``path`` is a file name or an open text stream (left open). Floats are
+    written with 17 significant digits, so a load/write cycle round-trips
+    every field to full double precision.
     """
     if obs.n_margins != 2:
         raise DataValidationError("CSV schema is bivariate; data has "
@@ -129,7 +131,8 @@ def write_csv(path, obs: ObservationSet) -> None:
             "only the standard design (1, age1, age2, age1*age2) can be "
             "written back to CSV"
         )
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    with (contextlib.nullcontext(path) if hasattr(path, "write")
+          else open(path, "w", newline="", encoding="utf-8")) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_CSV_COLUMNS)
         for m in range(obs.n):

@@ -36,6 +36,7 @@ from .phasetype import (
     GeneralStructure,
     GompertzTransform,
     SubIntensity,
+    _age_factors,
     _scale_to_mean,
     random_sub_intensity,
 )
@@ -61,6 +62,12 @@ _EPS = np.finfo(float).eps
 # Newton decrement per observation below which the step stops
 _I_STEP_MAX_EVALS = 12
 _I_STEP_DECREMENT_TOL = 1e-9
+# the I-step keeps log(beta) inside these bounds; the R-step caps the
+# regression coefficients at this size; the M-step gives states with zero
+# expected occupancy this diagonal
+_LOG_BETA_BOUNDS = (-5.0, 7.0)
+_R_STEP_COEF_CAP = 1e3
+_M_STEP_DIAG_FLOOR = -1e-8
 
 
 @dataclass(frozen=True)
@@ -163,8 +170,8 @@ class FitConfig:
     None to always run ``max_iterations`` (fixed-iteration protocol).
     ``i_step_every = 0`` freezes the transform parameters at ``beta_init``;
     otherwise every ``i_step_every``-th iteration runs the Newton I-step,
-    which keeps log(beta) inside ``log_beta_bounds``. The R- and I-step
-    stopping rules are scale-aware and have no knobs here.
+    which keeps log(beta) inside (-5, 7). The R- and I-step stopping rules
+    are scale-aware and have no knobs here.
     """
 
     p: int
@@ -174,9 +181,6 @@ class FitConfig:
     seed: int = 0
     beta_init: float | tuple = 1.0
     i_step_every: int = 1
-    log_beta_bounds: tuple = (-5.0, 7.0)
-    r_step_coef_cap: float = 1e3
-    m_step_diag_floor: float = -1e-8
 
     def __post_init__(self):
         if self.p < 1:
@@ -239,7 +243,12 @@ def _margin_kernels(sub: SubIntensity, x_col, delta_col):
     """exp(T x) for one margin plus the per-state evidence vector a, where
     a[m, j] = e_j' exp(T x_m) t (death observed) or e_j' exp(T x_m) 1
     (censored). Transform Jacobians are constant over states and cancel in
-    every posterior, so they are left out here."""
+    every posterior, so they are left out here.
+
+    The absorption counts need these full exponentials. The top-left block
+    of the Van Loan exponential equals exp(T x) only in exact arithmetic: in
+    rows whose posterior weights reach 1e20 and more, the weights set its
+    scaling and the block loses exp(T x) entirely."""
     mats = expm_batch(sub.matrix[None, :, :] * x_col[:, None, None])
     a = np.where(
         delta_col[:, None].astype(bool),
@@ -365,7 +374,7 @@ def _log_softmax(eta):
 
 
 def r_step(b, covariates, gamma_init=None, *, max_iter: int = 200,
-           coef_cap: float = 1e3):
+           coef_cap: float = _R_STEP_COEF_CAP):
     """Weighted multinomial-logistic update of the initial-vector link.
 
     Maximizes ``sum_m sum_k b[m, k] log softmax(A_m gamma')_k`` over the
@@ -458,14 +467,14 @@ def r_step(b, covariates, gamma_init=None, *, max_iter: int = 200,
     return gamma, probs
 
 
-def m_step(stats: SufficientStats, structure, *, diag_floor: float = -1e-8):
+def m_step(stats: SufficientStats, structure):
     """Closed-form rate updates on the admissible pattern.
 
     ``t_ks = E[N_ks] / E[Z_k]`` and ``t_k = E[N_k] / E[Z_k]`` per margin;
     this maximizes the complete-data surrogate exactly. States with zero
     expected occupancy get all rates zero and their diagonal set to
-    ``diag_floor`` (with a warning) so the matrix stays a valid generator
-    block.
+    ``_M_STEP_DIAG_FLOOR`` (with a warning) so the matrix stays a valid
+    generator block.
     """
     z = stats.z
     d, p = z.shape
@@ -488,73 +497,38 @@ def m_step(stats: SufficientStats, structure, *, diag_floor: float = -1e-8):
         matrix = trans.copy()
         diag = -(trans.sum(axis=1) + exits)
         dead = (~occupied) | (diag >= 0.0)
-        diag[dead] = diag_floor
+        diag[dead] = _M_STEP_DIAG_FLOOR
         matrix[np.arange(p), np.arange(p)] = diag
         out.append(SubIntensity(matrix))
     return out
 
 
-def _age_scale_loglik(y, delta, per_obs_pi, subs, betas):
+def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
     """Observed log-likelihood with the transform Jacobians included, and its
     gradient and Hessian in theta = log(beta).
 
-    Returns ``(total, floored_rows, grad, hess)``: rows whose likelihood
+    Returns ``(total, floored_rows, grad, hess)``, or ``(total,
+    floored_rows)`` without ``derivatives``: rows whose likelihood
     underflows 1e-300 contribute the constant log(1e-300), so nothing to the
     (d,) gradient or the (d, d) Hessian, and are reported back to the caller.
-
-    Margin i's factor is ``u = e_j' exp(T x) v`` (v = 1 censored, v = t with
-    the Jacobian exp(beta y) for an observed death) at
-    ``x = expm1(beta y) / beta``. As T commutes with exp(T x), the
-    x-derivatives of u are ``exp(T x) T v`` and ``exp(T x) T^2 v``, taken
-    from the same exponentials; the chain rule uses
-    ``x_beta = (y e^{beta y} - x) / beta`` and
-    ``x_betabeta = (y^2 e^{beta y} - 2 x_beta) / beta``.
+    Margin i's factor and its theta-derivatives come from
+    :func:`phasetype._age_factors`: survival where censored, density with
+    the Jacobian where the death was observed.
     """
-    n, d = y.shape
+    d = y.shape[1]
+    parts = [_age_factors(sub, betas[i], y[:, i], delta[:, i].astype(bool), derivatives)
+             for i, sub in enumerate(subs)]
     lik = per_obs_pi.copy()
-    factors, first, second = [], [], []  # per margin: f, df/dtheta, d2f/dtheta2
-    for i, sub in enumerate(subs):
-        beta = betas[i]
-        with np.errstate(over="ignore"):
-            x = np.expm1(beta * y[:, i]) / beta
-        ok = np.isfinite(x)
-        f = np.zeros((n, sub.dim))
-        f1 = np.zeros((n, sub.dim))
-        f2 = np.zeros((n, sub.dim))
-        if np.any(ok):
-            mats = expm_batch(sub.matrix[None, :, :] * x[ok, None, None])
-            died = delta[ok, i].astype(bool)[:, None]
-            yo, xo = y[ok, i, None], x[ok, None]
-            jac = np.exp(beta * yo)
-            t_t = sub.matrix @ sub.exit_rates
-            e_t, e_tt = mats @ sub.exit_rates, mats @ t_t
-            # u = exp(T x) v and its x-derivatives; T 1 = -t for survival
-            u = np.where(died, e_t, mats.sum(axis=-1))
-            u_x = np.where(died, e_tt, -e_t)
-            u_xx = np.where(died, mats @ (sub.matrix @ t_t), -e_tt)
-            # an observed death carries the Jacobian exp(beta y)
-            y_d = np.where(died, yo, 0.0)
-            j_d = np.where(died, jac, 1.0)
-            f[ok] = u * j_d
-            # 0 * inf in rows whose x_beta overflows; those rows are floored
-            with np.errstate(over="ignore", invalid="ignore"):
-                x_b = (yo * jac - xo) / beta
-                x_bb = (yo * yo * jac - 2.0 * x_b) / beta
-                u_b = u_x * x_b
-                u_bb = u_xx * x_b * x_b + u_x * x_bb
-                f_b = (u_b + y_d * u) * j_d
-                f_bb = (u_bb + 2.0 * y_d * u_b + y_d * y_d * u) * j_d
-                f1[ok] = beta * f_b
-                f2[ok] = beta * f_b + beta * beta * f_bb
+    for f, *_ in parts:
         lik *= f
-        factors.append(f)
-        first.append(f1)
-        second.append(f2)
     rows = lik.sum(axis=1)
     keep = rows >= _DENOM_FLOOR
     floored = np.flatnonzero(~keep)
     total = float(np.log(np.clip(rows, _DENOM_FLOOR, None)).sum())
+    if not derivatives:
+        return total, floored
     inv = 1.0 / rows[keep]
+    factors, first, second = zip(*parts)  # per margin: f, df/dtheta, d2f/dtheta2
 
     def weighted(replace):
         """Per-row sum_j pi_j prod_l f_l with margin l's factor swapped for
@@ -590,7 +564,8 @@ def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
     per_obs_pi = model.initial_vectors(obs.covariates)
     subs = [m.sub for m in model.margins]
     betas = np.array([m.transform.beta for m in model.margins])
-    total, floored, _, _ = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas)
+    total, floored = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
+                                       derivatives=False)
     if floored.size:
         raise NumericalError(
             f"likelihood underflowed to 0 for rows {floored[:10].tolist()}"
@@ -600,7 +575,7 @@ def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
 
 
 def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init, *,
-           log_bounds=(-5.0, 7.0)) -> np.ndarray:
+           log_bounds=_LOG_BETA_BOUNDS) -> np.ndarray:
     """Update the transform parameters by guarded Newton ascent of the
     observed log-likelihood over theta = log(beta).
 
@@ -699,20 +674,15 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
         try:
             x = transform_data(obs, betas)
             stats = e_step(x, obs.delta, per_obs_pi, subs)
-            gamma, per_obs_pi = r_step(
-                stats.b, obs.covariates, gamma,
-                coef_cap=config.r_step_coef_cap,
-            )
-            subs = m_step(stats, structure, diag_floor=config.m_step_diag_floor)
+            gamma, per_obs_pi = r_step(stats.b, obs.covariates, gamma)
+            subs = m_step(stats, structure)
             if config.i_step_every and it % config.i_step_every == 0:
-                betas = i_step(
-                    obs, per_obs_pi, subs, betas,
-                    log_bounds=config.log_beta_bounds,
-                )
+                betas = i_step(obs, per_obs_pi, subs, betas)
         except NumericalError as err:
             raise NumericalError(f"EM iteration {it}: {err}") from err
 
-        ll, floored, _, _ = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas)
+        ll, floored = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
+                                        derivatives=False)
         if floored.size:
             warnings.warn(
                 f"iteration {it}: {floored.size} row(s) at the likelihood floor",

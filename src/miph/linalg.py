@@ -1,27 +1,20 @@
 """Dense matrix kernels used throughout the package.
 
-Matrices are plain float64 ``numpy.ndarray`` objects (row-major). The heavy
-lifting is delegated to scipy/LAPACK where a routine with the right contract
-exists; the one kernel numpy/scipy lack, a *batched* matrix exponential, is
-implemented here directly since the fitting loop exponentiates thousands of
-small matrices per iteration.
+Matrices are plain float64 ``numpy.ndarray`` objects (row-major). The one
+kernel numpy lacks, a *batched* matrix exponential, is implemented here
+directly since the fitting loop exponentiates thousands of small matrices
+per iteration; the Kronecker sum and a residual-checked solve serve the
+closed-form dependence measures.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-import scipy.linalg
 
 from .exceptions import SingularMatrixError
 
 __all__ = [
-    "BlockIntegralResult",
-    "expm",
     "expm_batch",
-    "van_loan_integral",
-    "kron_product",
     "kron_sum",
     "solve",
 ]
@@ -34,38 +27,6 @@ def _as_square(a, name: str) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError(f"{name} has non-finite entries")
     return a
-
-
-def expm(m, scale: float = 1.0) -> np.ndarray:
-    """Matrix exponential ``exp(m * scale)``.
-
-    Parameters
-    ----------
-    m : (p, p) array_like
-        Square matrix with finite entries.
-    scale : float, optional
-        Nonnegative scalar multiplier applied before exponentiation. This is
-        the form in which the exponential appears everywhere downstream
-        (``exp(T x)`` for an operational time ``x >= 0``).
-
-    Returns
-    -------
-    (p, p) ndarray
-
-    Notes
-    -----
-    Uses scipy's Padé-13 scaling-and-squaring implementation with norm-based
-    scaling, which stays accurate for the stiff sub-intensity matrices this
-    package produces (rates spanning ~1e-10 .. 1e1 at operational times up to
-    ~1e5).
-    """
-    m = _as_square(m, "m")
-    scale = float(scale)
-    if not np.isfinite(scale) or scale < 0.0:
-        raise ValueError(f"scale must be finite and >= 0, got {scale}")
-    if m.shape[0] == 0:
-        return np.zeros((0, 0))
-    return scipy.linalg.expm(m * scale)
 
 
 # Padé-13 coefficients and the 1-norm threshold above which scaling kicks in
@@ -156,68 +117,6 @@ def expm_batch(a) -> np.ndarray:
         todo = s > k
         r[todo] = r[todo] @ r[todo]
     return r.reshape(*batch_shape, p, p)
-
-
-@dataclass(frozen=True)
-class BlockIntegralResult:
-    """Output of :func:`van_loan_integral`.
-
-    Attributes
-    ----------
-    left : (p, p) ndarray
-        ``exp(t * x)``, reusable by the caller at no extra cost.
-    upper_right : (p, p) ndarray
-        ``integral_0^x exp(t*(x - s)) @ c @ exp(t*s) ds``.
-    """
-
-    left: np.ndarray
-    upper_right: np.ndarray
-
-
-def van_loan_integral(t, c, x: float) -> BlockIntegralResult:
-    """Convolution-type matrix integral via the block-exponential identity.
-
-    Exponentiating the 2p x 2p block matrix ``[[t, c], [0, t]] * x`` yields
-    ``exp(t x)`` in the left diagonal block and
-    ``integral_0^x exp(t (x-s)) c exp(t s) ds`` in the upper-right block
-    (Van Loan 1978). This is how all occupation/transition integrals in the
-    fitting routines are evaluated.
-
-    Parameters
-    ----------
-    t, c : (p, p) array_like
-        Square matrices of equal dimension.
-    x : float
-        Nonnegative upper integration limit.
-    """
-    t = _as_square(t, "t")
-    c = _as_square(c, "c")
-    if t.shape != c.shape:
-        raise ValueError(f"t and c must have equal shapes, got {t.shape} and {c.shape}")
-    x = float(x)
-    if not np.isfinite(x) or x < 0.0:
-        raise ValueError(f"x must be finite and >= 0, got {x}")
-    p = t.shape[0]
-    block = np.zeros((2 * p, 2 * p))
-    block[:p, :p] = t
-    block[:p, p:] = c
-    block[p:, p:] = t
-    full = scipy.linalg.expm(block * x)
-    return BlockIntegralResult(left=full[:p, :p], upper_right=full[:p, p:])
-
-
-def kron_product(a, b) -> np.ndarray:
-    """Kronecker product with the row-major index convention.
-
-    ``kron_product(a, b)[i*q + k, j*r + l] == a[i, j] * b[k, l]`` for ``b`` of
-    shape ``(q, r)``; equivalently ``kron(e_i, e_j)`` puts its 1 at flat index
-    ``i * p + j``.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(b))):
-        raise ValueError("kron_product inputs must be finite")
-    return np.kron(a, b)
 
 
 def kron_sum(a, b) -> np.ndarray:

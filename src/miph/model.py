@@ -20,10 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .linalg import expm_batch, kron_product, kron_sum, solve
+from .linalg import kron_sum, solve
 from .phasetype import (
     GompertzTransform,
     SubIntensity,
+    _age_factors,
     iph_density,
     iph_survival,
     sample_absorption_times,
@@ -163,29 +164,10 @@ def _check_points(model: MIPHModel, y):
     return y, scalar
 
 
-def _factor_rows(margin: Margin, y: np.ndarray, kind: str) -> np.ndarray:
-    """Per-state factors for one margin at ages ``y`` (1-d).
-
-    Row m, column j is ``e_j' exp(T x_m) 1`` (kind="survival") or
-    ``e_j' exp(T x_m) t * exp(beta y_m)`` (kind="density"), with
-    ``x = g^{-1}(y)``. Each distinct age is exponentiated once and its row
-    is copied to every repeat, so a grid's rows cost one exponential per
-    distinct age. Ages far enough out that the operational time overflows
-    get exact-zero rows (the mathematical limit).
-    """
-    ages, inverse = np.unique(y, return_inverse=True)
-    beta = margin.transform.beta
-    with np.errstate(over="ignore"):
-        x = np.expm1(beta * ages) / beta
-    ok = np.isfinite(x)
-    out = np.zeros((ages.size, margin.sub.dim))
-    if np.any(ok):
-        mats = expm_batch(margin.sub.matrix[None, :, :] * x[ok, None, None])
-        if kind == "survival":
-            out[ok] = mats.sum(axis=-1)
-        else:
-            out[ok] = (mats @ margin.sub.exit_rates) * np.exp(beta * ages[ok])[:, None]
-    return out[inverse]
+def _margin_factors(margin: Margin, y, died) -> np.ndarray:
+    """Survival (or, where ``died``, density) factor rows of one margin at
+    ages ``y``; see :func:`phasetype._age_factors`."""
+    return _age_factors(margin.sub, margin.transform.beta, y, died)[0]
 
 
 def joint_density(model: MIPHModel, pi, y):
@@ -194,7 +176,7 @@ def joint_density(model: MIPHModel, pi, y):
     pts, scalar = _check_points(model, y)
     factors = np.ones((pts.shape[0], model.dim))
     for i, margin in enumerate(model.margins):
-        factors *= _factor_rows(margin, pts[:, i], "density")
+        factors *= _margin_factors(margin, pts[:, i], True)
     vals = factors @ pi
     return float(vals[0]) if scalar else vals
 
@@ -205,7 +187,7 @@ def joint_survival(model: MIPHModel, pi, y):
     pts, scalar = _check_points(model, y)
     factors = np.ones((pts.shape[0], model.dim))
     for i, margin in enumerate(model.margins):
-        factors *= _factor_rows(margin, pts[:, i], "survival")
+        factors *= _margin_factors(margin, pts[:, i], False)
     vals = factors @ pi
     return float(vals[0]) if scalar else vals
 
@@ -216,7 +198,7 @@ def joint_cdf(model: MIPHModel, pi, y):
     pts, scalar = _check_points(model, y)
     factors = np.ones((pts.shape[0], model.dim))
     for i, margin in enumerate(model.margins):
-        factors *= 1.0 - _factor_rows(margin, pts[:, i], "survival")
+        factors *= 1.0 - _margin_factors(margin, pts[:, i], False)
     vals = factors @ pi
     return float(vals[0]) if scalar else vals
 
@@ -252,7 +234,8 @@ def condition_on_value(model: MIPHModel, pi, margin: int, y: float):
 
     Returns the reduced model over the remaining margins together with the
     updated start-state vector ``alpha_j \\propto pi_j e_j' exp(T x) t``
-    (the transform's Jacobian cancels in the normalization).
+    (the transform's Jacobian, common to all states, cancels in the
+    normalization).
     """
     margin = _check_margin(model, margin)
     if model.n_margins < 2:
@@ -262,12 +245,13 @@ def condition_on_value(model: MIPHModel, pi, margin: int, y: float):
     if not (np.isfinite(y) and y >= 0.0):
         raise ValueError(f"conditioning age must be finite and >= 0, got {y}")
     m = model.margins[margin]
-    weights = pi * (expm_batch(m.sub.matrix[None] * m.transform.inverse(y))[0]
-                    @ m.sub.exit_rates)
+    weights = pi * _margin_factors(m, np.array([y]), True)[0]
     total = weights.sum()
-    if not np.isfinite(total) or total < _DENOM_FLOOR:
+    # the floor applies to pi' exp(T x) t, without the Jacobian
+    mass = total * np.exp(-m.transform.beta * y)
+    if not np.isfinite(total) or mass < _DENOM_FLOOR:
         raise NumericalError(
-            f"conditioning density underflowed at y = {y} (mass {total:.3e})"
+            f"conditioning density underflowed at y = {y} (mass {mass:.3e})"
         )
     alpha = weights / total
     return _reduced(model, margin, alpha), alpha
@@ -285,8 +269,7 @@ def condition_on_survival(model: MIPHModel, pi, margin: int, y: float):
     y = float(y)
     if not (np.isfinite(y) and y >= 0.0):
         raise ValueError(f"conditioning age must be finite and >= 0, got {y}")
-    m = model.margins[margin]
-    weights = pi * expm_batch(m.sub.matrix[None] * m.transform.inverse(y))[0].sum(axis=1)
+    weights = pi * _margin_factors(model.margins[margin], np.array([y]), False)[0]
     total = weights.sum()
     if not np.isfinite(total) or total < _DENOM_FLOOR:
         raise NumericalError(
@@ -304,7 +287,7 @@ def _precedence_matrix(sub: SubIntensity) -> np.ndarray:
     ``(a, b)`` sits at flat index ``a * p + b``.
     """
     p = sub.dim
-    rhs = kron_product(np.ones(p), sub.exit_rates)
+    rhs = np.tile(sub.exit_rates, p)
     u = solve(-kron_sum(sub.matrix, sub.matrix), rhs)
     return u.reshape(p, p)
 
@@ -349,19 +332,15 @@ def spearman_rho(model: MIPHModel, pi, pair=(0, 1)) -> float:
     return float(12.0 * pi @ (a_k * a_l) - 3.0)
 
 
-def _bivariate_parts(model: MIPHModel, pi, y1: float, y2: float):
-    """Per-state survival/density factor vectors for a bivariate model."""
+def _check_bivariate(model: MIPHModel, pi, ages) -> np.ndarray:
+    """Validated initial vector of a bivariate model evaluated at ``ages``."""
     if model.n_margins != 2:
         raise ValueError("this measure is defined for bivariate models")
     pi = validate_initial_vector(pi, model.dim)
-    for y in (y1, y2):
+    for y in ages:
         if not (np.isfinite(y) and y >= 0.0):
             raise ValueError(f"ages must be finite and >= 0, got {y}")
-    sv1 = _factor_rows(model.margins[0], np.array([y1]), "survival")[0]
-    sv2 = _factor_rows(model.margins[1], np.array([y2]), "survival")[0]
-    dv1 = _factor_rows(model.margins[0], np.array([y1]), "density")[0]
-    dv2 = _factor_rows(model.margins[1], np.array([y2]), "density")[0]
-    return pi, sv1, sv2, dv1, dv2
+    return pi
 
 
 def psi1(model: MIPHModel, pi, y1: float, y2: float) -> float:
@@ -370,7 +349,9 @@ def psi1(model: MIPHModel, pi, y1: float, y2: float) -> float:
     Equals 1 everywhere iff the margins are independent; > 1 signals
     positive association at (y1, y2).
     """
-    pi, sv1, sv2, _, _ = _bivariate_parts(model, pi, y1, y2)
+    pi = _check_bivariate(model, pi, (y1, y2))
+    sv1, sv2 = (_margin_factors(m, np.array([y]), False)[0]
+                for m, y in zip(model.margins, (y1, y2)))
     joint = pi @ (sv1 * sv2)
     s1 = pi @ sv1
     s2 = pi @ sv2
@@ -402,7 +383,10 @@ def cross_ratio(model: MIPHModel, pi, u: float) -> float:
     positive dependence induced by a shared start state.
     """
     u = float(u)
-    pi, sv1, sv2, dv1, dv2 = _bivariate_parts(model, pi, u, u)
+    pi = _check_bivariate(model, pi, (u,))
+    # survival and density rows of each margin from one exponential
+    (sv1, dv1), (sv2, dv2) = (_margin_factors(m, np.array([u, u]), [False, True])
+                              for m in model.margins)
     s = pi @ (sv1 * sv2)
     f = pi @ (dv1 * dv2)
     d1 = pi @ (dv1 * sv2)  # = -dS/dy1
@@ -413,24 +397,21 @@ def cross_ratio(model: MIPHModel, pi, u: float) -> float:
     return float(s * f / denom)
 
 
-def _survival_safe(margin: Margin, pi: np.ndarray, y: float) -> float:
-    """Marginal survival that returns 0 past the transform's overflow point
-    instead of raising; the truncation search probes arbitrarily far out."""
-    val = _factor_rows(margin, np.array([float(y)]), "survival")[0] @ pi
-    return float(val)
-
-
 def _truncation_point(margin: Margin, pi: np.ndarray) -> float:
+    def survival(y):
+        # 0 past the transform's overflow point: the search probes far out
+        return float(_margin_factors(margin, np.array([y]), False)[0] @ pi)
+
     hi = 0.5
-    if _survival_safe(margin, pi, hi) < _SURVIVAL_TRUNCATION:
+    if survival(hi) < _SURVIVAL_TRUNCATION:
         # a steep clock: halve while survival at half the age is still below
         # the cut, so the integration range does not overshoot the support
-        while _survival_safe(margin, pi, 0.5 * hi) < _SURVIVAL_TRUNCATION:
+        while survival(0.5 * hi) < _SURVIVAL_TRUNCATION:
             hi *= 0.5
         return hi
     for _ in range(200):
         hi *= 2.0
-        if _survival_safe(margin, pi, hi) < _SURVIVAL_TRUNCATION:
+        if survival(hi) < _SURVIVAL_TRUNCATION:
             return hi
     raise NumericalError("survival does not decay; expectation diverges")
 
@@ -473,7 +454,7 @@ def conditional_expectation(
     u = (centres[:, None] + half * _GL_NODES[None, :]).ravel()
     y = np.logaddexp(0.0, u + np.log(beta)) / beta  # log1p(beta x) / beta
     dy_du = np.exp(u - beta * y)  # x / (1 + beta x)
-    survival = _factor_rows(m, y, "survival") @ pi
+    survival = _margin_factors(m, y, False) @ pi
     head = np.logaddexp(0.0, u_lo + np.log(beta)) / beta
     return float(head + half * (survival * dy_du) @ np.tile(_GL_WEIGHTS, _GL_PANELS))
 

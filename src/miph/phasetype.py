@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DataValidationError
-from .linalg import expm, expm_batch, solve
+from .linalg import expm_batch, solve
 
 __all__ = [
     "SubIntensity",
@@ -28,7 +28,6 @@ __all__ = [
     "ph_survival",
     "iph_density",
     "iph_survival",
-    "sample_absorption_time",
     "sample_absorption_times",
     "random_sub_intensity",
 ]
@@ -200,13 +199,86 @@ def validate_initial_vector(pi, dim: int, *, tol: float = 1e-9) -> np.ndarray:
     return pi
 
 
-def _survival_matrix(sub: SubIntensity, x) -> np.ndarray:
-    """Rows ``exp(T x_m)`` stacked, for scalar or 1-d x; see callers."""
+def _exp_factors(sub: SubIntensity, x, died, derivatives: bool = False) -> list:
+    """Per-state factor rows ``e_j' exp(T x_m) v_m`` at operational times x.
+
+    ``v_m`` is the exit-rate vector t where ``died`` (a density factor) and
+    the all-ones vector elsewhere (a survival factor); ``died`` broadcasts
+    against the 1-d ``x``. Returns ``[u]``, or with ``derivatives`` also
+    the x-derivatives ``exp(T x) T v`` and ``exp(T x) T^2 v``, which come
+    from the same exponentials because T commutes with exp(T x); T 1 = -t.
+
+    Each distinct finite x is exponentiated once and its row copied to every
+    repeat. Non-finite x (an operational time that overflowed) gets exact
+    zero rows, the limit of every factor, and is never exponentiated.
+    """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return expm(sub.matrix, float(x))[None]
-    stack = sub.matrix[None, :, :] * x[:, None, None]
-    return expm_batch(stack)
+    died = np.broadcast_to(np.asarray(died, dtype=bool), x.shape)
+    xs, inverse = np.unique(x, return_inverse=True)
+    ok = np.isfinite(xs)
+    t = sub.exit_rates
+    vectors = [t]
+    if derivatives:
+        vectors += [sub.matrix @ t, sub.matrix @ (sub.matrix @ t)]
+    # per distinct x: exp(T x) 1, then exp(T x) T^k t for k = 0, 1, 2
+    rows = np.zeros((len(vectors) + 1, xs.size, sub.dim))
+    if np.any(ok):
+        mats = expm_batch(sub.matrix[None, :, :] * xs[ok, None, None])
+        rows[0, ok] = mats.sum(axis=-1)
+        for k, vec in enumerate(vectors, start=1):
+            rows[k, ok] = mats @ vec
+    # term k of a survival row is exp(T x) T^k 1 = -exp(T x) T^(k-1) t (k > 0);
+    # rows where ``died`` are overwritten with the density version
+    dead = inverse[died]
+    out = []
+    for k in range(len(vectors)):
+        f = rows[k][inverse]
+        if k:
+            np.negative(f, out=f)
+        f[died] = rows[k + 1][dead]
+        out.append(f)
+    return out
+
+
+def _age_factors(sub: SubIntensity, beta: float, y, died,
+                 derivatives: bool = False) -> list:
+    """Per-state factor rows at ages y under the Gompertz clock ``beta``.
+
+    Row m is ``e_j' exp(T x_m) 1`` (survival) or, where ``died``,
+    ``e_j' exp(T x_m) t exp(beta y_m)`` (density with the Jacobian), at
+    ``x = expm1(beta y) / beta``. Ages whose operational time overflows get
+    exact zero rows. With ``derivatives`` the list also holds the first and
+    second derivatives in theta = log(beta), from the chain rule
+    ``x_beta = (y e^{beta y} - x) / beta`` and
+    ``x_betabeta = (y^2 e^{beta y} - 2 x_beta) / beta`` on the operational-
+    time derivatives of :func:`_exp_factors`.
+    """
+    y = np.asarray(y, dtype=float)
+    with np.errstate(over="ignore"):
+        x = np.expm1(beta * y) / beta
+        jac = np.exp(beta * y)
+    terms = _exp_factors(sub, x, died, derivatives)
+    ok = np.isfinite(x)[:, None]
+    died = np.broadcast_to(np.asarray(died, dtype=bool), y.shape)[:, None]
+    # an observed death carries the Jacobian exp(beta y); overflowed rows stay 0
+    j_d = np.where(died & ok, jac[:, None], 1.0)
+    f = terms[0] * j_d
+    if not derivatives:
+        return [f]
+    u, u_x, u_xx = terms
+    yo, xo, jac = y[:, None], x[:, None], jac[:, None]
+    y_d = np.where(died, yo, 0.0)
+    # 0 * inf in rows whose x_beta overflows; callers floor those rows
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_b = (yo * jac - xo) / beta
+        x_bb = (yo * yo * jac - 2.0 * x_b) / beta
+        u_b = u_x * x_b
+        u_bb = u_xx * x_b * x_b + u_x * x_bb
+        f_b = (u_b + y_d * u) * j_d
+        f_bb = (u_bb + 2.0 * y_d * u_b + y_d * y_d * u) * j_d
+        f1 = np.where(ok, beta * f_b, 0.0)
+        f2 = np.where(ok, beta * f_b + beta * beta * f_bb, 0.0)
+    return [f, f1, f2]
 
 
 def ph_density(sub: SubIntensity, pi, x):
@@ -216,8 +288,7 @@ def ph_density(sub: SubIntensity, pi, x):
     """
     pi = validate_initial_vector(pi, sub.dim)
     xv = _check_nonneg(x, "x")
-    mats = _survival_matrix(sub, xv)
-    vals = (pi @ mats) @ sub.exit_rates
+    vals = _exp_factors(sub, np.atleast_1d(xv), True)[0] @ pi
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
@@ -225,47 +296,30 @@ def ph_survival(sub: SubIntensity, pi, x):
     """Phase-type survival ``pi @ exp(T x) @ ones`` at x >= 0."""
     pi = validate_initial_vector(pi, sub.dim)
     xv = _check_nonneg(x, "x")
-    mats = _survival_matrix(sub, xv)
-    vals = (pi @ mats).sum(axis=-1)
+    vals = _exp_factors(sub, np.atleast_1d(xv), False)[0] @ pi
     return float(vals[0]) if np.ndim(x) == 0 else vals
 
 
-def _inverse_clipped(transform: GompertzTransform, yv):
-    """Operational times for age-scale evaluation.
-
-    Ages extreme enough to overflow the transform are mapped to the largest
-    finite operational time; the survival factor there underflows to exactly
-    zero, which is the correct limit.
-    """
-    with np.errstate(over="ignore"):
-        x = np.asarray(transform.inverse(yv), dtype=float)
-    return np.where(np.isfinite(x), x, np.finfo(float).max / 1e10)
-
-
 def iph_density(sub: SubIntensity, pi, transform: GompertzTransform, y):
-    """Age-scale density: PH density at ``g^{-1}(y)`` times the Jacobian."""
+    """Age-scale density: PH density at ``g^{-1}(y)`` times the Jacobian.
+
+    Zero at ages whose operational time overflows the float range.
+    """
+    pi = validate_initial_vector(pi, sub.dim)
     yv = _check_nonneg(y, "y")
-    with np.errstate(over="ignore", invalid="ignore"):
-        vals = ph_density(sub, pi, _inverse_clipped(transform, yv))
-        vals = np.where(vals > 0.0, vals * transform.intensity(yv), 0.0)
-    return float(vals) if np.ndim(y) == 0 else vals
+    vals = _age_factors(sub, transform.beta, np.atleast_1d(yv), True)[0] @ pi
+    return float(vals[0]) if np.ndim(y) == 0 else vals
 
 
 def iph_survival(sub: SubIntensity, pi, transform: GompertzTransform, y):
-    """Age-scale survival: PH survival evaluated at ``g^{-1}(y)``."""
+    """Age-scale survival: PH survival evaluated at ``g^{-1}(y)``.
+
+    Zero at ages whose operational time overflows the float range.
+    """
+    pi = validate_initial_vector(pi, sub.dim)
     yv = _check_nonneg(y, "y")
-    vals = ph_survival(sub, pi, _inverse_clipped(transform, yv))
-    return float(vals) if np.ndim(y) == 0 else vals
-
-
-def sample_absorption_time(sub: SubIntensity, start_state: int, rng) -> float:
-    """Simulate one jump path from ``start_state`` until absorption and
-    return the (operational-time) absorption instant."""
-    if not 0 <= start_state < sub.dim:
-        raise ValueError(f"start_state must be in [0, {sub.dim}), got {start_state}")
-    return float(
-        sample_absorption_times(sub, np.array([start_state]), rng)[0]
-    )
+    vals = _age_factors(sub, transform.beta, np.atleast_1d(yv), False)[0] @ pi
+    return float(vals[0]) if np.ndim(y) == 0 else vals
 
 
 def sample_absorption_times(sub: SubIntensity, start_states, rng) -> np.ndarray:

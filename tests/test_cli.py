@@ -314,15 +314,3 @@ class TestArgumentErrors:
         f.write_text("{", encoding="utf-8")
         assert main(["eval", str(f), "--points", "1,1"]) == 2
         capsys.readouterr()
-
-    def test_bad_thread_count(self, small_model_path, capsys):
-        rc = main(["eval", str(small_model_path), "--points", "1,1",
-                   "--threads", "0"])
-        assert rc == 2
-        capsys.readouterr()
-
-    def test_thread_limit_smoke(self, small_model_path, capsys):
-        rc = main(["eval", str(small_model_path), "--points", "1,1",
-                   "--threads", "2"])
-        assert rc == 0
-        capsys.readouterr()

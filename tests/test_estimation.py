@@ -40,7 +40,7 @@ from miph import (
     sample_joint,
     transform_data,
 )
-from miph import estimation
+from miph import estimation, phasetype
 from miph.estimation import _age_scale_loglik
 from miph.linalg import expm_batch
 
@@ -257,6 +257,17 @@ class TestEStep:
             with pytest.warns(RuntimeWarning):
                 e_step(x, delta, pi_rows, subs)
 
+    def test_exit_counts_sum_to_deaths(self):
+        # row 1's own evidence in margin 0 is about 5e-53, so its posterior
+        # weights given margin 1 are about 2e52; each observed death still
+        # adds exactly one expected absorption
+        sub = SubIntensity(np.array([[-1.5, 0.5], [0.0, -0.8]]))
+        x = np.array([[0.7, 0.4], [150.0, 0.9], [2.0, 1.0], [40.0, 60.0]])
+        delta = np.array([[1, 1], [1, 0], [0, 1], [1, 1]])
+        stats = e_step(x, delta, np.tile([0.3, 0.7], (4, 1)), [sub, sub])
+        np.testing.assert_allclose(stats.n_exit.sum(axis=1), delta.sum(axis=0),
+                                   rtol=1e-12)
+
     def test_shape_validation(self):
         x, delta, pi_rows, subs = _toy_data()
         with pytest.raises(ValueError):
@@ -419,7 +430,7 @@ class TestMStep:
             n_exit=np.array([[1.5, 0.0]]),
         )
         with pytest.warns(RuntimeWarning, match="occupancy"):
-            (sub,) = m_step(stats, CoxianStructure(2), diag_floor=-1e-8)
+            (sub,) = m_step(stats, CoxianStructure(2))
         assert sub.matrix[1, 1] == -1e-8
         assert sub.exit_rates[1] == pytest.approx(1e-8)
 
@@ -573,7 +584,7 @@ class TestIStep:
         # the likelihood rises towards beta = (3, 2), above the upper bound
         obs, pi_rows, subs = self._age_data(seed=389, n=150)
         calls = []
-        monkeypatch.setattr(estimation, "expm_batch",
+        monkeypatch.setattr(phasetype, "expm_batch",
                             lambda a: calls.append(1) or expm_batch(a))
         start = np.array([1.0, 1.0])
         got = i_step(obs, pi_rows, subs, start, log_bounds=(-5.0, 0.0))
@@ -587,7 +598,7 @@ class TestIStep:
 
     def test_exponential_budget(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(estimation, "expm_batch",
+        monkeypatch.setattr(phasetype, "expm_batch",
                             lambda a: calls.append(1) or expm_batch(a))
         for seed, start in ((373, (1.0, 1.0)), (379, (0.01, 50.0)), (383, (3.0, 2.0))):
             obs, pi_rows, subs = self._age_data(seed=seed, n=150)

@@ -3,7 +3,8 @@
 Expected values come from oracles that avoid the implementation paths under
 test: extended-precision truncated series (mpmath) for the exponential, and
 composite-Simpson / adaptive quadrature of the integrand (built from scipy's
-scalar expm, not the block construction) for the Van Loan integral.
+scalar expm, not the block construction) for the Van Loan integral that the
+E-step reads off one batched exponential of a 2p x 2p block.
 """
 
 import mpmath as mp
@@ -12,15 +13,8 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from miph import SingularMatrixError
-from miph.linalg import (
-    expm,
-    expm_batch,
-    kron_product,
-    kron_sum,
-    solve,
-    van_loan_integral,
-)
+from miph import SingularMatrixError, SubIntensity, e_step
+from miph.linalg import expm_batch, kron_sum, solve
 
 from conftest import DIAG_1, DIAG_2, SUPER_1, SUPER_2, chain_matrix, random_chain
 
@@ -52,8 +46,10 @@ def series_expm(a: np.ndarray, terms: int = 200) -> np.ndarray:
 
 
 class TestExpm:
+    """The exponential itself, through the batched kernel."""
+
     def test_fixed_value_against_frozen_series(self):
-        got = expm(FIXED_T, 0.5)
+        got = expm_batch(FIXED_T * 0.5)
         np.testing.assert_allclose(got, FIXED_EXPM_HALF, rtol=1e-13, atol=1e-15)
 
     def test_oracle_agrees_with_itself(self):
@@ -64,10 +60,11 @@ class TestExpm:
 
     def test_random_matrices_against_series(self):
         rng = np.random.default_rng(7)
-        for _ in range(5):
-            a = rng.uniform(-1.0, 1.0, size=(3, 3))
+        stack = rng.uniform(-1.0, 1.0, size=(5, 3, 3))
+        got = expm_batch(stack)
+        for k in range(stack.shape[0]):
             np.testing.assert_allclose(
-                expm(a), series_expm(a), rtol=1e-12, atol=1e-14
+                got[k], series_expm(stack[k]), rtol=1e-12, atol=1e-14
             )
 
     def test_semigroup_property(self):
@@ -76,31 +73,30 @@ class TestExpm:
             p = int(rng.integers(1, 7))
             t = random_chain(rng, p).matrix
             x, y = rng.uniform(0.0, 5.0, size=2)
-            left = expm(t, x) @ expm(t, y)
-            right = expm(t, x + y)
-            np.testing.assert_allclose(left, right, atol=1e-12)
+            e_x, e_y, e_xy = expm_batch(t[None] * np.array([x, y, x + y])[:, None, None])
+            np.testing.assert_allclose(e_x @ e_y, e_xy, atol=1e-12)
 
     def test_substochastic_for_sub_intensities(self):
         rng = np.random.default_rng(13)
         for _ in range(10):
             p = int(rng.integers(1, 7))
             t = random_chain(rng, p).matrix
-            e = expm(t, rng.uniform(0.0, 50.0))
+            e = expm_batch(t * rng.uniform(0.0, 50.0))
             assert e.min() >= -1e-14
             assert e.sum(axis=1).max() <= 1.0 + 1e-12
 
     def test_scale_zero_is_identity(self):
-        np.testing.assert_array_equal(expm(FIXED_T, 0.0), np.eye(2))
+        np.testing.assert_array_equal(expm_batch(FIXED_T * 0.0), np.eye(2))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            expm(np.ones((2, 3)))
+            expm_batch(np.ones((2, 3)))
         with pytest.raises(ValueError):
-            expm(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+            expm_batch(np.ones(4))
         with pytest.raises(ValueError):
-            expm(FIXED_T, -1.0)
+            expm_batch(np.array([[np.nan, 0.0], [0.0, 1.0]]))
         with pytest.raises(ValueError):
-            expm(FIXED_T, np.inf)
+            expm_batch(np.array([[np.inf, 0.0], [0.0, -1.0]]))
 
 
 class TestExpmBatch:
@@ -190,16 +186,27 @@ def simpson_van_loan(t, c, x, panels=2000):
     return scipy.integrate.simpson(vals, x=s, axis=0)
 
 
+def van_loan(t, c, x):
+    """exp(t x) and integral_0^x exp(t (x - s)) c exp(t s) ds from one
+    exponential of the block [[t, c], [0, t]] x, as the E-step builds it."""
+    p = t.shape[0]
+    block = np.zeros((2 * p, 2 * p))
+    block[:p, :p] = t
+    block[:p, p:] = c
+    block[p:, p:] = t
+    full = expm_batch(block * x)
+    return full[:p, :p], full[:p, p:]
+
+
 class TestVanLoan:
     def test_fixed_value_against_frozen_series(self):
-        res = van_loan_integral(FIXED_T, np.ones((2, 2)), 0.5)
-        np.testing.assert_allclose(res.upper_right, FIXED_VANLOAN_UR,
+        left, upper_right = van_loan(FIXED_T, np.ones((2, 2)), 0.5)
+        np.testing.assert_allclose(upper_right, FIXED_VANLOAN_UR,
                                    rtol=1e-13, atol=1e-15)
-        np.testing.assert_allclose(res.left, FIXED_EXPM_HALF,
-                                   rtol=1e-13, atol=1e-15)
+        np.testing.assert_allclose(left, FIXED_EXPM_HALF, rtol=1e-13, atol=1e-15)
 
     def test_fixed_value_against_simpson(self):
-        got = van_loan_integral(FIXED_T, np.ones((2, 2)), 0.5).upper_right
+        _, got = van_loan(FIXED_T, np.ones((2, 2)), 0.5)
         np.testing.assert_allclose(
             got, simpson_van_loan(FIXED_T, np.ones((2, 2)), 0.5), rtol=1e-10
         )
@@ -219,42 +226,27 @@ class TestVanLoan:
             oracle, _ = scipy.integrate.quad_vec(
                 integrand, 0.0, x, epsabs=1e-13, epsrel=1e-11
             )
-            got = van_loan_integral(t, c, x).upper_right
+            _, got = van_loan(t, c, x)
             np.testing.assert_allclose(got.ravel(), oracle, rtol=1e-8, atol=1e-12)
 
     def test_zero_length_integral(self):
-        res = van_loan_integral(FIXED_T, np.ones((2, 2)), 0.0)
-        np.testing.assert_array_equal(res.upper_right, np.zeros((2, 2)))
-        np.testing.assert_array_equal(res.left, np.eye(2))
+        left, upper_right = van_loan(FIXED_T, np.ones((2, 2)), 0.0)
+        np.testing.assert_array_equal(upper_right, np.zeros((2, 2)))
+        np.testing.assert_array_equal(left, np.eye(2))
 
     def test_rejects_mismatched_shapes(self):
+        # the E-step, which builds the blocks, rejects margins of different
+        # sizes and operational times that are negative or not finite
+        sub = SubIntensity(FIXED_T)
+        x, delta, pi_rows = np.full((1, 2), 0.5), np.ones((1, 2)), np.full((1, 2), 0.5)
         with pytest.raises(ValueError):
-            van_loan_integral(FIXED_T, np.ones((3, 3)), 1.0)
-        with pytest.raises(ValueError):
-            van_loan_integral(FIXED_T, np.ones((2, 2)), -0.5)
+            e_step(x, delta, pi_rows, [sub, SubIntensity(-np.eye(3))])
+        for bad in (-0.5, np.inf):
+            with pytest.raises(ValueError):
+                e_step(np.array([[0.5, bad]]), delta, pi_rows, [sub, sub])
 
 
 class TestKronecker:
-    def test_unit_vector_index_convention(self):
-        p = 4
-        for i in range(p):
-            for j in range(p):
-                v = kron_product(np.eye(p)[i], np.eye(p)[j])
-                assert v[i * p + j] == 1.0
-                assert v.sum() == 1.0
-
-    def test_product_entries(self):
-        rng = np.random.default_rng(31)
-        a = rng.normal(size=(2, 3))
-        b = rng.normal(size=(4, 2))
-        k = kron_product(a, b)
-        assert k.shape == (8, 6)
-        for i in range(2):
-            for j in range(3):
-                np.testing.assert_allclose(
-                    k[i * 4:(i + 1) * 4, j * 2:(j + 1) * 2], a[i, j] * b
-                )
-
     def test_kron_sum_eigenvalues_are_pairwise_sums(self):
         rng = np.random.default_rng(37)
         a = rng.normal(size=(3, 3))
@@ -319,6 +311,6 @@ class TestSolve:
         rng = np.random.default_rng(53)
         t = random_chain(rng, 5).matrix
         a = -kron_sum(t, t)
-        b = kron_product(np.ones(5), -t.sum(axis=1))
+        b = np.kron(np.ones(5), -t.sum(axis=1))
         x = solve(a, b)
         assert np.all(x >= -1e-12) and np.all(x <= 1.0 + 1e-12)

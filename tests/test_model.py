@@ -14,6 +14,7 @@ import scipy.integrate
 import scipy.stats
 
 import miph.model
+import miph.phasetype
 from miph import (
     GompertzTransform,
     Margin,
@@ -216,15 +217,14 @@ class TestJointEvaluation:
         pts = np.column_stack([ages, ages[::-1]])
         pts = np.vstack([pts, pts[:, ::-1], [[0.12, 0.12], [25.0, 0.3]]])
         pi = couple_pi(1)
+        kernel = miph.phasetype._age_factors
         for margin, col in zip(spousal_model.margins, pts.T):
-            for kind in ("survival", "density"):
+            sub, beta = margin.sub, margin.transform.beta
+            for died in (False, True):
                 pointwise = np.vstack([
-                    miph.model._factor_rows(margin, np.array([y]), kind)
-                    for y in col
+                    kernel(sub, beta, np.array([y]), died)[0] for y in col
                 ])
-                assert np.array_equal(
-                    miph.model._factor_rows(margin, col, kind), pointwise
-                )
+                assert np.array_equal(kernel(sub, beta, col, died)[0], pointwise)
         # the per-state factors agree bit for bit; the final ``factors @ pi``
         # may round differently in the last bit for a 1-row and an n-row
         # product (BLAS row blocking)
@@ -238,13 +238,13 @@ class TestJointEvaluation:
         assert np.all(joint_density(spousal_model, pi, pts)[overflowed] == 0.0)
 
         sizes = []
-        real = miph.model.expm_batch
+        real = miph.phasetype.expm_batch
 
         def counting(a):
             sizes.append(a.shape[0])
             return real(a)
 
-        monkeypatch.setattr(miph.model, "expm_batch", counting)
+        monkeypatch.setattr(miph.phasetype, "expm_batch", counting)
         joint_survival(spousal_model, pi, pts)
         finite = [np.unique(col[col < 25.0]).size for col in pts.T]
         assert sizes == finite
@@ -318,10 +318,18 @@ class TestConditioning:
         exact = marginal_survival(reduced, nu, 0, probe)
         assert abs(empirical - exact) < 0.01
 
-    def test_conditioning_far_out_raises(self):
+    def test_conditioning_far_out_raises(self, spousal_model):
         model, pi = random_bivariate_model(np.random.default_rng(173), p=2)
-        with pytest.raises(NumericalError):
-            condition_on_value(model, pi, 0, 80.0)
+        # at 7.0 pi' exp(T x) t is below the floor, its product with the
+        # Jacobian e^{beta y} is not
+        for y in (7.0, 80.0):
+            with pytest.raises(NumericalError):
+                condition_on_value(model, pi, 0, y)
+        # 2000 years: the reference model's operational time overflows
+        for condition in (condition_on_value, condition_on_survival):
+            for margin in (0, 1):
+                with pytest.raises(NumericalError):
+                    condition(spousal_model, couple_pi(1), margin, 20.0)
 
     def test_conditioning_needs_two_margins(self):
         m = Margin(SubIntensity(np.array([[-1.0]])), GompertzTransform(1.0))

@@ -18,13 +18,13 @@ from miph import (
     iph_survival,
     ph_density,
     ph_survival,
-    sample_absorption_time,
     sample_absorption_times,
     validate_initial_vector,
 )
 from miph.phasetype import mean_from_state, random_sub_intensity
 
-from conftest import random_chain, random_pi
+from conftest import BETA_1, BETA_2, DIAG_1, DIAG_2, SUPER_1, SUPER_2, \
+    chain_matrix, couple_pi, random_chain, random_pi
 
 
 class TestSubIntensity:
@@ -195,6 +195,23 @@ class TestDensities:
         batch = ph_density(sub, pi, x)
         singles = [ph_density(sub, pi, xi) for xi in x]
         np.testing.assert_allclose(batch, singles, rtol=1e-13)
+        # the reference margins at 200, 250 and 4000 years, where the
+        # operational time is 6e35 to 7e49 and then overflows
+        y = np.array([2.0, 2.5, 40.0])
+        for diag, superdiag, beta in ((DIAG_1, SUPER_1, BETA_1),
+                                      (DIAG_2, SUPER_2, BETA_2)):
+            ref = SubIntensity(chain_matrix(diag, superdiag))
+            tr = GompertzTransform(beta)
+            for fn in (iph_survival, iph_density):
+                batch = fn(ref, couple_pi(1), tr, y)
+                singles = [fn(ref, couple_pi(1), tr, yi) for yi in y]
+                np.testing.assert_allclose(batch, singles, rtol=1e-13)
+                np.testing.assert_array_equal(batch, 0.0)
+            xs = tr.inverse(y[:2])
+            for fn in (ph_survival, ph_density):
+                batch = fn(ref, couple_pi(1), xs)
+                singles = [fn(ref, couple_pi(1), xi) for xi in xs]
+                np.testing.assert_allclose(batch, singles, rtol=1e-13)
 
     def test_rejects_negative_times(self):
         sub = SubIntensity(np.array([[-1.0]]))
@@ -249,17 +266,17 @@ class TestSampler:
         b = sample_absorption_times(sub, starts, np.random.default_rng(5))
         np.testing.assert_array_equal(a, b)
 
-    def test_scalar_wrapper(self):
+    def test_single_path(self):
         sub = SubIntensity(np.array([[-2.0, 1.0], [0.0, -1.0]]))
-        t = sample_absorption_time(sub, 0, np.random.default_rng(9))
-        assert isinstance(t, float) and t > 0.0
+        t = sample_absorption_times(sub, np.array([0]), np.random.default_rng(9))
+        assert t.shape == (1,) and t.dtype == np.float64 and t[0] > 0.0
 
     def test_rejects_bad_start_states(self):
         sub = SubIntensity(np.array([[-1.0]]))
         with pytest.raises(ValueError):
             sample_absorption_times(sub, np.array([1]), np.random.default_rng(0))
         with pytest.raises(ValueError):
-            sample_absorption_time(sub, -1, np.random.default_rng(0))
+            sample_absorption_times(sub, np.array([-1]), np.random.default_rng(0))
 
 
 class TestRandomSubIntensity:
