@@ -17,8 +17,6 @@ internal scale (years / 100) happens inside. All outputs are CSV/JSON text
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
 import sys
 from pathlib import Path
 
@@ -68,14 +66,15 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
 
 
 def _check_age_range(scaled_ages) -> None:
+    """Warn once about all the ages outside the calibrated range."""
     lo, hi = _AGE_RANGE_SCALED
-    for a in np.atleast_1d(scaled_ages):
-        if not lo <= a <= hi:
-            _warn(
-                f"age {a * dataio.TIME_SCALE:g} years is outside the calibrated "
-                f"range [{lo * dataio.TIME_SCALE:g}, {hi * dataio.TIME_SCALE:g}]; "
-                "results are extrapolations"
-            )
+    ages = np.atleast_1d(scaled_ages)
+    out = ages[(ages < lo) | (ages > hi)] * dataio.TIME_SCALE
+    if out.size:
+        which = (f"age {out[0]:g} years is" if out.size == 1 else
+                 f"{out.size} ages, from {out.min():g} to {out.max():g} years, are")
+        _warn(f"{which} outside the calibrated range [{lo * dataio.TIME_SCALE:g}, "
+              f"{hi * dataio.TIME_SCALE:g}]; results are extrapolations")
 
 
 def _initial_vector(mdl, ages_arg: str | None) -> np.ndarray:
@@ -101,15 +100,6 @@ def _initial_vector(mdl, ages_arg: str | None) -> np.ndarray:
     raise DataValidationError("model carries neither coefficients nor an initial vector")
 
 
-@contextlib.contextmanager
-def _open_output(path):
-    if path is None:
-        yield sys.stdout
-    else:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            yield fh
-
-
 def _cmd_fit(args) -> int:
     obs = dataio.load_csv(args.data)
     tolerance = None if args.fixed_iterations else args.tolerance
@@ -129,11 +119,9 @@ def _cmd_fit(args) -> int:
     model_path = out_dir / "model.json"
     trace_path = out_dir / "loglik.csv"
     dataio.save_model(report.model, model_path)
-    with open(trace_path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["iteration", "loglik"])
-        for i, ll in enumerate(report.loglik_trace, start=1):
-            writer.writerow([i, format(ll, ".17g")])
+    trace = report.loglik_trace
+    dataio.write_rows(trace_path, ("iteration", "loglik"), "%d,%.17g",
+                      [np.arange(1, len(trace) + 1), trace])
 
     betas = ", ".join(f"{m.transform.beta:.6g}" for m in report.model.margins)
     print(f"fitted {report.model.dim}-state model on {obs.n} observations")
@@ -162,15 +150,10 @@ def _cmd_eval(args) -> int:
     dens = model_ops.joint_density(mdl, pi, pts) / dataio.TIME_SCALE**2
     surv = model_ops.joint_survival(mdl, pi, pts)
     cdf = model_ops.joint_cdf(mdl, pi, pts)
-    with _open_output(args.output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["time1", "time2", "density", "survival", "cdf"])
-        for k in range(pts.shape[0]):
-            writer.writerow(
-                [format(pts_years[k, 0], "g"), format(pts_years[k, 1], "g"),
-                 format(dens[k], ".12g"), format(surv[k], ".12g"),
-                 format(cdf[k], ".12g")]
-            )
+    dataio.write_rows(sys.stdout if args.output is None else args.output,
+                      ("time1", "time2", "density", "survival", "cdf"),
+                      "%g,%g,%.12g,%.12g,%.12g",
+                      [pts_years[:, 0], pts_years[:, 1], dens, surv, cdf])
     return 0
 
 
@@ -202,11 +185,9 @@ def _cmd_measures(args) -> int:
         val = model_ops.cross_ratio(mdl, pi, u / dataio.TIME_SCALE)
         rows.append(("cross_ratio", format(u, "g"), format(u, "g"), val))
 
-    with _open_output(args.output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["measure", "time1", "time2", "value"])
-        for name, y1, y2, val in rows:
-            writer.writerow([name, y1, y2, format(val, ".12g")])
+    dataio.write_rows(sys.stdout if args.output is None else args.output,
+                      ("measure", "time1", "time2", "value"),
+                      "%s,%s,%s,%.12g", list(zip(*rows)))
     return 0
 
 
@@ -230,7 +211,8 @@ def _cmd_simulate(args) -> int:
                 np.full(size, scaled[0]), np.full(size, scaled[1])
             )
     else:
-        ages = _read_age_csv(args.covariates)
+        ages = dataio.read_columns(args.covariates, ("age1", "age2"),
+                                   nonnegative=("age1", "age2"))
         n = ages.shape[0] if args.n is None else args.n
         if n != ages.shape[0]:
             raise DataValidationError(
@@ -253,36 +235,6 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _read_age_csv(path) -> np.ndarray:
-    """Two-column helper format for simulate: age1,age2 in years."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataValidationError(f"{path}: file is empty") from None
-        for col in ("age1", "age2"):
-            if col not in header:
-                raise DataValidationError(f"{path}: missing column {col}")
-        i1, i2 = header.index("age1"), header.index("age2")
-        rows = []
-        for lineno, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue
-            try:
-                rows.append([float(row[i1]), float(row[i2])])
-            except (ValueError, IndexError):
-                raise DataValidationError(
-                    f"{path}, line {lineno}: expected numeric age1,age2"
-                ) from None
-    if not rows:
-        raise DataValidationError(f"{path}: no data rows")
-    ages = np.asarray(rows)
-    if not np.all(np.isfinite(ages)) or ages.min() < 0:
-        raise DataValidationError(f"{path}: ages must be finite and >= 0")
-    return ages
-
-
 def _cmd_beran(args) -> int:
     obs = dataio.load_csv(args.data)
     a1, a2 = _parse_pair(args.ages, "--ages")
@@ -296,18 +248,15 @@ def _cmd_beran(args) -> int:
     ages = obs.covariates[:, 1:3]
 
     margins = (0, 1) if args.margin == "both" else (int(args.margin) - 1,)
-    with _open_output(args.output) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["margin", "time", "cdf", "survival"])
-        for margin in margins:
-            cdf = dataio.beran_cdf(
-                obs.y[:, margin], obs.delta[:, margin], ages, query, bandwidth, grid
-            )
-            for t_years, v in zip(grid_years, cdf):
-                writer.writerow(
-                    [margin + 1, format(t_years, "g"),
-                     format(v, ".12g"), format(1.0 - v, ".12g")]
-                )
+    cdf = np.concatenate([
+        dataio.beran_cdf(obs.y[:, m], obs.delta[:, m], ages, query, bandwidth, grid)
+        for m in margins
+    ])
+    dataio.write_rows(sys.stdout if args.output is None else args.output,
+                      ("margin", "time", "cdf", "survival"),
+                      "%d,%g,%.12g,%.12g",
+                      [np.repeat(np.array(margins) + 1, grid.size),
+                       np.tile(grid_years, len(margins)), cdf, 1.0 - cdf])
     return 0
 
 

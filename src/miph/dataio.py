@@ -5,7 +5,8 @@ CSV data files are bivariate with the fixed header
 years, censoring indicators in {0, 1}. On load, times and ages are divided by
 100 (the internal scale keeps matrix exponentials well-conditioned) and the
 regression design ``(1, age1, age2, age1 * age2)`` is assembled from the
-scaled ages.
+scaled ages. All CSV text of the package is read by :func:`read_columns` and
+written by :func:`write_rows`.
 
 Models travel as JSON documents with ``"format": "miph-v1"`` carrying the
 sub-intensity matrices, transform parameters, and either regression
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import itertools
 import json
 
 import numpy as np
@@ -30,6 +32,8 @@ __all__ = [
     "TIME_SCALE",
     "load_csv",
     "write_csv",
+    "read_columns",
+    "write_rows",
     "standard_design",
     "save_model",
     "load_model",
@@ -40,6 +44,9 @@ __all__ = [
 TIME_SCALE = 100.0
 _CSV_COLUMNS = ("time1", "time2", "delta1", "delta2", "age1", "age2")
 _FORMAT = "miph-v1"
+# rows per CSV parse and format block: bounds the memory of the Python
+# lists a block makes; 4096-row blocks parsed faster than 65536-row ones
+_BLOCK = 1 << 12
 
 
 def standard_design(age1, age2) -> np.ndarray:
@@ -54,65 +61,95 @@ def load_csv(path) -> ObservationSet:
     """Read a bivariate lifetime CSV (times/ages in years) into an
     :class:`~miph.estimation.ObservationSet` on the internal scale.
 
-    Raises :class:`DataValidationError` naming the file line for any
-    non-numeric cell, negative time/age, or indicator outside {0, 1}.
+    Columns may come in any order, extra columns are ignored and blank lines
+    are skipped. Raises :class:`DataValidationError` for an empty file, a
+    missing column or no data rows, and, naming the line and the column, for
+    a row whose field count differs from the header's (line only), a
+    non-numeric or non-finite cell, a negative time or age, or an indicator
+    outside {0, 1}. The earliest faulty line is named, with its first fault
+    in that order, cells in the order of the schema header.
     """
+    data = read_columns(path, _CSV_COLUMNS,
+                        nonnegative=("time1", "time2", "age1", "age2"),
+                        indicator=("delta1", "delta2"))
+    y = data[:, 0:2] / TIME_SCALE
+    delta = data[:, 2:4].astype(np.int8)
+    ages = data[:, 4:6] / TIME_SCALE
+    return ObservationSet(y=y, delta=delta,
+                          covariates=standard_design(ages[:, 0], ages[:, 1]))
+
+
+def read_columns(path, columns, *, nonnegative=(), indicator=()) -> np.ndarray:
+    """Read the named columns of a CSV file as an (n, len(columns)) float
+    array, under the rules and with the errors of :func:`load_csv`.
+    ``nonnegative`` and ``indicator`` name the columns checked for negative
+    values and for values other than 0 or 1; cells are checked in the order
+    of ``columns``."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataValidationError(f"{path}: file is empty") from None
-        missing = [c for c in _CSV_COLUMNS if c not in header]
+        missing = [c for c in columns if c not in header]
         if missing:
             raise DataValidationError(f"{path}: missing columns {missing}")
-        where = {c: header.index(c) for c in _CSV_COLUMNS}
-
-        records = []
-        for lineno, row in enumerate(reader, start=2):
-            if not any(cell.strip() for cell in row):
-                continue  # blank line
-            if len(row) != len(header):
-                raise DataValidationError(
-                    f"{path}, line {lineno}: expected {len(header)} fields, "
-                    f"got {len(row)}"
-                )
-            values = {}
-            for col in _CSV_COLUMNS:
-                cell = row[where[col]].strip()
-                try:
-                    v = float(cell)
-                except ValueError:
-                    raise DataValidationError(
-                        f"{path}, line {lineno}, column {col}: "
-                        f"non-numeric value {cell!r}"
-                    ) from None
-                if not np.isfinite(v):
-                    raise DataValidationError(
-                        f"{path}, line {lineno}, column {col}: non-finite value"
-                    )
-                values[col] = v
-            for col in ("time1", "time2", "age1", "age2"):
-                if values[col] < 0.0:
-                    raise DataValidationError(
-                        f"{path}, line {lineno}, column {col}: negative value"
-                    )
-            for col in ("delta1", "delta2"):
-                if values[col] not in (0.0, 1.0):
-                    raise DataValidationError(
-                        f"{path}, line {lineno}, column {col}: indicator must "
-                        f"be 0 or 1, got {values[col]!r}"
-                    )
-            records.append([values[c] for c in _CSV_COLUMNS])
-
-    if not records:
+        blocks = iter(lambda: list(itertools.islice(reader, _BLOCK)), [])
+        parts = [_parse_block(path, rows, 2 + b * _BLOCK, header, columns,
+                              nonnegative, indicator)
+                 for b, rows in enumerate(blocks)]
+    if not any(len(v) for v in parts):
         raise DataValidationError(f"{path}: no data rows")
-    data = np.asarray(records)
-    y = data[:, 0:2] / TIME_SCALE
-    delta = data[:, 2:4].astype(np.int8)
-    ages = data[:, 4:6] / TIME_SCALE
-    return ObservationSet(y=y, delta=delta,
-                          covariates=standard_design(ages[:, 0], ages[:, 1]))
+    return np.concatenate(parts)
+
+
+def _parse_block(path, rows, first_line, header, columns, nonnegative, indicator):
+    """One block of CSV rows as floats, each column in one numpy conversion
+    and checked with array masks; raises naming the block's first fault."""
+    keep = [bool("".join(r).strip()) for r in rows]  # blank lines are skipped
+    rows = list(itertools.compress(rows, keep))
+    lines = np.flatnonzero(keep) + first_line
+    # each check runs, in message order, on the rows before the earliest
+    # fault found so far, so the last fault it records is the one to report
+    cut, fault = len(rows), None
+
+    def check(mask, text):
+        nonlocal cut, fault
+        hits = np.flatnonzero(mask[:cut])
+        if hits.size:
+            cut = int(hits[0])
+            fault = f"line {lines[cut]}{text(cut)}"
+
+    check(np.fromiter(map(len, rows), np.intp, len(rows)) != len(header),
+          lambda k: f": expected {len(header)} fields, got {len(rows[k])}")
+    parsed = []
+    for c in columns:
+        j = header.index(c)
+        cells = [r[j] for r in rows[:cut]]
+        try:
+            v = np.array(cells, dtype=float)
+        except ValueError:  # the block raises: find its first bad cell
+            for k, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    break
+            cut, fault = k, (f"line {lines[k]}, column {c}: "
+                             f"non-numeric value {cell.strip()!r}")
+            v = np.array(cells[:k], dtype=float)
+        check(~np.isfinite(v), lambda k, c=c: f", column {c}: non-finite value")
+        parsed.append(v)
+    values = np.column_stack([v[:cut] for v in parsed])
+    for c in nonnegative:
+        check(values[:, columns.index(c)] < 0.0,
+              lambda k, c=c: f", column {c}: negative value")
+    for c in indicator:
+        v = values[:, columns.index(c)]
+        check((v != 0.0) & (v != 1.0), lambda k, c=c, v=v:
+              f", column {c}: indicator must be 0 or 1, got {float(v[k])!r}")
+    if fault is not None:
+        raise DataValidationError(f"{path}, {fault}")
+    return values
 
 
 def write_csv(path, obs: ObservationSet) -> None:
@@ -131,19 +168,28 @@ def write_csv(path, obs: ObservationSet) -> None:
             "only the standard design (1, age1, age2, age1*age2) can be "
             "written back to CSV"
         )
-    with (contextlib.nullcontext(path) if hasattr(path, "write")
-          else open(path, "w", newline="", encoding="utf-8")) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_CSV_COLUMNS)
-        for m in range(obs.n):
-            writer.writerow(
-                [format(obs.y[m, 0] * TIME_SCALE, ".17g"),
-                 format(obs.y[m, 1] * TIME_SCALE, ".17g"),
-                 int(obs.delta[m, 0]),
-                 int(obs.delta[m, 1]),
-                 format(a[m, 1] * TIME_SCALE, ".17g"),
-                 format(a[m, 2] * TIME_SCALE, ".17g")]
-            )
+    y = obs.y * TIME_SCALE
+    ages = a[:, 1:3] * TIME_SCALE
+    write_rows(path, _CSV_COLUMNS, "%.17g,%.17g,%d,%d,%.17g,%.17g",
+               [y[:, 0], y[:, 1], obs.delta[:, 0], obs.delta[:, 1],
+                ages[:, 0], ages[:, 1]])
+
+
+def write_rows(dest, header, fmt: str, columns) -> None:
+    """Write CSV text: the ``header`` names, then one ``fmt % row`` line for
+    each row of ``columns`` (equal-length 1-d arrays, one per field).
+
+    ``dest`` is a file name or an open text stream (left open). Rows are
+    formatted ``_BLOCK`` at a time.
+    """
+    columns = [np.asarray(c) for c in columns]
+    line = fmt + "\n"
+    with (contextlib.nullcontext(dest) if hasattr(dest, "write")
+          else open(dest, "w", newline="", encoding="utf-8")) as fh:
+        fh.write(",".join(header) + "\n")
+        for start in range(0, len(columns[0]), _BLOCK):
+            block = [c[start:start + _BLOCK].tolist() for c in columns]
+            fh.writelines(line % row for row in zip(*block))
 
 
 def save_model(model: MIPHModel, path) -> None:

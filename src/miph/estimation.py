@@ -281,7 +281,8 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
 
     where v is the exit-rate vector (death) or the all-ones vector (censored)
     and c is the posterior over the shared start state given the other
-    margins. U comes from one 2p x 2p block exponential (see linalg);
+    margins. U is the upper-right p x p block of the 2p x 2p exponential
+    exp([[T_i, v c'], [0, T_i]] x_mi) (Van Loan's block form);
     linearity in the middle factor collapses the per-state integrals into one.
 
     Observations whose evidence underflows the denominator floor (1e-300)

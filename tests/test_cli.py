@@ -115,6 +115,30 @@ class TestSimulate:
         assert rc == 0
         assert "outside the calibrated range" in capsys.readouterr().err
 
+    def test_one_warning_for_all_out_of_range_ages(self, small_model_path,
+                                                   tmp_path, capsys):
+        ages = tmp_path / "ages.csv"
+        ages.write_text("age1,age2\n160,95\n161,96\n162,155\n", encoding="utf-8")
+        rc = main(["simulate", str(small_model_path),
+                   "--covariates", str(ages), "--seed", "1"])
+        assert rc == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["warning: 4 ages, from 155 to 162 years, are outside the "
+                       "calibrated range [0, 150]; results are extrapolations"]
+
+    @pytest.mark.parametrize("row, message", [
+        ("70,65,1", "line 3: expected 2 fields, got 3"),
+        ("70,-65", "line 3, column age2: negative value"),
+        ("7O,65", "line 3, column age1: non-numeric value '7O'"),
+    ])
+    def test_bad_covariates_row_names_line_and_column(
+            self, small_model_path, tmp_path, capsys, row, message):
+        ages = tmp_path / "ages.csv"
+        ages.write_text(f"age1,age2\n63,68\n{row}\n61,62\n", encoding="utf-8")
+        rc = main(["simulate", str(small_model_path), "--covariates", str(ages)])
+        assert rc == 2
+        assert capsys.readouterr().err == f"error: {ages}, {message}\n"
+
 
 class TestEval:
     def test_reference_survival_at_couple_ages(self, spousal_model_path, capsys):

@@ -5,11 +5,13 @@ The product-limit oracle is the classical grouped Kaplan-Meier estimator
 the per-subject cumulative-product implementation.
 """
 
+import io
 import json
 
 import numpy as np
 import pytest
 
+from miph import dataio
 from miph import (
     DataValidationError,
     GompertzTransform,
@@ -118,6 +120,44 @@ class TestLoadCsv:
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
 
+    def test_earliest_faulty_line_is_named(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, [GOOD_HEADER, "12,30,1,0,63,68", "12,-30,1,0,63,68",
+                        "12,30,1,0,63,68", "12,30,1,0,63,abc"])
+        with pytest.raises(DataValidationError,
+                           match="line 3, column time2: negative value$"):
+            load_csv(f)
+        # within a line: cells are parsed (in schema order) before the range
+        # checks, and the times before the indicators
+        write_lines(f, [GOOD_HEADER, "-1,30,1,0,63,x", "5,-1,2,0,63,68"])
+        with pytest.raises(DataValidationError,
+                           match="line 2, column age2: non-numeric value 'x'$"):
+            load_csv(f)
+        write_lines(f, [GOOD_HEADER, "5,-1,2,0,63,68"])
+        with pytest.raises(DataValidationError, match="line 2, column time2"):
+            load_csv(f)
+
+    def test_fault_past_the_first_block(self, tmp_path):
+        f = tmp_path / "d.csv"
+        rows = ["12,30,1,0,63,68"] * (dataio._BLOCK + 10)
+        rows[dataio._BLOCK + 3] = "12,30,1,inf,63,68"  # file line _BLOCK + 5
+        write_lines(f, [GOOD_HEADER] + rows)
+        with pytest.raises(DataValidationError,
+                           match=f"line {dataio._BLOCK + 5}, column delta2: "
+                                 "non-finite value"):
+            load_csv(f)
+
+    def test_blank_lines_across_a_block_boundary(self, tmp_path):
+        f = tmp_path / "d.csv"
+        rows = [f"{k},30,1,0,63,68" for k in range(dataio._BLOCK + 4)]
+        for at in (dataio._BLOCK + 1, dataio._BLOCK, dataio._BLOCK - 2):
+            rows[at:at] = ["", "  ,,,,,"]
+        write_lines(f, [GOOD_HEADER] + rows + [""])
+        obs = load_csv(f)
+        assert obs.n == dataio._BLOCK + 4
+        np.testing.assert_allclose(obs.y[:, 0] * TIME_SCALE,
+                                   np.arange(dataio._BLOCK + 4), rtol=1e-15)
+
 
 class TestWriteCsv:
     def test_round_trip_full_precision(self, tmp_path):
@@ -140,6 +180,20 @@ class TestWriteCsv:
         f2 = tmp_path / "out2.csv"
         write_csv(f2, back)
         assert f2.read_bytes() == f.read_bytes()
+
+    def test_golden_text(self):
+        obs = ObservationSet(
+            y=[[0.12, 0.3], [0.055, 1 / 3]], delta=[[1, 0], [0, 1]],
+            covariates=standard_design(np.array([0.63, 0.705]),
+                                       np.array([0.68, 0.61])),
+        )
+        out = io.StringIO()
+        write_csv(out, obs)
+        assert out.getvalue() == (
+            "time1,time2,delta1,delta2,age1,age2\n"
+            "12,30,1,0,63,68\n"
+            "5.5,33.333333333333329,0,1,70.5,61\n"
+        )
 
     def test_rejects_non_standard_design(self, tmp_path):
         obs = ObservationSet(

@@ -3,7 +3,8 @@
 Every age-scale factor ``e_j' exp(T x) v`` comes from the one kernel in
 `phasetype`; the only other matrix exponentials are the E-step's: exp(T x),
 which its absorption counts need in full, and its Van Loan block. Matrix
-exponentials never come from scipy.
+exponentials never come from scipy. CSV text is read and written in
+`dataio` alone.
 """
 
 import ast
@@ -64,3 +65,18 @@ def test_no_module_uses_scipy_linalg():
                 continue
             assert not any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
                            for n in names), (module, names)
+
+
+def test_only_dataio_imports_csv():
+    importers = set()
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module]
+            else:
+                continue
+            if "csv" in names:
+                importers.add(module)
+    assert importers == {"dataio"}
