@@ -55,8 +55,10 @@ __all__ = [
     "fit",
 ]
 
-_DENOM_FLOOR = 1e-300
 _STAT_TOL = 1e-12
+# smallest evidence of a couple at the EM start (~1.5e-154): the E-step's posterior
+# weights reach 1/evidence, and this keeps their Van Loan blocks far from overflow
+_START_EVIDENCE = np.sqrt(np.finfo(float).tiny)
 _EPS = np.finfo(float).eps
 # I-step budget and stopping rule: likelihood evaluations per call, and the
 # Newton decrement per observation below which the step stops
@@ -191,6 +193,9 @@ class FitConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.i_step_every < 0:
             raise ValueError("i_step_every must be >= 0")
+        if self.loglik_tolerance is not None and not 0.0 < self.loglik_tolerance < np.inf:
+            raise ValueError("loglik_tolerance must be None or finite and > 0")
+        _as_betas(self.beta_init)
 
 
 @dataclass(frozen=True)
@@ -208,14 +213,16 @@ class FitReport:
         return float(self.loglik_trace[-1])
 
 
-def _as_betas(beta_init, d: int) -> np.ndarray:
+def _as_betas(beta_init, d: int | None = None) -> np.ndarray:
+    """``beta_init`` as floats, finite and > 0; a scalar is repeated over ``d`` margins."""
     betas = np.asarray(beta_init, dtype=float)
-    if betas.ndim == 0:
-        betas = np.full(d, float(betas))
-    if betas.shape != (d,):
-        raise ValueError(f"beta_init must be scalar or length {d}")
-    if not np.all(np.isfinite(betas)) or betas.min() <= 0.0:
-        raise ValueError("beta values must be finite and > 0")
+    if d is not None:
+        if betas.ndim == 0:
+            betas = np.full(d, float(betas))
+        if betas.shape != (d,):
+            raise ValueError(f"beta_init must be scalar or length {d}")
+    if not np.all((betas > 0.0) & (betas < np.inf)):
+        raise ValueError("beta_init values must be finite and > 0")
     return betas
 
 
@@ -237,6 +244,14 @@ def transform_data(obs: ObservationSet, betas) -> np.ndarray:
             f"{' ...' if rows.size > 5 else ''}"
         )
     return x
+
+
+def _require_rows(ok, what: str) -> None:
+    """Raise :class:`NumericalError` naming the rows where ``ok`` is False."""
+    bad = np.flatnonzero(~ok)
+    if bad.size:
+        raise NumericalError(f"{what} for rows {bad[:10].tolist()}"
+                             f"{' ...' if bad.size > 10 else ''}")
 
 
 def _margin_kernels(sub: SubIntensity, x_col, delta_col):
@@ -285,8 +300,9 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     exp([[T_i, v c'], [0, T_i]] x_mi) (Van Loan's block form);
     linearity in the middle factor collapses the per-state integrals into one.
 
-    Observations whose evidence underflows the denominator floor (1e-300)
-    are dropped from the statistics with a warning; their b-rows are zero.
+    A row whose evidence is exactly 0 in double precision raises
+    :class:`NumericalError` naming it; no row is dropped. So does a row whose
+    posterior weights overflow, its own evidence in a margin being near 1e-308.
     """
     x = np.asarray(x, dtype=float)
     delta = np.asarray(delta)
@@ -304,68 +320,47 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     if not np.all(np.isfinite(x)) or (x.size and x.min() < 0.0):
         raise ValueError("x must be finite and >= 0")
 
-    mats = []
-    evidence = []
-    for i, sub in enumerate(subs):
-        e_i, a_i = _margin_kernels(sub, x[:, i], delta[:, i])
-        mats.append(e_i)
-        evidence.append(a_i)
-
+    mats, evidence = zip(*(_margin_kernels(sub, x[:, i], delta[:, i])
+                           for i, sub in enumerate(subs)))
     w = per_obs_pi.copy()
     for a_i in evidence:
         w *= a_i
     denom = w.sum(axis=1)
-    valid = denom >= _DENOM_FLOOR
-    if not np.all(valid):
-        bad = np.flatnonzero(~valid)
-        warnings.warn(
-            f"evidence underflow for {bad.size} observation(s) "
-            f"(rows {bad[:10].tolist()}{' ...' if bad.size > 10 else ''}); "
-            "they are excluded from this iteration's statistics",
-            RuntimeWarning,
-        )
-    if not np.any(valid):
-        raise NumericalError("evidence underflowed for every observation")
-
-    b = np.zeros((n, p))
-    b[valid] = d * w[valid] / denom[valid, None]
+    _require_rows(denom > 0.0, "evidence underflowed to 0")
+    b = d * w / denom[:, None]
 
     z = np.zeros((d, p))
     n_trans = np.zeros((d, p, p))
     n_exit = np.zeros((d, p))
-    idx = np.flatnonzero(valid)
     offdiag = ~np.eye(p, dtype=bool)
     for i, sub in enumerate(subs):
         # posterior over the start state given the *other* margins
-        c = per_obs_pi[idx].copy()
+        c = per_obs_pi.copy()
         for l in range(d):
             if l != i:
-                c *= evidence[l][idx]
-        c /= denom[idx, None]
-
-        died = delta[idx, i].astype(bool)
+                c *= evidence[l]
+        died = delta[:, i].astype(bool)
         v = np.where(died[:, None], sub.exit_rates, np.ones(p))
 
-        blocks = np.zeros((idx.size, 2 * p, 2 * p))
+        blocks = np.zeros((n, 2 * p, 2 * p))
         blocks[:, :p, :p] = sub.matrix
         blocks[:, p:, p:] = sub.matrix
-        blocks[:, :p, p:] = v[:, :, None] * c[:, None, :]
-        blocks *= x[idx, i, None, None]
-        integral = expm_batch(blocks)[:, :p, p:]  # (m, p, p)
+        with np.errstate(over="ignore", invalid="ignore"):
+            c /= denom[:, None]
+            blocks[:, :p, p:] = v[:, :, None] * c[:, None, :]
+            blocks *= x[:, i, None, None]
+        _require_rows(np.isfinite(blocks).all(axis=(1, 2)),
+                      f"margin {i}: posterior weights overflowed")
+        integral = expm_batch(blocks)[:, :p, p:]  # (n, p, p)
 
         z[i] = np.einsum("mkk->k", integral)
         n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)
         if np.any(died):
             n_exit[i] = sub.exit_rates * np.einsum(
-                "mj,mjk->k", c[died], mats[i][idx][died]
+                "mj,mjk->k", c[died], mats[i][died]
             )
     # round tiny negatives from the block exponentials up to zero
-    return SufficientStats(
-        b=np.clip(b, 0.0, None),
-        z=np.clip(z, 0.0, None),
-        n_trans=np.clip(n_trans, 0.0, None),
-        n_exit=np.clip(n_exit, 0.0, None),
-    )
+    return SufficientStats(*(np.clip(v, 0.0, None) for v in (b, z, n_trans, n_exit)))
 
 
 def _log_softmax(eta):
@@ -489,7 +484,7 @@ def m_step(stats: SufficientStats, structure):
             silent = np.flatnonzero(~occupied)
             warnings.warn(
                 f"margin {i}: states {silent.tolist()} have zero expected "
-                "occupancy; their rates are zeroed and the diagonal floored",
+                f"occupancy; their rates are zeroed, the diagonal is {_M_STEP_DIAG_FLOOR:g}",
                 RuntimeWarning,
             )
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -508,10 +503,10 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
     """Observed log-likelihood with the transform Jacobians included, and its
     gradient and Hessian in theta = log(beta).
 
-    Returns ``(total, floored_rows, grad, hess)``, or ``(total,
-    floored_rows)`` without ``derivatives``: rows whose likelihood
-    underflows 1e-300 contribute the constant log(1e-300), so nothing to the
-    (d,) gradient or the (d, d) Hessian, and are reported back to the caller.
+    Returns ``(total, grad, hess)`` with the (d,) gradient and the (d, d)
+    Hessian, or ``total`` alone without ``derivatives``. Every row keeps its
+    exact log, however small; a row whose likelihood is 0 in double
+    precision raises :class:`NumericalError` naming it.
     Margin i's factor and its theta-derivatives come from
     :func:`phasetype._age_factors`: survival where censored, density with
     the Jacobian where the death was observed.
@@ -523,21 +518,26 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
     for f, *_ in parts:
         lik *= f
     rows = lik.sum(axis=1)
-    keep = rows >= _DENOM_FLOOR
-    floored = np.flatnonzero(~keep)
-    total = float(np.log(np.clip(rows, _DENOM_FLOOR, None)).sum())
+    _require_rows(rows > 0.0, "likelihood underflowed to 0")
+    total = float(np.log(rows).sum())
     if not derivatives:
-        return total, floored
-    inv = 1.0 / rows[keep]
+        return total
+    with np.errstate(over="ignore"):
+        inv = 1.0 / rows
+    overflow = np.isinf(inv)  # rows under 2**-1024: divide by them instead
+    inv[overflow] = 0.0
     factors, first, second = zip(*parts)  # per margin: f, df/dtheta, d2f/dtheta2
 
     def weighted(replace):
         """Per-row sum_j pi_j prod_l f_l with margin l's factor swapped for
         ``replace[l]``, divided by the row likelihood."""
-        w = per_obs_pi[keep]
+        w = per_obs_pi.copy()
         for l in range(d):
-            w *= replace.get(l, factors[l])[keep]
-        return w.sum(axis=1) * inv
+            w *= replace.get(l, factors[l])
+        s = w.sum(axis=1)
+        out = s * inv
+        out[overflow] = s[overflow] / rows[overflow]
+        return out
 
     score = [weighted({i: first[i]}) for i in range(d)]
     grad = np.array([s.sum() for s in score])
@@ -548,15 +548,15 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
             hess[i, k] = hess[k, i] = (
                 weighted({i: first[i], k: first[k]}) - score[i] * score[k]
             ).sum()
-    return total, floored, grad, hess
+    return total, grad, hess
 
 
 def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
     """Observed-data log-likelihood of ``model`` on ``obs``.
 
     Censored margins contribute survival factors, uncensored margins density
-    factors (with the time-transform Jacobian). Rows with vanishing
-    likelihood raise, reporting the offending row indices.
+    factors (with the time-transform Jacobian). A row whose likelihood is 0
+    in double precision raises :class:`NumericalError` naming it.
     """
     if model.n_margins != obs.n_margins:
         raise ValueError(
@@ -565,18 +565,12 @@ def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
     per_obs_pi = model.initial_vectors(obs.covariates)
     subs = [m.sub for m in model.margins]
     betas = np.array([m.transform.beta for m in model.margins])
-    total, floored = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
-                                       derivatives=False)
-    if floored.size:
-        raise NumericalError(
-            f"likelihood underflowed to 0 for rows {floored[:10].tolist()}"
-            f"{' ...' if floored.size > 10 else ''}"
-        )
-    return total
+    return _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
+                             derivatives=False)
 
 
 def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init, *,
-           log_bounds=_LOG_BETA_BOUNDS) -> np.ndarray:
+           log_bounds=_LOG_BETA_BOUNDS) -> tuple[np.ndarray, float]:
     """Update the transform parameters by guarded Newton ascent of the
     observed log-likelihood over theta = log(beta).
 
@@ -585,24 +579,26 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init, *,
     keeps theta inside ``log_bounds``, and halves the step until the
     likelihood rises strictly. The step stops once the Newton decrement is
     at most 1e-9 per observation, when no halving ascends, or after 12
-    likelihood evaluations. The incumbent is returned unless a step
-    improved on it, so the step never lowers the likelihood.
+    likelihood evaluations. A trial point where some row's likelihood is 0
+    counts as -inf and is rejected; at the incumbent such a row raises
+    :class:`NumericalError`. The step never lowers the likelihood.
+
+    Returns ``(betas, loglik)``: ``betas = exp(theta)`` at the last accepted
+    point (the incumbent if none was), and the log-likelihood evaluated
+    there.
     """
     betas_init = _as_betas(betas_init, obs.n_margins)
     per_obs_pi = np.asarray(per_obs_pi, dtype=float)
     lo, hi = float(log_bounds[0]), float(log_bounds[1])
 
     def evaluate(theta):
-        total, _, grad, hess = _age_scale_loglik(
-            obs.y, obs.delta, per_obs_pi, subs, np.exp(theta))
-        return total, grad, hess
+        return _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, np.exp(theta))
 
     theta = np.log(betas_init)
     cur, grad, hess = evaluate(theta)
     if not np.isfinite(cur):
         raise NumericalError("transform objective is non-finite at the incumbent")
     evals = 1
-    best = betas_init
     while evals < _I_STEP_MAX_EVALS:
         if not (np.all(np.isfinite(grad)) and np.all(np.isfinite(hess))):
             break
@@ -620,37 +616,51 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init, *,
             trial = np.clip(theta + step * direction, lo, hi)
             if np.array_equal(trial, theta):
                 break
-            new, new_grad, new_hess = evaluate(trial)
+            try:
+                new, new_grad, new_hess = evaluate(trial)
+            except NumericalError:  # a row of zero likelihood
+                new = -np.inf
             evals += 1
             if new > cur:
                 theta, cur, grad, hess = trial, new, new_grad, new_hess
-                best = np.exp(theta)
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-    return best
-
-
-def _make_structure(name: str, p: int):
-    return CoxianStructure(p) if name == "coxian" else GeneralStructure(p)
+    return np.exp(theta), cur
 
 
 def _initial_sub_intensities(obs, structure, betas, rng):
     """Admissible random rates, rescaled so the mean absorption time from the
     middle state matches the sample mean of the uncensored transformed times.
-    Keeps iteration 1 on a sane numeric scale."""
+    Keeps iteration 1 on a sane numeric scale. A couple censored far past
+    that mean can have evidence 0 or nearly so at this start; then every
+    margin's mean is doubled, at most 64 times, until no couple's evidence
+    under equal start weights is below _START_EVIDENCE."""
     x = transform_data(obs, betas)
-    anchor = (structure.dim + 1) // 2 - 1  # middle state, 0-based
-    subs = []
+    p = structure.dim
+    anchor = (p + 1) // 2 - 1  # middle state, 0-based
+    raw, targets = [], []
     for i in range(obs.n_margins):
         died = obs.delta[:, i].astype(bool)
-        sample = x[died, i] if np.any(died) else x[:, i]
-        target = float(sample.mean())
-        if not np.isfinite(target) or target <= 0.0:
-            target = 1.0
-        subs.append(_scale_to_mean(random_sub_intensity(structure, rng), anchor, target))
+        target = float((x[died, i] if np.any(died) else x[:, i]).mean())
+        targets.append(target if np.isfinite(target) and target > 0.0 else 1.0)
+        raw.append(random_sub_intensity(structure, rng))
+    for doubling in range(65):
+        subs = [_scale_to_mean(sub, anchor, t * 2.0 ** doubling) for sub, t in zip(raw, targets)]
+        # exp(T x) >= exp(diag(T) x) entrywise, so only couples where that
+        # cheap bound on the evidence is low need the full exponentials
+        bound = np.full((obs.n, p), 1.0 / p)
+        for i, sub in enumerate(subs):
+            v = np.where(obs.delta[:, i, None] == 1, sub.exit_rates, 1.0)
+            bound *= np.exp(np.diag(sub.matrix) * x[:, i, None]) * v
+        rows = np.flatnonzero(~(bound.sum(axis=1) >= _START_EVIDENCE))
+        w = np.full((rows.size, p), 1.0 / p)
+        for i, sub in enumerate(subs):
+            w *= _margin_kernels(sub, x[rows, i], obs.delta[rows, i])[1]
+        if np.all(w.sum(axis=1) >= _START_EVIDENCE):
+            break
     return subs
 
 
@@ -658,10 +668,14 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     """Run the EM loop and return the fitted model plus its trace.
 
     Deterministic given ``(obs, config)``: the only randomness is the
-    rate initialization, seeded by ``config.seed``.
+    rate initialization, seeded by ``config.seed``. Trace entry k is the
+    observed log-likelihood at the end of iteration k: the I-step's own value
+    where one ran, else one value pass. A couple whose evidence or likelihood
+    is 0 in double precision stops the fit with a :class:`NumericalError`
+    naming its row; no row is dropped.
     """
     n, d = obs.y.shape
-    structure = _make_structure(config.structure, config.p)
+    structure = (CoxianStructure if config.structure == "coxian" else GeneralStructure)(config.p)
     rng = np.random.default_rng(config.seed)
     betas = _as_betas(config.beta_init, d)
     subs = _initial_sub_intensities(obs, structure, betas, rng)
@@ -673,40 +687,25 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     prev = None
     for it in range(1, config.max_iterations + 1):
         try:
-            x = transform_data(obs, betas)
-            stats = e_step(x, obs.delta, per_obs_pi, subs)
+            stats = e_step(transform_data(obs, betas), obs.delta, per_obs_pi, subs)
             gamma, per_obs_pi = r_step(stats.b, obs.covariates, gamma)
             subs = m_step(stats, structure)
             if config.i_step_every and it % config.i_step_every == 0:
-                betas = i_step(obs, per_obs_pi, subs, betas)
+                betas, ll = i_step(obs, per_obs_pi, subs, betas)
+            else:
+                ll = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
+                                       derivatives=False)
         except NumericalError as err:
             raise NumericalError(f"EM iteration {it}: {err}") from err
-
-        ll, floored = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
-                                        derivatives=False)
-        if floored.size:
-            warnings.warn(
-                f"iteration {it}: {floored.size} row(s) at the likelihood floor",
-                RuntimeWarning,
-            )
         trace.append(ll)
-        if (
-            config.loglik_tolerance is not None
-            and prev is not None
-            and abs(ll - prev) < config.loglik_tolerance * n
-        ):
+        if (config.loglik_tolerance is not None and prev is not None
+                and abs(ll - prev) < config.loglik_tolerance * n):
             converged = True
             break
         prev = ll
 
-    margins = tuple(
-        Margin(sub=subs[i], transform=GompertzTransform(float(betas[i])))
-        for i in range(d)
-    )
-    model = MIPHModel(margins=margins, gamma=gamma)
-    return FitReport(
-        model=model,
-        loglik_trace=np.asarray(trace),
-        iterations=len(trace),
-        converged=converged,
-    )
+    margins = tuple(Margin(sub=sub, transform=GompertzTransform(float(beta)))
+                    for sub, beta in zip(subs, betas))
+    return FitReport(model=MIPHModel(margins=margins, gamma=gamma),
+                     loglik_trace=np.asarray(trace), iterations=len(trace),
+                     converged=converged)

@@ -268,7 +268,7 @@ def _age_factors(sub: SubIntensity, beta: float, y, died,
     u, u_x, u_xx = terms
     yo, xo, jac = y[:, None], x[:, None], jac[:, None]
     y_d = np.where(died, yo, 0.0)
-    # 0 * inf in rows whose x_beta overflows; callers floor those rows
+    # 0 * inf in rows whose x_beta overflows; f is 0 there, so callers raise
     with np.errstate(over="ignore", invalid="ignore"):
         x_b = (yo * jac - xo) / beta
         x_bb = (yo * yo * jac - 2.0 * x_b) / beta

@@ -264,6 +264,22 @@ class TestFit:
         assert main(["fit", str(f), "--p", "2"]) == 2
         assert "missing columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,message", [
+        ("--tolerance", "-1", "loglik_tolerance"),
+        ("--tolerance", "nan", "loglik_tolerance"),
+        ("--tolerance", "0", "loglik_tolerance"),
+        ("--beta-init", "0", "beta_init"),
+        ("--beta-init", "-2", "beta_init"),
+        ("--beta-init", "inf", "beta_init"),
+    ])
+    def test_fit_rejects_bad_tolerance_and_beta(self, data_csv, tmp_path, capsys,
+                                                flag, value, message):
+        out = tmp_path / "fitdir"
+        rc = main(["fit", str(data_csv), "--p", "2", flag, value, "--output", str(out)])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBeran:
     def test_matches_library_call(self, data_csv, capsys):

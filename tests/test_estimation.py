@@ -236,16 +236,14 @@ class TestEStep:
             expected = stats.b[0, j] / (2 * pi_rows[0, j])
             np.testing.assert_allclose(fd, expected, rtol=1e-6)
 
-    def test_underflow_excludes_rows(self):
+    def test_zero_evidence_rows_raise(self):
         rng = np.random.default_rng(347)
         subs = [random_chain(rng, 2) for _ in range(2)]
-        x = np.array([[0.5, 0.4], [2000.0, 0.4]])
-        delta = np.ones((2, 2), dtype=int)
-        pi_rows = np.tile(random_pi(rng, 2), (2, 1))
-        with pytest.warns(RuntimeWarning, match="underflow"):
-            stats = e_step(x, delta, pi_rows, subs)
-        np.testing.assert_array_equal(stats.b[1], 0.0)
-        np.testing.assert_allclose(stats.b[0].sum(), 2.0, rtol=1e-12)
+        x = np.array([[0.5, 0.4], [2000.0, 0.4], [0.3, 0.2]])
+        delta = np.ones((3, 2), dtype=int)
+        pi_rows = np.tile(random_pi(rng, 2), (3, 1))
+        with pytest.raises(NumericalError, match=r"evidence .* rows \[1\]$"):
+            e_step(x, delta, pi_rows, subs)
 
     def test_all_rows_underflow_raises(self):
         rng = np.random.default_rng(349)
@@ -253,9 +251,31 @@ class TestEStep:
         x = np.full((2, 2), 2000.0)
         delta = np.ones((2, 2), dtype=int)
         pi_rows = np.tile(random_pi(rng, 2), (2, 1))
-        with pytest.raises(NumericalError):
-            with pytest.warns(RuntimeWarning):
-                e_step(x, delta, pi_rows, subs)
+        with pytest.raises(NumericalError, match=r"rows \[0, 1\]$"):
+            e_step(x, delta, pi_rows, subs)
+
+    def test_row_below_the_old_floor_keeps_its_weights(self):
+        """Row 1's evidence is about 1e-305, under the 1e-300 floor that once
+        dropped such rows from the statistics."""
+        subs = [SubIntensity(np.diag([-1.0, -2.0]))] * 2
+        x = np.array([[0.5, 0.4], [351.0, 351.0]])
+        pi_rows = np.full((2, 2), 0.5)
+        stats = e_step(x, np.zeros((2, 2), dtype=int), pi_rows, subs)
+        assert 1e-308 < 0.5 * np.exp(-702.0) < 1e-300
+        np.testing.assert_allclose(stats.b.sum(axis=1), [2.0, 2.0], rtol=1e-12)
+
+    def test_subnormal_evidence_row(self):
+        """Row 1's evidence is about 1e-310, where 1/evidence overflows. Split
+        over both margins, its posterior weights stay finite and its b-row
+        sums to d; all in one margin, they overflow and the row is named."""
+        subs = [SubIntensity(np.diag([-1.0, -2.0]))] * 2
+        pi_rows = np.full((2, 2), 0.5)
+        censored = np.zeros((2, 2), dtype=int)
+        stats = e_step(np.array([[0.5, 0.4], [356.5, 356.5]]), censored, pi_rows, subs)
+        assert 0.0 < 0.5 * np.exp(-713.0) < 2.0 ** -1024
+        np.testing.assert_allclose(stats.b.sum(axis=1), [2.0, 2.0], rtol=1e-12)
+        with pytest.raises(NumericalError, match=r"margin 0: .* rows \[1\]$"):
+            e_step(np.array([[0.5, 0.4], [713.0, 0.4]]), censored, pi_rows, subs)
 
     def test_exit_counts_sum_to_deaths(self):
         # row 1's own evidence in margin 0 is about 5e-53, so its posterior
@@ -446,8 +466,9 @@ class TestMStep:
 
 
 def reference_age_scale_loglik(y, delta, per_obs_pi, subs, betas):
-    """The log-likelihood value as coded before the derivatives were added:
-    the value half of `_age_scale_loglik` must stay bit-equal to it."""
+    """The log-likelihood value as coded before the derivatives were added,
+    less its 1e-300 floor, which no row here reaches: the value half of
+    `_age_scale_loglik` must stay bit-equal to it."""
     n, d = y.shape
     lik = per_obs_pi.copy()
     for i, sub in enumerate(subs):
@@ -465,9 +486,7 @@ def reference_age_scale_loglik(y, delta, per_obs_pi, subs, betas):
                 mats.sum(axis=-1),
             )
         lik *= factors
-    rows = lik.sum(axis=1)
-    floored = np.flatnonzero(~(rows >= 1e-300))
-    return float(np.log(np.clip(rows, 1e-300, None)).sum()), floored
+    return float(np.log(lik.sum(axis=1)).sum())
 
 
 class TestIStep:
@@ -483,32 +502,70 @@ class TestIStep:
         return obs, np.tile(pi, (n, 1)), [sub, sub]
 
     def _loglik(self, obs, pi_rows, subs, betas):
-        total, *_ = _age_scale_loglik(obs.y, obs.delta, pi_rows, subs,
-                                      np.asarray(betas, dtype=float))
-        return total
+        return _age_scale_loglik(obs.y, obs.delta, pi_rows, subs,
+                                 np.asarray(betas, dtype=float), derivatives=False)
 
     def _mixed_case(self, rng, p, n=60):
-        """Two margins with their own rates, censored and observed rows;
-        row 0 is past the Gompertz overflow in margin 0, and row 3's
-        operational time in margin 1 is finite but its likelihood is 0."""
+        """Two margins with their own rates, censored and observed rows."""
         subs = [random_chain(rng, p) for _ in range(2)]
         y = rng.uniform(0.05, 1.5, size=(n, 2))
         delta = (rng.random((n, 2)) < 0.5).astype(int)
         delta[1], delta[2] = (1, 1), (0, 0)
-        y[0, 0] = 2000.0
-        y[3, 1] = 100.0
         pi_rows = np.vstack([random_pi(rng, p) for _ in range(n)])
         return y, delta, pi_rows, subs, rng.uniform(0.5, 5.0, size=2)
+
+    def test_zero_likelihood_rows_raise(self):
+        """Row 0 is past the Gompertz overflow in margin 0, and row 3's
+        operational time in margin 1 is finite but its likelihood is 0."""
+        rng = np.random.default_rng(371)
+        for p in (1, 3):
+            y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
+            y[0, 0] = 2000.0
+            y[3, 1] = 100.0
+            for derivatives in (False, True):
+                with pytest.raises(NumericalError, match=r"rows \[0, 3\]$"):
+                    _age_scale_loglik(y, delta, pi_rows, subs, betas, derivatives)
+
+    def test_row_below_the_old_floor_keeps_its_log(self):
+        """Row 1's likelihood is about 1e-305, under the 1e-300 floor that
+        once replaced its log by log(1e-300)."""
+        subs = [SubIntensity(np.diag([-1.0, -2.0]))] * 2
+        y = np.log1p([[0.5, 0.4], [351.0, 351.0]])  # operational times at beta = 1
+        x = np.expm1(y)
+        pi_rows = np.full((2, 2), 0.5)
+        exact = np.logaddexp.reduce(np.log(0.5) - x.sum(axis=1)[:, None] * [1.0, 2.0],
+                                    axis=1).sum()
+        total = _age_scale_loglik(y, np.zeros((2, 2), dtype=int), pi_rows, subs,
+                                  np.ones(2), derivatives=False)
+        assert total < np.log(0.5 * 1e-300)
+        np.testing.assert_allclose(total, exact, rtol=1e-12)
+
+    def test_subnormal_likelihood_row_keeps_finite_derivatives(self):
+        """Row 1's likelihood is about 1e-310, where 1/likelihood overflows:
+        the gradient and Hessian stay finite and match central differences."""
+        subs = [SubIntensity(np.diag([-1.0, -2.0]))] * 2
+        y = np.log1p([[0.5, 0.4], [356.5, 356.5]])  # operational times at beta = 1
+        delta = np.zeros((2, 2), dtype=int)
+        pi_rows = np.full((2, 2), 0.5)
+        total, grad, hess = _age_scale_loglik(y, delta, pi_rows, subs, np.ones(2))
+        assert total < np.log(2.0 ** -1024)
+        h = 1e-6
+        for i in range(2):
+            e = np.zeros(2)
+            e[i] = h
+            up = _age_scale_loglik(y, delta, pi_rows, subs, np.exp(e))
+            down = _age_scale_loglik(y, delta, pi_rows, subs, np.exp(-e))
+            assert abs(grad[i] - (up[0] - down[0]) / (2 * h)) <= 1e-6 * abs(grad[i])
+            num = (up[1] - down[1]) / (2 * h)
+            assert np.max(np.abs(hess[i] - num)) <= 1e-6 * np.max(np.abs(num))
 
     def test_analytic_derivatives_match_central_differences(self):
         rng = np.random.default_rng(367)
         h = 1e-5
         for p in (1, 2, 3, 4, 3, 2):
             y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
-            total, floored, grad, hess = _age_scale_loglik(
-                y, delta, pi_rows, subs, betas)
+            total, grad, hess = _age_scale_loglik(y, delta, pi_rows, subs, betas)
             assert np.isfinite(total)
-            np.testing.assert_array_equal(floored, [0, 3])
             theta = np.log(betas)
             num_grad = np.zeros(2)
             num_hess = np.zeros((2, 2))
@@ -518,39 +575,26 @@ class TestIStep:
                 up = _age_scale_loglik(y, delta, pi_rows, subs, np.exp(theta + e))
                 down = _age_scale_loglik(y, delta, pi_rows, subs, np.exp(theta - e))
                 num_grad[i] = (up[0] - down[0]) / (2 * h)
-                num_hess[i] = (up[2] - down[2]) / (2 * h)
+                num_hess[i] = (up[1] - down[1]) / (2 * h)
             assert np.max(np.abs(grad - num_grad)) <= 1e-6 * np.max(np.abs(num_grad))
             assert np.max(np.abs(hess - num_hess)) <= 1e-6 * np.max(np.abs(num_hess))
             np.testing.assert_array_equal(hess, hess.T)
-
-    def test_floored_rows_add_no_derivative(self):
-        rng = np.random.default_rng(371)
-        y, delta, pi_rows, subs, betas = self._mixed_case(rng, 3)
-        _, floored, grad, hess = _age_scale_loglik(y, delta, pi_rows, subs, betas)
-        rest = np.delete(np.arange(y.shape[0]), floored)
-        _, _, grad_rest, hess_rest = _age_scale_loglik(
-            y[rest], delta[rest], pi_rows[rest], subs, betas)
-        np.testing.assert_array_equal(floored, [0, 3])
-        np.testing.assert_allclose(grad, grad_rest, rtol=1e-13)
-        np.testing.assert_allclose(hess, hess_rest, rtol=1e-13)
 
     def test_value_bit_equal_to_reference(self):
         rng = np.random.default_rng(373)
         for p in (1, 2, 3, 5):
             y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
-            total, floored, _, _ = _age_scale_loglik(y, delta, pi_rows, subs, betas)
-            ref_total, ref_floored = reference_age_scale_loglik(
-                y, delta, pi_rows, subs, betas)
-            assert total == ref_total
-            np.testing.assert_array_equal(floored, ref_floored)
+            total, _, _ = _age_scale_loglik(y, delta, pi_rows, subs, betas)
+            assert total == reference_age_scale_loglik(y, delta, pi_rows, subs, betas)
 
     def test_joint_mode_improves_and_flattens_gradient(self):
         obs, pi_rows, subs = self._age_data()
         start = np.array([1.0, 1.0])
-        got = i_step(obs, pi_rows, subs, start)
+        got, ll = i_step(obs, pi_rows, subs, start)
         before = self._loglik(obs, pi_rows, subs, start)
         after = self._loglik(obs, pi_rows, subs, got)
         assert after > before
+        assert ll == after
 
         def grad_log_beta(betas):
             g = np.zeros(2)
@@ -569,16 +613,16 @@ class TestIStep:
     def test_improves_from_bad_start(self):
         obs, pi_rows, subs = self._age_data(seed=379)
         start = np.array([1.0, 1.0])
-        got = i_step(obs, pi_rows, subs, start)
+        got, _ = i_step(obs, pi_rows, subs, start)
         assert (self._loglik(obs, pi_rows, subs, got)
                 > self._loglik(obs, pi_rows, subs, start))
 
     def test_never_returns_worse_than_incumbent(self):
         obs, pi_rows, subs = self._age_data(seed=383, n=150)
-        first = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
-        ll_first = self._loglik(obs, pi_rows, subs, first)
-        second = i_step(obs, pi_rows, subs, first)
-        assert self._loglik(obs, pi_rows, subs, second) >= ll_first - 1e-9
+        first, ll_first = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
+        second, ll_second = i_step(obs, pi_rows, subs, first)
+        assert ll_second >= ll_first
+        assert ll_second == self._loglik(obs, pi_rows, subs, second)
 
     def test_stays_inside_the_bounds(self, monkeypatch):
         # the likelihood rises towards beta = (3, 2), above the upper bound
@@ -587,11 +631,11 @@ class TestIStep:
         monkeypatch.setattr(phasetype, "expm_batch",
                             lambda a: calls.append(1) or expm_batch(a))
         start = np.array([1.0, 1.0])
-        got = i_step(obs, pi_rows, subs, start, log_bounds=(-5.0, 0.0))
+        got, _ = i_step(obs, pi_rows, subs, start, log_bounds=(-5.0, 0.0))
         np.testing.assert_array_equal(got, start)
         assert len(calls) == 2  # one evaluation: the incumbent
-        got = i_step(obs, pi_rows, subs, np.array([0.5, 0.5]),
-                     log_bounds=(-5.0, 0.0))
+        got, _ = i_step(obs, pi_rows, subs, np.array([0.5, 0.5]),
+                        log_bounds=(-5.0, 0.0))
         assert np.all(got <= 1.0)
         assert (self._loglik(obs, pi_rows, subs, got)
                 > self._loglik(obs, pi_rows, subs, [0.5, 0.5]))
@@ -600,11 +644,37 @@ class TestIStep:
         calls = []
         monkeypatch.setattr(phasetype, "expm_batch",
                             lambda a: calls.append(1) or expm_batch(a))
-        for seed, start in ((373, (1.0, 1.0)), (379, (0.01, 50.0)), (383, (3.0, 2.0))):
+        for seed, start in ((373, (1.0, 1.0)), (383, (3.0, 2.0))):
             obs, pi_rows, subs = self._age_data(seed=seed, n=150)
             calls.clear()
             i_step(obs, pi_rows, subs, np.array(start))
             assert 1 <= len(calls) <= 24
+
+    def test_zero_likelihood_incumbent_raises(self):
+        # at beta = (0.01, 50) most rows have likelihood 0 in double precision
+        obs, pi_rows, subs = self._age_data(seed=379, n=150)
+        with pytest.raises(NumericalError, match=r"likelihood underflowed to 0 for rows"):
+            i_step(obs, pi_rows, subs, np.array([0.01, 50.0]))
+
+    def test_zero_likelihood_trial_is_rejected(self, monkeypatch):
+        """A trial point where some row's likelihood is 0 counts as -inf: the
+        step halves back to a point where every row is positive."""
+        obs, pi_rows, subs = self._age_data(seed=373, n=150)
+        trials = []
+        real = estimation._age_scale_loglik
+
+        def zero_at_first_trial(y, delta, per_obs_pi, subs, betas, derivatives=True):
+            trials.append(betas)
+            if len(trials) == 2:
+                per_obs_pi = per_obs_pi.copy()
+                per_obs_pi[7] = 0.0
+            return real(y, delta, per_obs_pi, subs, betas, derivatives)
+
+        monkeypatch.setattr(estimation, "_age_scale_loglik", zero_at_first_trial)
+        got, ll = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
+        assert len(trials) >= 3
+        assert not np.array_equal(got, trials[1])
+        assert ll > self._loglik(obs, pi_rows, subs, [1.0, 1.0])
 
 
 class TestObservedLoglik:
@@ -717,3 +787,95 @@ class TestFit:
         # the fitted transforms moved off the (wrong) initial value
         fitted = [m.transform.beta for m in report.model.margins]
         assert all(b != 1.0 for b in fitted)
+
+    def test_start_rescaled_only_for_faint_evidence(self):
+        """Row 0 is censored at 600 times the uncensored mean, so at the
+        start scaled to that mean its evidence is below _START_EVIDENCE; the
+        means are doubled until it is not, and the fit runs. Without such a
+        row the start is the plain rescale, bit for bit."""
+        structure = CoxianStructure(2)
+
+        def plain_start(o):
+            rng = np.random.default_rng(0)
+            x = transform_data(o, np.ones(2))
+            return [phasetype._scale_to_mean(
+                phasetype.random_sub_intensity(structure, rng), 0,
+                x[o.delta[:, i] == 1, i].mean()) for i in range(2)]
+
+        def start(o):
+            return estimation._initial_sub_intensities(
+                o, structure, np.ones(2), np.random.default_rng(0))
+
+        def evidence(o, subs):
+            x = transform_data(o, np.ones(2))
+            w = np.full((o.n, 2), 0.5)
+            for i, sub in enumerate(subs):
+                w *= estimation._margin_kernels(sub, x[:, i], o.delta[:, i])[1]
+            return w.sum(axis=1)
+
+        obs = self._synthetic(389, 200)
+        for a, b in zip(start(obs), plain_start(obs)):
+            np.testing.assert_array_equal(a.matrix, b.matrix)
+
+        y, delta = obs.y.copy(), obs.delta.copy()
+        x_mean = np.expm1(y[delta[:, 0] == 1, 0]).mean()
+        y[0, 0], delta[0, 0] = np.log1p(600.0 * x_mean), 0
+        far = ObservationSet(y=y, delta=delta, covariates=obs.covariates)
+        faint = evidence(far, plain_start(far)) < estimation._START_EVIDENCE
+        np.testing.assert_array_equal(np.flatnonzero(faint), [0])
+        assert evidence(far, start(far)).min() >= estimation._START_EVIDENCE
+        report = fit(far, FitConfig(p=2, max_iterations=3, loglik_tolerance=None,
+                                    i_step_every=0, beta_init=1.0))
+        assert np.all(np.isfinite(report.loglik_trace))
+
+    @pytest.mark.parametrize("i_step_every", [1, 0])
+    def test_one_likelihood_pass_per_iteration(self, monkeypatch, i_step_every):
+        """With an I-step its last evaluation is the iteration's value; without
+        one, one value pass per iteration."""
+        obs = self._synthetic(409, n=120)
+        outside = []
+        inside = [False]
+        real_loglik, real_i_step = estimation._age_scale_loglik, estimation.i_step
+
+        def counted(*args, **kwargs):
+            if not inside[0]:
+                outside.append(kwargs.get("derivatives", True))
+            return real_loglik(*args, **kwargs)
+
+        def flagged(*args, **kwargs):
+            inside[0] = True
+            try:
+                return real_i_step(*args, **kwargs)
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(estimation, "_age_scale_loglik", counted)
+        monkeypatch.setattr(estimation, "i_step", flagged)
+        config = FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=11,
+                           i_step_every=i_step_every, beta_init=(2.0, 3.0))
+        report = fit(obs, config)
+        assert report.iterations == 4
+        assert outside == ([] if i_step_every else [False] * 4)
+
+    @pytest.mark.parametrize("iterations", [4, 3])
+    def test_final_loglik_is_the_returned_model_value(self, iterations):
+        """The last trace entry is the observed log-likelihood of the model
+        returned, whether the last iteration ran an I-step (4) or not (3)."""
+        obs = self._synthetic(433, n=250)
+        config = FitConfig(p=2, max_iterations=iterations, loglik_tolerance=None,
+                           seed=5, i_step_every=2, beta_init=1.0)
+        report = fit(obs, config)
+        np.testing.assert_allclose(report.final_loglik,
+                                   observed_loglik(obs, report.model), rtol=1e-12)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"loglik_tolerance": -1.0}, {"loglik_tolerance": 0.0},
+        {"loglik_tolerance": float("nan")}, {"loglik_tolerance": float("inf")},
+        {"beta_init": 0.0}, {"beta_init": float("nan")}, {"beta_init": (2.0, -1.0)},
+        {"beta_init": (2.0, float("inf"))},
+    ])
+    def test_config_rejects_bad_tolerance_and_beta(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=name):
+            FitConfig(p=2, **kwargs)
+        FitConfig(p=2, loglik_tolerance=None, beta_init=(2.0, 3.0))
