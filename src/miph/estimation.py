@@ -7,8 +7,9 @@ covariates. One EM iteration runs four steps:
   (Z) and transition/exit counts (N) given the current parameters, on the
   operational time scale. Censored margins contribute survival kernels,
   uncensored margins density kernels; all occupation/transition integrals
-  reduce to one 2p x 2p block exponential per (observation, margin) because
-  the integrand's middle factor is rank one.
+  reduce to one Fréchet derivative of exp(T x) per (observation, margin),
+  computed on p x p matrices, because the integrand's middle factor is rank
+  one.
 * R: weighted multinomial-logistic regression of the B-weights on the
   covariates (softmax link, state 0 is the zero reference row), by damped
   Newton iteration that stops once the Newton decrement falls to the
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .linalg import expm_batch
+from .linalg import expm_batch, expm_frechet_batch
 from .model import Margin, MIPHModel
 from .phasetype import (
     CoxianStructure,
@@ -57,7 +58,8 @@ __all__ = [
 
 _STAT_TOL = 1e-12
 # smallest evidence of a couple at the EM start (~1.5e-154): the E-step's posterior
-# weights reach 1/evidence, and this keeps their Van Loan blocks far from overflow
+# weights reach 1/evidence, and this keeps their Fréchet directions v c' x far
+# from overflow
 _START_EVIDENCE = np.sqrt(np.finfo(float).tiny)
 _EPS = np.finfo(float).eps
 # I-step budget and stopping rule: likelihood evaluations per call, and the
@@ -260,10 +262,10 @@ def _margin_kernels(sub: SubIntensity, x_col, delta_col):
     (censored). Transform Jacobians are constant over states and cancel in
     every posterior, so they are left out here.
 
-    The absorption counts need these full exponentials. The top-left block
-    of the Van Loan exponential equals exp(T x) only in exact arithmetic: in
-    rows whose posterior weights reach 1e20 and more, the weights set its
-    scaling and the block loses exp(T x) entirely."""
+    The absorption counts need these full exponentials. The exp(T x) that
+    the E-step's Fréchet call returns is no substitute: in rows whose
+    posterior weights reach 1e20 and more, the weights set its scaling and
+    it loses exp(T x) entirely."""
     mats = expm_batch(sub.matrix[None, :, :] * x_col[:, None, None])
     a = np.where(
         delta_col[:, None].astype(bool),
@@ -296,9 +298,14 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
 
     where v is the exit-rate vector (death) or the all-ones vector (censored)
     and c is the posterior over the shared start state given the other
-    margins. U is the upper-right p x p block of the 2p x 2p exponential
-    exp([[T_i, v c'], [0, T_i]] x_mi) (Van Loan's block form);
-    linearity in the middle factor collapses the per-state integrals into one.
+    margins. U is the Fréchet derivative L(T_i x_mi, v c' x_mi) of the
+    exponential, the upper-right block of exp([[T_i, v c'], [0, T_i]] x_mi)
+    (Van Loan's block form); linearity in the middle factor collapses the
+    per-state integrals into one. :func:`linalg.expm_frechet_batch` computes
+    it on p x p matrices (Al-Mohy & Higham 2009, Alg. 6.4), scaled by the
+    1-norm of that 2p x 2p block, so each row gets the block's scaling power:
+    in rows whose weights c reach 1e20 and more, that scaling loses the
+    occupancies (ROADMAP E1).
 
     A row whose evidence is exactly 0 in double precision raises
     :class:`NumericalError` naming it; no row is dropped. So does a row whose
@@ -342,16 +349,13 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
         died = delta[:, i].astype(bool)
         v = np.where(died[:, None], sub.exit_rates, np.ones(p))
 
-        blocks = np.zeros((n, 2 * p, 2 * p))
-        blocks[:, :p, :p] = sub.matrix
-        blocks[:, p:, p:] = sub.matrix
+        x_i = x[:, i, None, None]
         with np.errstate(over="ignore", invalid="ignore"):
             c /= denom[:, None]
-            blocks[:, :p, p:] = v[:, :, None] * c[:, None, :]
-            blocks *= x[:, i, None, None]
-        _require_rows(np.isfinite(blocks).all(axis=(1, 2)),
+            direction = v[:, :, None] * c[:, None, :] * x_i
+        _require_rows(np.isfinite(direction).all(axis=(1, 2)),
                       f"margin {i}: posterior weights overflowed")
-        integral = expm_batch(blocks)[:, :p, p:]  # (n, p, p)
+        _, integral = expm_frechet_batch(sub.matrix * x_i, direction)  # (n, p, p)
 
         z[i] = np.einsum("mkk->k", integral)
         n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)
@@ -359,7 +363,7 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
             n_exit[i] = sub.exit_rates * np.einsum(
                 "mj,mjk->k", c[died], mats[i][died]
             )
-    # round tiny negatives from the block exponentials up to zero
+    # round tiny negatives from the Padé approximants up to zero
     return SufficientStats(*(np.clip(v, 0.0, None) for v in (b, z, n_trans, n_exit)))
 
 

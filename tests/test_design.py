@@ -2,9 +2,10 @@
 
 Every age-scale factor ``e_j' exp(T x) v`` comes from the one kernel in
 `phasetype`; the only other matrix exponentials are the E-step's: exp(T x),
-which its absorption counts need in full, and its Van Loan block. Matrix
-exponentials never come from scipy. CSV text is read and written in
-`dataio` alone.
+which its evidence and absorption counts need in full, and the Fréchet
+derivative that gives its occupancy integrals. Both exponential kernels in
+`linalg` share one Padé-13 table. Matrix exponentials never come from scipy.
+CSV text is read and written in `dataio` alone.
 """
 
 import ast
@@ -39,17 +40,39 @@ def _modules():
         yield path.stem, ast.parse(path.read_text(encoding="utf-8"))
 
 
-def test_expm_batch_call_sites():
+def _call_sites(name):
     sites = []
     for module, tree in _modules():
-        visitor = _Calls(module, "expm_batch")
+        visitor = _Calls(module, name)
         visitor.visit(tree)
         sites += visitor.sites
-    # _margin_kernels leaves once the Van Loan block's occupancies are exact
-    # at large posterior weights and its top-left can give the exit counts
-    assert sorted(sites) == [("estimation", "_margin_kernels"),
-                             ("estimation", "e_step"),
-                             ("phasetype", "_exp_factors")]
+    return sorted(sites)
+
+
+def test_expm_batch_call_sites():
+    # _margin_kernels leaves once the E-step's evidence comes from
+    # _exp_factors and its exit counts from the Fréchet call's exp(T x)
+    assert _call_sites("expm_batch") == [("estimation", "_margin_kernels"),
+                                         ("phasetype", "_exp_factors")]
+    assert _call_sites("expm_frechet_batch") == [("estimation", "e_step")]
+
+
+def test_one_pade_table_behind_both_exponentials():
+    tree = dict(_modules())["linalg"]
+    tables = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and any(getattr(t, "id", None) == "_PADE13" for t in node.targets)]
+    assert len(tables) == 1
+    readers = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+               and any(isinstance(node, ast.Name) and node.id == "_PADE13"
+                       for node in ast.walk(fn))}
+    assert readers == {"_pade13_uv"}
+    assert _call_sites("_pade13_uv") == [("linalg", "expm_batch"),
+                                         ("linalg", "expm_frechet_batch")]
+    b0 = tables[0].value.elts[0].value
+    for module, tree in _modules():
+        copies = [node for node in ast.walk(tree)
+                  if isinstance(node, ast.Constant) and node.value == b0]
+        assert len(copies) == (module == "linalg"), module
 
 
 def test_no_module_uses_scipy_linalg():

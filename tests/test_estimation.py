@@ -121,6 +121,49 @@ def quadrature_e_step(x, delta, pi_rows, subs):
     return b, z, n_trans, n_exit
 
 
+def block_e_step(x, delta, pi_rows, subs):
+    """E-step statistics with each occupancy integral read off the 2p x 2p
+    Van Loan block exp([[T, v c'], [0, T]] x), as the E-step once computed
+    them. Also returns the largest posterior weight c."""
+    n, d = x.shape
+    p = subs[0].dim
+    mats = [expm_batch(sub.matrix[None, :, :] * x[:, i, None, None])
+            for i, sub in enumerate(subs)]
+    evidence = [np.where(delta[:, i, None] == 1, mats[i] @ sub.exit_rates,
+                         mats[i].sum(axis=-1)) for i, sub in enumerate(subs)]
+    w = pi_rows.copy()
+    for a_i in evidence:
+        w *= a_i
+    denom = w.sum(axis=1)
+    b = d * w / denom[:, None]
+    z = np.zeros((d, p))
+    n_trans = np.zeros((d, p, p))
+    n_exit = np.zeros((d, p))
+    offdiag = ~np.eye(p, dtype=bool)
+    largest = 0.0
+    for i, sub in enumerate(subs):
+        c = pi_rows.copy()
+        for l in range(d):
+            if l != i:
+                c *= evidence[l]
+        c /= denom[:, None]
+        largest = max(largest, c.max())
+        died = delta[:, i].astype(bool)
+        v = np.where(died[:, None], sub.exit_rates, np.ones(p))
+        blocks = np.zeros((n, 2 * p, 2 * p))
+        blocks[:, :p, :p] = sub.matrix
+        blocks[:, p:, p:] = sub.matrix
+        blocks[:, :p, p:] = v[:, :, None] * c[:, None, :]
+        blocks *= x[:, i, None, None]
+        integral = expm_batch(blocks)[:, :p, p:]
+        z[i] = np.einsum("mkk->k", integral)
+        n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)
+        if np.any(died):
+            n_exit[i] = sub.exit_rates * np.einsum("mj,mjk->k", c[died], mats[i][died])
+    stats = [np.clip(v, 0.0, None) for v in (b, z, n_trans, n_exit)]
+    return stats, largest
+
+
 class TestObservationSet:
     def test_valid_construction(self):
         obs = ObservationSet(
@@ -287,6 +330,29 @@ class TestEStep:
         stats = e_step(x, delta, np.tile([0.3, 0.7], (4, 1)), [sub, sub])
         np.testing.assert_allclose(stats.n_exit.sum(axis=1), delta.sum(axis=0),
                                    rtol=1e-12)
+
+    def test_matches_the_block_form(self):
+        """The Fréchet kernel scales each row as the Van Loan block did, so
+        the statistics keep their values to rounding, also where posterior
+        weights of 1e50 make both miss the occupancies (ROADMAP E1)."""
+        x, delta, pi_rows, subs = _toy_data()
+        x_far = x.copy()
+        x_far[2, 0] = 85.0  # row 2's own evidence in margin 0 is about 1e-50
+        sub = SubIntensity(np.array([[-1.5, 0.5], [0.0, -0.8]]))
+        cases = [
+            ((x, delta, pi_rows, subs), 10.0),
+            ((x_far, delta, pi_rows, subs), 1e49),
+            ((np.array([[0.7, 0.4], [150.0, 0.9], [2.0, 1.0], [40.0, 60.0]]),
+              np.array([[1, 1], [1, 0], [0, 1], [1, 1]]),
+              np.tile([0.3, 0.7], (4, 1)), [sub, sub]), 1e52),
+        ]
+        for args, weight in cases:
+            stats = e_step(*args)
+            expected, largest = block_e_step(*args)
+            assert weight / 10.0 <= largest < 10.0 * weight
+            for got, want in zip((stats.b, stats.z, stats.n_trans, stats.n_exit),
+                                 expected):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_shape_validation(self):
         x, delta, pi_rows, subs = _toy_data()

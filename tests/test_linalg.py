@@ -1,10 +1,12 @@
 """Matrix-kernel tests.
 
 Expected values come from oracles that avoid the implementation paths under
-test: extended-precision truncated series (mpmath) for the exponential, and
+test: extended-precision truncated series (mpmath) for the exponential,
 composite-Simpson / adaptive quadrature of the integrand (built from scipy's
-scalar expm, not the block construction) for the Van Loan integral that the
-E-step reads off one batched exponential of a 2p x 2p block.
+scalar expm, not the block construction) for the Van Loan integral, and
+scipy's ``expm_frechet`` and the 2p x 2p Van Loan block for the batched
+Fréchet derivative that the E-step reads that integral from. A frozen copy
+of the earlier ``expm_batch`` pins that its results have not moved.
 """
 
 import mpmath as mp
@@ -13,8 +15,10 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from miph import SingularMatrixError, SubIntensity, e_step
-from miph.linalg import expm_batch, kron_sum, solve
+from miph import (CoxianStructure, GeneralStructure, SingularMatrixError,
+                  SubIntensity, e_step)
+from miph.linalg import expm_batch, expm_frechet_batch, kron_sum, solve
+from miph.phasetype import random_sub_intensity
 
 from conftest import DIAG_1, DIAG_2, SUPER_1, SUPER_2, chain_matrix, random_chain
 
@@ -235,8 +239,8 @@ class TestVanLoan:
         np.testing.assert_array_equal(left, np.eye(2))
 
     def test_rejects_mismatched_shapes(self):
-        # the E-step, which builds the blocks, rejects margins of different
-        # sizes and operational times that are negative or not finite
+        # the E-step, which builds the integrals' inputs, rejects margins of
+        # different sizes and operational times that are negative or not finite
         sub = SubIntensity(FIXED_T)
         x, delta, pi_rows = np.full((1, 2), 0.5), np.ones((1, 2)), np.full((1, 2), 0.5)
         with pytest.raises(ValueError):
@@ -244,6 +248,159 @@ class TestVanLoan:
         for bad in (-0.5, np.inf):
             with pytest.raises(ValueError):
                 e_step(np.array([[0.5, bad]]), delta, pi_rows, [sub, sub])
+
+
+def frozen_expm_batch(a):
+    """``expm_batch`` as it was before it shared its Padé-13 core with
+    ``expm_frechet_batch``, kept verbatim as the bit-for-bit reference."""
+    b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0)
+    theta13 = 5.371920351148152
+    a = np.asarray(a, dtype=float)
+    batch_shape = a.shape[:-2]
+    p = a.shape[-1]
+    a = a.reshape(-1, p, p)
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore"):
+        s = np.ceil(np.log2(norms / theta13))
+    s = np.where(norms > theta13, s, 0.0).astype(np.int64)
+    scaled = a / (2.0 ** s)[:, None, None]
+    eye = np.broadcast_to(np.eye(p), scaled.shape)
+    a2 = scaled @ scaled
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = scaled @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6
+        + b[5] * a4
+        + b[3] * a2
+        + b[1] * eye
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6
+        + b[4] * a4
+        + b[2] * a2
+        + b[0] * eye
+    )
+    r = np.linalg.solve(v - u, v + u)
+    r[norms == 0.0] = np.eye(p)
+    for k in range(int(s.max()) if s.size else 0):
+        todo = s > k
+        r[todo] = r[todo] @ r[todo]
+    return r.reshape(*batch_shape, p, p)
+
+
+class TestExpmBatchUnchanged:
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
+    def test_bit_identical_to_the_frozen_copy(self, p):
+        # one matrix per scaling power 0..30, plus a zero matrix, shuffled so
+        # that rows of every scaling power interleave in the stack
+        rng = np.random.default_rng(59 + p)
+        rows = []
+        for s in range(31):
+            t = random_sub_intensity(GeneralStructure(p), rng).matrix
+            norm = np.abs(t).sum(axis=0).max()
+            rows.append(t * (5.371920351148152 * 2.0 ** (s - 0.5) / norm))
+        rows.append(np.zeros((p, p)))
+        stack = np.stack(rows)[rng.permutation(len(rows))]
+        np.testing.assert_array_equal(expm_batch(stack), frozen_expm_batch(stack))
+        np.testing.assert_array_equal(expm_batch(stack.reshape(4, 8, p, p)),
+                                      frozen_expm_batch(stack.reshape(4, 8, p, p)))
+
+    def test_bit_identical_on_general_matrices(self):
+        rng = np.random.default_rng(61)
+        stack = rng.uniform(-1.0, 1.0, size=(40, 4, 4)) * 2.0 ** rng.uniform(
+            -4.0, 6.0, size=(40, 1, 1))
+        np.testing.assert_array_equal(expm_batch(stack), frozen_expm_batch(stack))
+
+
+def random_sub_intensities(rng, n, p):
+    """n sub-intensities of dimension p, alternately feed-forward and general."""
+    return np.stack([(random_chain(rng, p) if k % 2 else
+                      random_sub_intensity(GeneralStructure(p), rng)).matrix
+                     for k in range(n)])
+
+
+def norm_rel_err(got, ref):
+    """Largest entry of |got - ref| per matrix over the largest of |ref|
+    (0 where both are exactly 0)."""
+    return (np.abs(got - ref).max(axis=(-2, -1))
+            / np.maximum(np.abs(ref).max(axis=(-2, -1)), np.finfo(float).tiny))
+
+
+class TestExpmFrechetBatch:
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_against_scipy(self, p):
+        rng = np.random.default_rng(67 + p)
+        n = 12
+        x = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+        a = random_sub_intensities(rng, n, p) * x[:, None, None]
+        e = rng.uniform(0.0, 1.0, size=(n, p, p)) * x[:, None, None]
+        exp_a, frechet = expm_frechet_batch(a, e)
+        for k in range(n):
+            ref_exp, ref_frechet = scipy.linalg.expm_frechet(a[k], e[k])
+            assert norm_rel_err(exp_a[k], ref_exp) <= 1e-12, (k, x[k])
+            assert norm_rel_err(frechet[k], ref_frechet) <= 1e-12, (k, x[k])
+
+    def test_against_the_van_loan_block(self):
+        # E-step inputs on the fits' Coxian structures: v c' x with posterior
+        # weights c up to 1e80, where the block's scaling comes from c; both
+        # forms scale alike. (On dense general matrices the two round apart
+        # by up to 1e-7 in rows where both miss the integral by 1e-4; scipy
+        # checks those above.)
+        rng = np.random.default_rng(71)
+        for p in (1, 2, 3, 5, 10):
+            n = 16
+            t = np.stack([(random_chain(rng, p) if k % 2 else
+                           random_sub_intensity(CoxianStructure(p), rng)).matrix
+                          for k in range(n)])
+            x = rng.uniform(0.05, 30.0, size=n)
+            v = rng.uniform(0.0, 2.0, size=(n, p))
+            c = rng.uniform(0.1, 1.0, size=(n, p)) * 10.0 ** np.linspace(0, 80, n)[:, None]
+            a = t * x[:, None, None]
+            e = v[:, :, None] * c[:, None, :] * x[:, None, None]
+            exp_a, frechet = expm_frechet_batch(a, e)
+            for k in range(n):
+                ref_exp, ref_frechet = van_loan(t[k], e[k] / x[k], x[k])
+                assert norm_rel_err(frechet[k], ref_frechet) <= 1e-13, (p, k)
+                assert norm_rel_err(exp_a[k], ref_exp) <= 1e-13, (p, k)
+
+    def test_zero_stack_is_exact(self):
+        exp_a, frechet = expm_frechet_batch(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
+        np.testing.assert_array_equal(exp_a, np.broadcast_to(np.eye(4), (3, 4, 4)))
+        np.testing.assert_array_equal(frechet, np.zeros((3, 4, 4)))
+
+    def test_empty_stack(self):
+        for shape in ((0, 3, 3), (2, 0, 0)):
+            exp_a, frechet = expm_frechet_batch(np.zeros(shape), np.zeros(shape))
+            assert exp_a.shape == frechet.shape == shape
+
+    def test_batch_shapes_roundtrip(self):
+        rng = np.random.default_rng(73)
+        a = random_sub_intensities(rng, 6, 3).reshape(2, 3, 3, 3)
+        e = rng.uniform(0.0, 1.0, size=a.shape)
+        exp_a, frechet = expm_frechet_batch(a, e)
+        assert exp_a.shape == frechet.shape == a.shape
+        ref_exp, ref_frechet = scipy.linalg.expm_frechet(a[1, 2], e[1, 2])
+        np.testing.assert_allclose(frechet[1, 2], ref_frechet, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(exp_a[1, 2], ref_exp, rtol=1e-12, atol=1e-14)
+
+    def test_rejects_bad_input(self):
+        good = np.zeros((2, 3, 3))
+        for a, e in ((good, np.zeros((2, 3, 2))), (good, np.zeros((3, 3))),
+                     (np.zeros((2, 3, 2)), np.zeros((2, 3, 2))), (np.zeros(3), np.zeros(3))):
+            with pytest.raises(ValueError):
+                expm_frechet_batch(a, e)
+        for bad in (np.nan, np.inf):
+            broken = good.copy()
+            broken[1, 0, 2] = bad
+            with pytest.raises(ValueError):
+                expm_frechet_batch(broken, good)
+            with pytest.raises(ValueError):
+                expm_frechet_batch(good, broken)
 
 
 class TestKronecker:
