@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -169,21 +170,15 @@ def _cmd_measures(args) -> int:
         ("kendall_tau", "", "", model_ops.kendall_tau(mdl, pi)),
         ("spearman_rho", "", "", model_ops.spearman_rho(mdl, pi)),
     ]
-    for u in psi_grid:
-        val = model_ops.psi1(mdl, pi, u / dataio.TIME_SCALE, u / dataio.TIME_SCALE)
-        rows.append(("psi1", format(u, "g"), format(u, "g"), val))
+    psi = psi_grid / dataio.TIME_SCALE
+    psi_text = [format(u, "g") for u in psi_grid]
+    rows += zip(repeat("psi1"), psi_text, psi_text, model_ops.psi1(mdl, pi, psi, psi))
     for margin in (0, 1):
-        base = model_ops.conditional_expectation(mdl, pi, margin)
-        for u in psi_grid:
-            num = model_ops.conditional_expectation(
-                mdl, pi, margin, given=(1 - margin, u / dataio.TIME_SCALE)
-            )
-            rows.append(
-                (f"psi2_margin{margin + 1}", "", format(u, "g"), num / base)
-            )
-    for u in cr_grid:
-        val = model_ops.cross_ratio(mdl, pi, u / dataio.TIME_SCALE)
-        rows.append(("cross_ratio", format(u, "g"), format(u, "g"), val))
+        rows += zip(repeat(f"psi2_margin{margin + 1}"), repeat(""), psi_text,
+                    model_ops.psi2(mdl, pi, margin, psi))
+    cr_text = [format(u, "g") for u in cr_grid]
+    rows += zip(repeat("cross_ratio"), cr_text, cr_text,
+                model_ops.cross_ratio(mdl, pi, cr_grid / dataio.TIME_SCALE))
 
     dataio.write_rows(sys.stdout if args.output is None else args.output,
                       ("measure", "time1", "time2", "value"),

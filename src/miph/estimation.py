@@ -38,6 +38,7 @@ from .phasetype import (
     GompertzTransform,
     SubIntensity,
     _age_factors,
+    _exp_factors,
     _scale_to_mean,
     random_sub_intensity,
 )
@@ -662,7 +663,7 @@ def _initial_sub_intensities(obs, structure, betas, rng):
         rows = np.flatnonzero(~(bound.sum(axis=1) >= _START_EVIDENCE))
         w = np.full((rows.size, p), 1.0 / p)
         for i, sub in enumerate(subs):
-            w *= _margin_kernels(sub, x[rows, i], obs.delta[rows, i])[1]
+            w *= _exp_factors(sub, x[rows, i], obs.delta[rows, i])[0]
         if np.all(w.sum(axis=1) >= _START_EVIDENCE):
             break
     return subs

@@ -25,6 +25,8 @@ from .phasetype import (
     GompertzTransform,
     SubIntensity,
     _age_factors,
+    _check_absorbing,
+    _check_nonneg,
     iph_density,
     iph_survival,
     sample_absorption_times,
@@ -172,33 +174,26 @@ def _margin_factors(margin: Margin, y, died) -> np.ndarray:
 
 def joint_density(model: MIPHModel, pi, y):
     """Joint density at one point ``(d,)`` or a batch ``(n, d)`` of points."""
-    pi = validate_initial_vector(pi, model.dim)
-    pts, scalar = _check_points(model, y)
-    factors = np.ones((pts.shape[0], model.dim))
-    for i, margin in enumerate(model.margins):
-        factors *= _margin_factors(margin, pts[:, i], True)
-    vals = factors @ pi
-    return float(vals[0]) if scalar else vals
+    return _over_margins(model, pi, y, lambda m, a: _margin_factors(m, a, True))
 
 
 def joint_survival(model: MIPHModel, pi, y):
     """Joint survival P(Y_1 > y_1, ..., Y_d > y_d)."""
-    pi = validate_initial_vector(pi, model.dim)
-    pts, scalar = _check_points(model, y)
-    factors = np.ones((pts.shape[0], model.dim))
-    for i, margin in enumerate(model.margins):
-        factors *= _margin_factors(margin, pts[:, i], False)
-    vals = factors @ pi
-    return float(vals[0]) if scalar else vals
+    return _over_margins(model, pi, y, lambda m, a: _margin_factors(m, a, False))
 
 
 def joint_cdf(model: MIPHModel, pi, y):
     """Joint distribution function P(Y_1 <= y_1, ..., Y_d <= y_d)."""
+    return _over_margins(model, pi, y, lambda m, a: 1.0 - _margin_factors(m, a, False))
+
+
+def _over_margins(model: MIPHModel, pi, y, factor):
+    """``sum_j pi_j prod_i factor(margin_i, y_i)[j]`` at each point of ``y``."""
     pi = validate_initial_vector(pi, model.dim)
     pts, scalar = _check_points(model, y)
     factors = np.ones((pts.shape[0], model.dim))
     for i, margin in enumerate(model.margins):
-        factors *= 1.0 - _margin_factors(margin, pts[:, i], False)
+        factors *= factor(margin, pts[:, i])
     vals = factors @ pi
     return float(vals[0]) if scalar else vals
 
@@ -224,11 +219,6 @@ def _check_margin(model: MIPHModel, margin: int) -> int:
     return margin
 
 
-def _reduced(model: MIPHModel, drop: int, start: np.ndarray) -> MIPHModel:
-    margins = tuple(m for i, m in enumerate(model.margins) if i != drop)
-    return MIPHModel(margins=margins, fixed_pi=start)
-
-
 def condition_on_value(model: MIPHModel, pi, margin: int, y: float):
     """Condition on ``Y_margin = y`` (an observed death time).
 
@@ -237,24 +227,7 @@ def condition_on_value(model: MIPHModel, pi, margin: int, y: float):
     (the transform's Jacobian, common to all states, cancels in the
     normalization).
     """
-    margin = _check_margin(model, margin)
-    if model.n_margins < 2:
-        raise ValueError("conditioning needs at least two margins")
-    pi = validate_initial_vector(pi, model.dim)
-    y = float(y)
-    if not (np.isfinite(y) and y >= 0.0):
-        raise ValueError(f"conditioning age must be finite and >= 0, got {y}")
-    m = model.margins[margin]
-    weights = pi * _margin_factors(m, np.array([y]), True)[0]
-    total = weights.sum()
-    # the floor applies to pi' exp(T x) t, without the Jacobian
-    mass = total * np.exp(-m.transform.beta * y)
-    if not np.isfinite(total) or mass < _DENOM_FLOOR:
-        raise NumericalError(
-            f"conditioning density underflowed at y = {y} (mass {mass:.3e})"
-        )
-    alpha = weights / total
-    return _reduced(model, margin, alpha), alpha
+    return _condition(model, pi, margin, y, True)
 
 
 def condition_on_survival(model: MIPHModel, pi, margin: int, y: float):
@@ -262,6 +235,10 @@ def condition_on_survival(model: MIPHModel, pi, margin: int, y: float):
 
     Returns the reduced model and ``nu_j \\propto pi_j e_j' exp(T x) 1``.
     """
+    return _condition(model, pi, margin, y, False)
+
+
+def _condition(model: MIPHModel, pi, margin: int, y: float, died: bool):
     margin = _check_margin(model, margin)
     if model.n_margins < 2:
         raise ValueError("conditioning needs at least two margins")
@@ -269,14 +246,23 @@ def condition_on_survival(model: MIPHModel, pi, margin: int, y: float):
     y = float(y)
     if not (np.isfinite(y) and y >= 0.0):
         raise ValueError(f"conditioning age must be finite and >= 0, got {y}")
-    weights = pi * _margin_factors(model.margins[margin], np.array([y]), False)[0]
-    total = weights.sum()
-    if not np.isfinite(total) or total < _DENOM_FLOOR:
-        raise NumericalError(
-            f"conditioning survival underflowed at y = {y} (mass {total:.3e})"
-        )
-    nu = weights / total
-    return _reduced(model, margin, nu), nu
+    start = _conditioned_starts(model.margins[margin], pi, np.array([y]), died)[0]
+    rest = model.margins[:margin] + model.margins[margin + 1:]
+    return MIPHModel(rest, fixed_pi=start), start
+
+
+def _conditioned_starts(margin: Margin, pi, y, died: bool) -> np.ndarray:
+    """Start vectors given the margin's death at (``died``) or survival to
+    each age of the 1-d ``y``, one row per age, from one batch."""
+    weights = pi * _margin_factors(margin, y, died)
+    total = weights.sum(axis=1)
+    # the floor applies to pi' exp(T x) v, without the density's Jacobian
+    mass = total * np.exp(-margin.transform.beta * y) if died else total
+    bad = np.flatnonzero(~(np.isfinite(total) & (mass >= _DENOM_FLOOR)))
+    if bad.size:
+        raise NumericalError(f"conditioning {'density' if died else 'survival'} underflowed"
+                             f" at y = {y[bad[0]]} (mass {mass[bad[0]]:.3e})")
+    return weights / total[:, None]
 
 
 def _precedence_matrix(sub: SubIntensity) -> np.ndarray:
@@ -286,6 +272,7 @@ def _precedence_matrix(sub: SubIntensity) -> np.ndarray:
     Solves ``-(T (+) T) u = 1 (x) t`` and unstacks row-major, so entry
     ``(a, b)`` sits at flat index ``a * p + b``.
     """
+    _check_absorbing(sub)
     p = sub.dim
     rhs = np.tile(sub.exit_rates, p)
     u = solve(-kron_sum(sub.matrix, sub.matrix), rhs)
@@ -332,75 +319,79 @@ def spearman_rho(model: MIPHModel, pi, pair=(0, 1)) -> float:
     return float(12.0 * pi @ (a_k * a_l) - 3.0)
 
 
-def _check_bivariate(model: MIPHModel, pi, ages) -> np.ndarray:
-    """Validated initial vector of a bivariate model evaluated at ``ages``."""
+def _bivariate_ages(model: MIPHModel, pi, *ages):
+    """Validated initial vector of a bivariate model, its ages broadcast to
+    1-d arrays, and whether they were all scalars."""
     if model.n_margins != 2:
         raise ValueError("this measure is defined for bivariate models")
     pi = validate_initial_vector(pi, model.dim)
-    for y in ages:
-        if not (np.isfinite(y) and y >= 0.0):
-            raise ValueError(f"ages must be finite and >= 0, got {y}")
-    return pi
+    ages = np.array(np.broadcast_arrays(*(np.asarray(a, dtype=float) for a in ages)))
+    if ages.ndim > 2:
+        raise ValueError(f"ages must be scalars or 1-d arrays, got shape {ages.shape[1:]}")
+    return pi, _check_nonneg(ages, "ages").reshape(len(ages), -1), ages.ndim == 1
 
 
-def psi1(model: MIPHModel, pi, y1: float, y2: float) -> float:
+def psi1(model: MIPHModel, pi, y1, y2):
     """Survival dependence ratio S(y1, y2) / (S_1(y1) S_2(y2)).
 
     Equals 1 everywhere iff the margins are independent; > 1 signals
-    positive association at (y1, y2).
+    positive association at (y1, y2). ``y1`` and ``y2`` are scalars or 1-d
+    arrays that broadcast together; arrays give an array.
     """
-    pi = _check_bivariate(model, pi, (y1, y2))
-    sv1, sv2 = (_margin_factors(m, np.array([y]), False)[0]
-                for m, y in zip(model.margins, (y1, y2)))
-    joint = pi @ (sv1 * sv2)
-    s1 = pi @ sv1
-    s2 = pi @ sv2
-    denom = s1 * s2
-    if denom < _DENOM_FLOOR:
-        raise NumericalError(
-            f"marginal survival underflowed at ({y1}, {y2}); ratio undefined"
-        )
-    return float(joint / denom)
+    pi, (y1, y2), scalar = _bivariate_ages(model, pi, y1, y2)
+    sv1, sv2 = (_margin_factors(m, y, False) for m, y in zip(model.margins, (y1, y2)))
+    denom = (sv1 @ pi) * (sv2 @ pi)
+    if np.any(denom < _DENOM_FLOOR):
+        k = np.argmax(denom < _DENOM_FLOOR)
+        raise NumericalError(f"marginal survival underflowed at ({y1[k]}, {y2[k]}); "
+                             "ratio undefined")
+    vals = (sv1 * sv2) @ pi / denom
+    return float(vals[0]) if scalar else vals
 
 
-def psi2(model: MIPHModel, pi, margin: int, y: float) -> float:
-    """Conditional-expectation ratio E[Y_m | Y_other >= y] / E[Y_m]."""
+def psi2(model: MIPHModel, pi, margin: int, y):
+    """Conditional-expectation ratio E[Y_m | Y_other >= y] / E[Y_m].
+
+    ``y`` is a scalar or a 1-d array. Both expectations are start vectors
+    times one vector from :func:`_state_expectations`: ``pi``, and the start
+    vectors given the partner's survival to each age, all from one batch.
+    """
     margin = _check_margin(model, margin)
-    if model.n_margins != 2:
-        raise ValueError("this measure is defined for bivariate models")
-    other = 1 - margin
-    numer = conditional_expectation(model, pi, margin, given=(other, y))
-    denom = conditional_expectation(model, pi, margin)
-    return float(numer / denom)
+    pi, (y,), scalar = _bivariate_ages(model, pi, y)
+    e = _state_expectations(model.margins[margin])
+    vals = (_conditioned_starts(model.margins[1 - margin], pi, y, False) @ e) / (pi @ e)
+    return float(vals[0]) if scalar else vals
 
 
-def cross_ratio(model: MIPHModel, pi, u: float) -> float:
+def cross_ratio(model: MIPHModel, pi, u):
     """Clayton-type cross-ratio on the diagonal, CR(u, u).
 
     CR = S * d2S/dy1dy2 / (dS/dy1 * dS/dy2) evaluated at (u, u), with all
     derivatives taken on the joint survival function; the mixed partial is
     the joint density. Identically 1 for one-state models and > 1 under the
-    positive dependence induced by a shared start state.
+    positive dependence induced by a shared start state. ``u`` is a scalar
+    or a 1-d array; arrays give an array.
     """
-    u = float(u)
-    pi = _check_bivariate(model, pi, (u,))
-    # survival and density rows of each margin from one exponential
-    (sv1, dv1), (sv2, dv2) = (_margin_factors(m, np.array([u, u]), [False, True])
+    pi, (u,), scalar = _bivariate_ages(model, pi, u)
+    # survival and density rows of each margin from one exponential per age
+    died = np.repeat([False, True], u.size)
+    (sv1, dv1), (sv2, dv2) = (np.split(_margin_factors(m, np.tile(u, 2), died), 2)
                               for m in model.margins)
-    s = pi @ (sv1 * sv2)
-    f = pi @ (dv1 * dv2)
-    d1 = pi @ (dv1 * sv2)  # = -dS/dy1
-    d2 = pi @ (sv1 * dv2)  # = -dS/dy2
+    # S, the joint density f, -dS/dy1 and -dS/dy2
+    s, f, d1, d2 = np.stack([sv1 * sv2, dv1 * dv2, dv1 * sv2, sv1 * dv2]) @ pi
     denom = d1 * d2
-    if denom < _DENOM_FLOOR:
-        raise NumericalError(f"survival gradient underflowed at u = {u}")
-    return float(s * f / denom)
+    if np.any(denom < _DENOM_FLOOR):
+        raise NumericalError(
+            f"survival gradient underflowed at u = {u[np.argmax(denom < _DENOM_FLOOR)]}"
+        )
+    vals = s * f / denom
+    return float(vals[0]) if scalar else vals
 
 
-def _truncation_point(margin: Margin, pi: np.ndarray) -> float:
+def _truncation_point(margin: Margin) -> float:
     def survival(y):
-        # 0 past the transform's overflow point: the search probes far out
-        return float(_margin_factors(margin, np.array([y]), False)[0] @ pi)
+        # slowest start state; 0 past the transform's overflow (it probes far out)
+        return float(_margin_factors(margin, np.array([y]), False)[0].max())
 
     hi = 0.5
     if survival(hi) < _SURVIVAL_TRUNCATION:
@@ -416,47 +407,52 @@ def _truncation_point(margin: Margin, pi: np.ndarray) -> float:
     raise NumericalError("survival does not decay; expectation diverges")
 
 
-def conditional_expectation(
-    model: MIPHModel, pi, margin: int, given: tuple[int, float] | None = None
-) -> float:
-    """E[Y_margin], optionally given survival of another margin.
-
-    ``given = (l, y_l)`` conditions on ``Y_l >= y_l`` first. The expectation
-    integrates the (conditional) marginal survival over ``[0, hi]``: ``hi``
-    is the first of 0.5, 1, 2, ... at which survival is below 1e-12, or, if
-    it already is at 0.5, the smallest of 0.5, 0.25, ... at which it is.
+def _state_expectations(margin: Margin) -> np.ndarray:
+    """e[j] = E[Y | start in j], the integral of state j's survival over
+    ``[0, hi]``: ``hi`` is the first of 0.5, 1, 2, ... at which every state's
+    survival is below 1e-12, or, if it already is at 0.5, the smallest of
+    0.5, 0.25, ... at which it is.
 
     The integral runs in log operational time ``u = log x``, where each
     exponential ``exp(-lambda x)`` falls off over a width of order one
     whatever ``lambda``, and so does the Gompertz cliff at old ages. A fixed
     composite Gauss-Legendre rule, 8 equal panels of 32 nodes, covers ``u``
-    from ``log(1e-12 / max exit rate)`` to ``log x(hi)``; all 256 node
-    survivals come from one batched exponential. Below the first node
-    survival is 1 to within 1e-12, so that piece contributes its length.
+    from ``log(1e-12 / max exit rate)`` to ``log x(hi)``, all 256 nodes in
+    one batch. Below the first node survival is 1 to within 1e-12, so that
+    piece contributes its length.
     """
-    margin = _check_margin(model, margin)
-    if given is not None:
-        l, y_l = int(given[0]), float(given[1])
-        if l == margin:
-            raise ValueError("conditioning margin must differ from the target margin")
-        reduced, nu = condition_on_survival(model, pi, l, y_l)
-        target = margin - 1 if margin > l else margin
-        return conditional_expectation(reduced, nu, target)
-
-    pi = validate_initial_vector(pi, model.dim)
-    m = model.margins[margin]
-    hi = _truncation_point(m, pi)
-    beta = m.transform.beta
-    u_lo = np.log(_SURVIVAL_TRUNCATION / m.sub.exit_rates.max())
+    _check_absorbing(margin.sub)
+    hi = _truncation_point(margin)
+    beta = margin.transform.beta
+    u_lo = np.log(_SURVIVAL_TRUNCATION / margin.sub.exit_rates.max())
     u_hi = beta * hi + np.log(-np.expm1(-beta * hi) / beta)  # log x(hi)
     half = 0.5 * (u_hi - u_lo) / _GL_PANELS
     centres = u_lo + half * (2.0 * np.arange(_GL_PANELS) + 1.0)
     u = (centres[:, None] + half * _GL_NODES[None, :]).ravel()
     y = np.logaddexp(0.0, u + np.log(beta)) / beta  # log1p(beta x) / beta
     dy_du = np.exp(u - beta * y)  # x / (1 + beta x)
-    survival = _margin_factors(m, y, False) @ pi
+    weights = np.tile(_GL_WEIGHTS, _GL_PANELS) * dy_du
     head = np.logaddexp(0.0, u_lo + np.log(beta)) / beta
-    return float(head + half * (survival * dy_du) @ np.tile(_GL_WEIGHTS, _GL_PANELS))
+    return head + half * (weights @ _margin_factors(margin, y, False))
+
+
+def conditional_expectation(
+    model: MIPHModel, pi, margin: int, given: tuple[int, float] | None = None
+) -> float:
+    """E[Y_margin], optionally given ``Y_l >= y_l`` with ``given = (l, y_l)``.
+
+    Linear in the start vector, the only link between margins: ``start @ e``
+    with ``e`` from :func:`_state_expectations` and ``start`` either ``pi``
+    or the start vector of :func:`condition_on_survival`.
+    """
+    margin = _check_margin(model, margin)
+    start = validate_initial_vector(pi, model.dim)
+    if given is not None:
+        l, y_l = int(given[0]), float(given[1])
+        if l == margin:
+            raise ValueError("conditioning margin must differ from the target margin")
+        start = condition_on_survival(model, start, l, y_l)[1]
+    return float(start @ _state_expectations(model.margins[margin]))
 
 
 def _draw_starts(pi_rows: np.ndarray, rng) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DataValidationError
+from .exceptions import DataValidationError, NumericalError
 from .linalg import expm_batch, solve
 
 __all__ = [
@@ -286,18 +286,12 @@ def ph_density(sub: SubIntensity, pi, x):
 
     ``x`` may be a scalar or a 1-d array; the result matches its shape.
     """
-    pi = validate_initial_vector(pi, sub.dim)
-    xv = _check_nonneg(x, "x")
-    vals = _exp_factors(sub, np.atleast_1d(xv), True)[0] @ pi
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    return _mixed(sub, pi, x, "x", lambda v: _exp_factors(sub, v, True)[0])
 
 
 def ph_survival(sub: SubIntensity, pi, x):
     """Phase-type survival ``pi @ exp(T x) @ ones`` at x >= 0."""
-    pi = validate_initial_vector(pi, sub.dim)
-    xv = _check_nonneg(x, "x")
-    vals = _exp_factors(sub, np.atleast_1d(xv), False)[0] @ pi
-    return float(vals[0]) if np.ndim(x) == 0 else vals
+    return _mixed(sub, pi, x, "x", lambda v: _exp_factors(sub, v, False)[0])
 
 
 def iph_density(sub: SubIntensity, pi, transform: GompertzTransform, y):
@@ -305,10 +299,8 @@ def iph_density(sub: SubIntensity, pi, transform: GompertzTransform, y):
 
     Zero at ages whose operational time overflows the float range.
     """
-    pi = validate_initial_vector(pi, sub.dim)
-    yv = _check_nonneg(y, "y")
-    vals = _age_factors(sub, transform.beta, np.atleast_1d(yv), True)[0] @ pi
-    return float(vals[0]) if np.ndim(y) == 0 else vals
+    return _mixed(sub, pi, y, "y",
+                  lambda v: _age_factors(sub, transform.beta, v, True)[0])
 
 
 def iph_survival(sub: SubIntensity, pi, transform: GompertzTransform, y):
@@ -316,10 +308,25 @@ def iph_survival(sub: SubIntensity, pi, transform: GompertzTransform, y):
 
     Zero at ages whose operational time overflows the float range.
     """
+    return _mixed(sub, pi, y, "y",
+                  lambda v: _age_factors(sub, transform.beta, v, False)[0])
+
+
+def _mixed(sub: SubIntensity, pi, t, name: str, factors):
+    """``factors(t) @ pi`` at the scalar or 1-d ``t >= 0``; a scalar gives a float."""
     pi = validate_initial_vector(pi, sub.dim)
-    yv = _check_nonneg(y, "y")
-    vals = _age_factors(sub, transform.beta, np.atleast_1d(yv), False)[0] @ pi
-    return float(vals[0]) if np.ndim(y) == 0 else vals
+    vals = factors(np.atleast_1d(_check_nonneg(t, name))) @ pi
+    return float(vals[0]) if np.ndim(t) == 0 else vals
+
+
+def _check_absorbing(sub: SubIntensity) -> None:
+    """Raise unless every state reaches one with an exit (-T nonsingular);
+    a graph check, as mean absorption times can exceed 1e7."""
+    reach = sub.exit_rates > 0.0
+    for _ in range(sub.dim):
+        reach |= (sub.matrix > 0.0) @ reach
+    if not reach.all():
+        raise NumericalError(f"states {np.flatnonzero(~reach).tolist()} never reach absorption")
 
 
 def sample_absorption_times(sub: SubIntensity, start_states, rng) -> np.ndarray:
@@ -334,6 +341,7 @@ def sample_absorption_times(sub: SubIntensity, start_states, rng) -> np.ndarray:
         raise ValueError("start_states must be 1-d")
     if starts.size and not (starts.min() >= 0 and starts.max() < sub.dim):
         raise ValueError("start states out of range")
+    _check_absorbing(sub)  # else some paths never end
 
     p = sub.dim
     rates = -np.diag(sub.matrix)  # (p,) total outflow per state

@@ -10,10 +10,12 @@ import io
 import numpy as np
 import pytest
 
+import miph.phasetype
 from miph import (
     GompertzTransform,
     Margin,
     MIPHModel,
+    SubIntensity,
     beran_cdf,
     kendall_tau,
     load_csv,
@@ -227,6 +229,33 @@ class TestMeasures:
         vals = {r[0]: float(r[3]) for r in rows}
         assert abs(vals["kendall_tau"] - 0.3104) < 0.02
         assert abs(vals["spearman_rho"] - 0.4526) < 0.03
+
+    def test_default_grids_take_few_exponential_batches(self, spousal_model_path,
+                                                        capsys, monkeypatch):
+        # one batch per curve and margin, plus each margin's truncation
+        # search: not one conditioning per grid point
+        calls = []
+        real = miph.phasetype.expm_batch
+
+        def counting(a):
+            calls.append(a.shape[0])
+            return real(a)
+
+        monkeypatch.setattr(miph.phasetype, "expm_batch", counting)
+        assert main(["measures", str(spousal_model_path), "--ages", "63,63"]) == 0
+        assert len(read_csv_text(capsys.readouterr().out)[1]) == 2 + 4 * 30
+        assert len(calls) <= 16
+
+    def test_margin_without_absorption_is_numerical_failure(self, tmp_path, capsys):
+        closed = SubIntensity(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        path = tmp_path / "closed.json"
+        save_model(MIPHModel((Margin(closed, GompertzTransform(2.0)),) * 2,
+                             fixed_pi=np.array([0.5, 0.5])), path)
+        assert main(["measures", str(path)]) == 3
+        assert "never reach absorption" in capsys.readouterr().err
+        # the sampler's jump paths would never end
+        assert main(["simulate", str(path), "--n", "5", "--ages", "63,63"]) == 3
+        assert "never reach absorption" in capsys.readouterr().err
 
 
 class TestFit:

@@ -7,6 +7,8 @@ Reference dependence values for the spousal model live in the acceptance
 suite; here a couple of them pin the same fixtures at looser cost.
 """
 
+import warnings
+
 import mpmath as mp
 import numpy as np
 import pytest
@@ -29,12 +31,14 @@ from miph import (
     joint_density,
     joint_survival,
     kendall_tau,
+    load_model,
     marginal_density,
     marginal_survival,
     psi1,
     psi2,
     sample_joint,
     sample_joint_rows,
+    save_model,
     spearman_rho,
 )
 
@@ -338,6 +342,36 @@ class TestConditioning:
             condition_on_value(model, np.array([1.0]), 0, 0.5)
 
 
+class TestMarginWithoutAbsorption:
+    """A model file whose first margin never exits: its states only swap
+    (every exit rate is 0), so its survival is 1 at every age."""
+
+    def test_numerical_error_without_overflow_warnings(self, tmp_path):
+        closed = SubIntensity(np.array([[-1.0, 1.0], [1.0, -1.0]]))
+        sub = SubIntensity(np.array([[-2.0, 1.0], [0.0, -1.0]]))
+        path = tmp_path / "closed.json"
+        save_model(MIPHModel((Margin(closed, GompertzTransform(5.0)),
+                              Margin(sub, GompertzTransform(5.0)))), path)
+        model, pi = load_model(path), np.array([0.3, 0.7])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for measure in (
+                lambda: kendall_tau(model, pi),
+                lambda: spearman_rho(model, pi),
+                lambda: conditional_expectation(model, pi, 0),
+                lambda: conditional_expectation(model, pi, 0, given=(1, 0.2)),
+                lambda: psi2(model, pi, 0, np.array([0.1, 0.2])),
+                # its jump paths would never end
+                lambda: sample_joint(model, pi, np.random.default_rng(0), 5),
+            ):
+                with pytest.raises(NumericalError, match="never reach absorption"):
+                    measure()
+            # the other margin is unaffected: its partner survives surely
+            assert conditional_expectation(model, pi, 1, given=(0, 0.2)) == (
+                pytest.approx(conditional_expectation(model, pi, 1), rel=1e-15))
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+
 class TestRankCorrelations:
     def test_against_simulated_concordance(self):
         model, pi = random_bivariate_model(np.random.default_rng(179), p=3)
@@ -378,12 +412,19 @@ class TestRankCorrelations:
 class TestDependenceMeasures:
     def test_psi1_from_direct_ratio(self):
         model, pi = random_bivariate_model(np.random.default_rng(199), p=3)
-        y1, y2 = 0.5, 0.8
-        direct = joint_survival(model, pi, np.array([y1, y2])) / (
+        y1, y2 = np.array([0.5, 0.0, 1.3, 0.5]), np.array([0.8, 0.8, 0.2, 0.8])
+        direct = joint_survival(model, pi, np.column_stack([y1, y2])) / (
             marginal_survival(model, pi, 0, y1)
             * marginal_survival(model, pi, 1, y2)
         )
-        np.testing.assert_allclose(psi1(model, pi, y1, y2), direct, rtol=1e-12)
+        got = psi1(model, pi, y1, y2)
+        np.testing.assert_allclose(got, direct, rtol=1e-12)
+        scalar = [psi1(model, pi, a, b) for a, b in zip(y1, y2)]
+        assert all(isinstance(v, float) for v in scalar)
+        np.testing.assert_array_max_ulp(got, np.array(scalar), maxulp=2)
+        # a scalar broadcasts against an array
+        np.testing.assert_array_equal(psi1(model, pi, 0.5, y2),
+                                      psi1(model, pi, np.full(4, 0.5), y2))
 
     def test_psi2_against_simulation(self):
         model, pi = random_bivariate_model(np.random.default_rng(227), p=3)
@@ -394,6 +435,12 @@ class TestDependenceMeasures:
         empirical = kept.mean() / draws[:, 0].mean()
         got = psi2(model, pi, 0, y)
         assert abs(got - empirical) < 0.02 * empirical + 0.01
+        ages = np.array([0.0, y, 0.3, 1.2, y])
+        curve = psi2(model, pi, 0, ages)
+        np.testing.assert_array_max_ulp(
+            curve, np.array([psi2(model, pi, 0, a) for a in ages]), maxulp=2
+        )
+        assert isinstance(got, float) and curve[1] == curve[4]
 
     def test_conditional_expectation_against_simulation(self):
         model, pi = random_bivariate_model(np.random.default_rng(233), p=3)
@@ -402,16 +449,24 @@ class TestDependenceMeasures:
         np.testing.assert_allclose(
             conditional_expectation(model, pi, 0), draws[:, 0].mean(), rtol=0.01
         )
+        given = conditional_expectation(model, pi, 1, given=(0, 0.5))
         np.testing.assert_allclose(
-            conditional_expectation(model, pi, 1, given=(0, 0.5)),
-            draws[draws[:, 0] >= 0.5, 1].mean(),
-            rtol=0.02,
+            given, draws[draws[:, 0] >= 0.5, 1].mean(), rtol=0.02,
         )
+        # the start state is the only link: linear in the start vector
+        _, nu = condition_on_survival(model, pi, 0, 0.5)
+        per_state = [conditional_expectation(model, e_j, 1) for e_j in np.eye(3)]
+        np.testing.assert_allclose(given, nu @ per_state, rtol=1e-13)
 
     def test_cross_ratio_against_survival_differences(self):
         model, pi = random_bivariate_model(np.random.default_rng(241), p=3)
         h = 1e-4
-        for u in (0.3, 0.8, 1.5):
+        grid = np.array([0.3, 0.8, 1.5])
+        curve = cross_ratio(model, pi, grid)
+        np.testing.assert_array_max_ulp(
+            curve, np.array([cross_ratio(model, pi, u) for u in grid]), maxulp=2
+        )
+        for u in grid:
             s = lambda a, b: joint_survival(model, pi, np.array([a, b]))
             d1 = (s(u - h, u) - s(u + h, u)) / (2 * h)
             d2 = (s(u, u - h) - s(u, u + h)) / (2 * h)
@@ -436,7 +491,7 @@ class TestDependenceMeasures:
 def _adaptive_expectation(model, pi):
     """E[Y_1] by adaptive quadrature of the scalar marginal survival over the
     same truncated range as the library."""
-    hi = miph.model._truncation_point(model.margins[0], pi)
+    hi = miph.model._truncation_point(model.margins[0])
     val, _ = scipy.integrate.quad(
         lambda y: marginal_survival(model, pi, 0, y), 0.0, hi,
         epsabs=0.0, epsrel=1e-10, limit=500,
@@ -534,6 +589,24 @@ class TestSpousalReference:
     def test_cross_ratio_exceeds_one_sample(self, spousal_model):
         for u in (0.01, 0.10, 0.29):
             assert cross_ratio(spousal_model, couple_pi(1), u) > 1.0
+
+    @pytest.mark.parametrize("couple", sorted(COUPLE_PI_RAW))
+    def test_curves_match_pointwise_calls(self, spousal_model, couple):
+        # the default ``miph measures`` grid, 0..29 years; the factor rows
+        # agree bit for bit, and the ratios of 10-term contractions that BLAS
+        # rounds differently for 1 and 30 rows differ by up to 4 ulp here
+        pi, ages = couple_pi(couple), np.linspace(0.0, 0.29, 30)
+        for curve, point in (
+            (psi1(spousal_model, pi, ages, ages),
+             lambda y: psi1(spousal_model, pi, y, y)),
+            (psi2(spousal_model, pi, 0, ages), lambda y: psi2(spousal_model, pi, 0, y)),
+            (psi2(spousal_model, pi, 1, ages), lambda y: psi2(spousal_model, pi, 1, y)),
+            (cross_ratio(spousal_model, pi, ages),
+             lambda y: cross_ratio(spousal_model, pi, y)),
+        ):
+            np.testing.assert_allclose(
+                curve, [point(y) for y in ages], rtol=1e-14, atol=0.0
+            )
 
     def test_gamma_model_reproduces_couple_vectors(self, spousal_model_with_gamma):
         from miph import standard_design
