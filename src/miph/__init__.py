@@ -53,8 +53,6 @@ from .model import (
     spearman_rho,
 )
 from .phasetype import (
-    CoxianStructure,
-    GeneralStructure,
     GompertzTransform,
     SubIntensity,
     iph_density,
@@ -63,6 +61,7 @@ from .phasetype import (
     ph_survival,
     random_sub_intensity,
     sample_absorption_times,
+    transition_mask,
     validate_initial_vector,
 )
 
@@ -108,8 +107,6 @@ __all__ = [
     "sample_joint",
     "sample_joint_rows",
     "spearman_rho",
-    "CoxianStructure",
-    "GeneralStructure",
     "GompertzTransform",
     "SubIntensity",
     "iph_density",
@@ -118,6 +115,7 @@ __all__ = [
     "ph_survival",
     "random_sub_intensity",
     "sample_absorption_times",
+    "transition_mask",
     "validate_initial_vector",
     "__version__",
 ]

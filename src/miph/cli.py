@@ -78,6 +78,27 @@ def _check_age_range(scaled_ages) -> None:
               f"{hi * dataio.TIME_SCALE:g}]; results are extrapolations")
 
 
+def _couple_ages(text: str) -> np.ndarray:
+    """Scaled ages from --ages "A1,A2" in years, with the range warning."""
+    scaled = np.array(_parse_pair(text, "--ages")) / dataio.TIME_SCALE
+    _check_age_range(scaled)
+    return scaled
+
+
+def _custom_design(mdl) -> bool:
+    """Whether the model's coefficients need another design than the
+    standard (1, age1, age2, age1*age2), the only one the CLI builds."""
+    return mdl.gamma is not None and mdl.gamma.shape[1] != 4
+
+
+def _bivariate_model(path, command: str):
+    """The model at ``path``; ``command`` names the caller if it is not bivariate."""
+    mdl = dataio.load_model(path)
+    if mdl.n_margins != 2:
+        raise DataValidationError(f"{command} expects a bivariate model")
+    return mdl
+
+
 def _initial_vector(mdl, ages_arg: str | None) -> np.ndarray:
     """Resolve the initial vector from --ages (gamma models) or the model."""
     if mdl.gamma is not None:
@@ -85,10 +106,8 @@ def _initial_vector(mdl, ages_arg: str | None) -> np.ndarray:
             raise DataValidationError(
                 "model links initial vectors to covariates; pass --ages A1,A2"
             )
-        a1, a2 = _parse_pair(ages_arg, "--ages")
-        scaled = np.array([a1, a2]) / dataio.TIME_SCALE
-        _check_age_range(scaled)
-        if mdl.gamma.shape[1] != 4:
+        scaled = _couple_ages(ages_arg)
+        if _custom_design(mdl):
             raise DataValidationError(
                 "model expects a custom design matrix; --ages only supports "
                 "the standard (1, age1, age2, age1*age2) design"
@@ -134,9 +153,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    mdl = dataio.load_model(args.model)
-    if mdl.n_margins != 2:
-        raise DataValidationError("eval expects a bivariate model")
+    mdl = _bivariate_model(args.model, "eval")
     pi = _initial_vector(mdl, args.ages)
     if args.points is None and args.grid is None:
         raise DataValidationError("pass --points or --grid")
@@ -159,9 +176,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_measures(args) -> int:
-    mdl = dataio.load_model(args.model)
-    if mdl.n_margins != 2:
-        raise DataValidationError("measures expects a bivariate model")
+    mdl = _bivariate_model(args.model, "measures")
     pi = _initial_vector(mdl, args.ages)
     cr_grid = _parse_grid(args.cr_grid, "--cr-grid")
     psi_grid = _parse_grid(args.psi_grid, "--psi-grid")
@@ -187,18 +202,14 @@ def _cmd_measures(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    mdl = dataio.load_model(args.model)
-    if mdl.n_margins != 2:
-        raise DataValidationError("simulate expects a bivariate model")
+    mdl = _bivariate_model(args.model, "simulate")
     if (args.ages is None) == (args.covariates is None):
         raise DataValidationError("pass exactly one of --ages or --covariates")
 
     if args.ages is not None:
         if args.n is None:
             raise DataValidationError("--n is required with --ages")
-        a1, a2 = _parse_pair(args.ages, "--ages")
-        scaled = np.array([a1, a2]) / dataio.TIME_SCALE
-        _check_age_range(scaled)
+        scaled = _couple_ages(args.ages)
         n = args.n
 
         def sampler(rng, size):
@@ -219,7 +230,7 @@ def _cmd_simulate(args) -> int:
         def sampler(rng, size):
             return dataio.standard_design(scaled[:, 0], scaled[:, 1])
 
-    if mdl.gamma is not None and mdl.gamma.shape[1] != 4:
+    if _custom_design(mdl):
         raise DataValidationError(
             "model expects a custom design; the CLI only builds the standard one"
         )
@@ -232,9 +243,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_beran(args) -> int:
     obs = dataio.load_csv(args.data)
-    a1, a2 = _parse_pair(args.ages, "--ages")
-    query = np.array([a1, a2]) / dataio.TIME_SCALE
-    _check_age_range(query)
+    query = _couple_ages(args.ages)
     bandwidth = args.bandwidth
     if args.bandwidth_unit == "years":
         bandwidth = bandwidth / dataio.TIME_SCALE

@@ -215,7 +215,9 @@ def save_model(model: MIPHModel, path) -> None:
 
 
 def load_model(path) -> MIPHModel:
-    """Load a model saved by :func:`save_model`; validates the format tag."""
+    """Load a model saved by :func:`save_model`. Validates the format tag,
+    and the ``time_scale``, ``p`` and ``d`` a document may declare against
+    :data:`TIME_SCALE` and the margins it holds."""
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -237,13 +239,17 @@ def load_model(path) -> MIPHModel:
         )
         gamma = doc.get("gamma")
         pi = doc.get("pi")
-        return MIPHModel(
+        model = MIPHModel(
             margins=margins,
             gamma=None if gamma is None else np.asarray(gamma, dtype=float),
             fixed_pi=None if pi is None else np.asarray(pi, dtype=float),
         )
     except (KeyError, TypeError, ValueError) as err:
         raise DataValidationError(f"{path}: malformed model document: {err}") from None
+    for key, value in (("time_scale", TIME_SCALE), ("p", model.dim), ("d", model.n_margins)):
+        if key in doc and doc[key] != value:
+            raise DataValidationError(f"{path}: {key} is {doc[key]!r}, expected {value!r}")
+    return model
 
 
 def beran_cdf(times, deltas, covariates, query, bandwidth: float, t):

@@ -30,17 +30,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .linalg import expm_batch, expm_frechet_batch
+from .linalg import expm_batch, expm_frechet_batch, solve
 from .model import Margin, MIPHModel
 from .phasetype import (
-    CoxianStructure,
-    GeneralStructure,
     GompertzTransform,
     SubIntensity,
     _age_factors,
     _exp_factors,
-    _scale_to_mean,
     random_sub_intensity,
+    transition_mask,
 )
 
 __all__ = [
@@ -68,10 +66,11 @@ _EPS = np.finfo(float).eps
 _I_STEP_MAX_EVALS = 12
 _I_STEP_DECREMENT_TOL = 1e-9
 # the I-step keeps log(beta) inside these bounds; the R-step caps the
-# regression coefficients at this size; the M-step gives states with zero
-# expected occupancy this diagonal
+# regression coefficients at this size and its Newton iterations at this
+# count; the M-step gives states with zero expected occupancy this diagonal
 _LOG_BETA_BOUNDS = (-5.0, 7.0)
 _R_STEP_COEF_CAP = 1e3
+_R_STEP_MAX_ITER = 200
 _M_STEP_DIAG_FLOOR = -1e-8
 
 
@@ -188,10 +187,7 @@ class FitConfig:
     i_step_every: int = 1
 
     def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("p must be >= 1")
-        if self.structure not in ("coxian", "general"):
-            raise ValueError(f"unknown structure {self.structure!r}")
+        transition_mask(self.structure, self.p)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
         if self.i_step_every < 0:
@@ -374,8 +370,7 @@ def _log_softmax(eta):
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def r_step(b, covariates, gamma_init=None, *, max_iter: int = 200,
-           coef_cap: float = _R_STEP_COEF_CAP):
+def r_step(b, covariates, gamma_init=None):
     """Weighted multinomial-logistic update of the initial-vector link.
 
     Maximizes ``sum_m sum_k b[m, k] log softmax(A_m gamma')_k`` over the
@@ -384,9 +379,10 @@ def r_step(b, covariates, gamma_init=None, *, max_iter: int = 200,
     objective strictly, except the last: once the Newton decrement
     ``lambda^2 / 2`` is at most ``16 eps |objective|``, below what the
     objective can resolve, one full step is taken if it does not lower the
-    objective, and the iteration stops. Coefficients are capped at
-    ``coef_cap`` in absolute value, with a warning, when the weights are
-    quasi-separated and the maximizer runs away.
+    objective, and the iteration stops, as it does after
+    ``_R_STEP_MAX_ITER`` iterations. Coefficients are capped at
+    ``_R_STEP_COEF_CAP`` in absolute value, with a warning, when the weights
+    are quasi-separated and the maximizer runs away.
 
     Returns ``(gamma, per_obs_pi)``.
     """
@@ -415,7 +411,7 @@ def r_step(b, covariates, gamma_init=None, *, max_iter: int = 200,
         return float((b * logp).sum()), np.exp(logp)
 
     cur, probs = value_and_probs(gamma)
-    for _ in range(max_iter):
+    for _ in range(_R_STEP_MAX_ITER):
         resid = b - weight[:, None] * probs  # (n, p)
         grad = resid[:, 1:].T @ a  # (p-1, g)
 
@@ -453,13 +449,13 @@ def r_step(b, covariates, gamma_init=None, *, max_iter: int = 200,
             step *= 0.5
         if not improved:
             break
-        if np.max(np.abs(gamma)) > coef_cap:
+        if np.max(np.abs(gamma)) > _R_STEP_COEF_CAP:
             warnings.warn(
                 "initial-vector regression coefficients hit the cap "
-                f"({coef_cap:g}); weights look quasi-separated",
+                f"({_R_STEP_COEF_CAP:g}); weights look quasi-separated",
                 RuntimeWarning,
             )
-            gamma = np.clip(gamma, -coef_cap, coef_cap)
+            gamma = np.clip(gamma, -_R_STEP_COEF_CAP, _R_STEP_COEF_CAP)
             gamma[0] = 0.0
             _, probs = value_and_probs(gamma)
             break
@@ -468,8 +464,9 @@ def r_step(b, covariates, gamma_init=None, *, max_iter: int = 200,
     return gamma, probs
 
 
-def m_step(stats: SufficientStats, structure):
-    """Closed-form rate updates on the admissible pattern.
+def m_step(stats: SufficientStats, mask):
+    """Closed-form rate updates on the admissible pattern, the (p, p) boolean
+    ``mask`` of :func:`phasetype.transition_mask`.
 
     ``t_ks = E[N_ks] / E[Z_k]`` and ``t_k = E[N_k] / E[Z_k]`` per margin;
     this maximizes the complete-data surrogate exactly. States with zero
@@ -479,9 +476,8 @@ def m_step(stats: SufficientStats, structure):
     """
     z = stats.z
     d, p = z.shape
-    mask = structure.transition_mask()
-    if structure.dim != p:
-        raise ValueError(f"structure dimension {structure.dim} != stats dimension {p}")
+    if mask.shape != (p, p):
+        raise ValueError(f"mask shape {mask.shape} != stats dimension {p}")
     out = []
     for i in range(d):
         occupied = z[i] > 0.0
@@ -574,14 +570,13 @@ def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
                              derivatives=False)
 
 
-def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init, *,
-           log_bounds=_LOG_BETA_BOUNDS) -> tuple[np.ndarray, float]:
+def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init) -> tuple[np.ndarray, float]:
     """Update the transform parameters by guarded Newton ascent of the
     observed log-likelihood over theta = log(beta).
 
     Each iteration solves with the exact d x d Hessian, its eigenvalues
     clamped so the model is concave, caps the step at 1 in every log(beta),
-    keeps theta inside ``log_bounds``, and halves the step until the
+    keeps theta inside ``_LOG_BETA_BOUNDS``, and halves the step until the
     likelihood rises strictly. The step stops once the Newton decrement is
     at most 1e-9 per observation, when no halving ascends, or after 12
     likelihood evaluations. A trial point where some row's likelihood is 0
@@ -594,7 +589,7 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init, *,
     """
     betas_init = _as_betas(betas_init, obs.n_margins)
     per_obs_pi = np.asarray(per_obs_pi, dtype=float)
-    lo, hi = float(log_bounds[0]), float(log_bounds[1])
+    lo, hi = _LOG_BETA_BOUNDS
 
     def evaluate(theta):
         return _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, np.exp(theta))
@@ -636,24 +631,27 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init, *,
     return np.exp(theta), cur
 
 
-def _initial_sub_intensities(obs, structure, betas, rng):
-    """Admissible random rates, rescaled so the mean absorption time from the
-    middle state matches the sample mean of the uncensored transformed times.
+def _initial_sub_intensities(obs, mask, betas, rng):
+    """Random rates on ``mask``, rescaled so the mean absorption time from the
+    middle state, ``e_k' (-T)^{-1} 1``, matches the sample mean of the
+    uncensored transformed times.
     Keeps iteration 1 on a sane numeric scale. A couple censored far past
     that mean can have evidence 0 or nearly so at this start; then every
     margin's mean is doubled, at most 64 times, until no couple's evidence
     under equal start weights is below _START_EVIDENCE."""
     x = transform_data(obs, betas)
-    p = structure.dim
+    p = mask.shape[0]
     anchor = (p + 1) // 2 - 1  # middle state, 0-based
-    raw, targets = [], []
+    raw, means, targets = [], [], []
     for i in range(obs.n_margins):
         died = obs.delta[:, i].astype(bool)
         target = float((x[died, i] if np.any(died) else x[:, i]).mean())
         targets.append(target if np.isfinite(target) and target > 0.0 else 1.0)
-        raw.append(random_sub_intensity(structure, rng))
+        raw.append(random_sub_intensity(mask, rng).matrix)
+        means.append(float(solve(-raw[-1], np.ones(p))[anchor]))
     for doubling in range(65):
-        subs = [_scale_to_mean(sub, anchor, t * 2.0 ** doubling) for sub, t in zip(raw, targets)]
+        subs = [SubIntensity(matrix * (mean / (target * 2.0 ** doubling)))
+                for matrix, mean, target in zip(raw, means, targets)]
         # exp(T x) >= exp(diag(T) x) entrywise, so only couples where that
         # cheap bound on the evidence is low need the full exponentials
         bound = np.full((obs.n, p), 1.0 / p)
@@ -680,10 +678,10 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     naming its row; no row is dropped.
     """
     n, d = obs.y.shape
-    structure = (CoxianStructure if config.structure == "coxian" else GeneralStructure)(config.p)
+    mask = transition_mask(config.structure, config.p)
     rng = np.random.default_rng(config.seed)
     betas = _as_betas(config.beta_init, d)
-    subs = _initial_sub_intensities(obs, structure, betas, rng)
+    subs = _initial_sub_intensities(obs, mask, betas, rng)
     gamma = np.zeros((config.p, obs.covariates.shape[1]))
     per_obs_pi = np.full((n, config.p), 1.0 / config.p)
 
@@ -694,7 +692,7 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
         try:
             stats = e_step(transform_data(obs, betas), obs.delta, per_obs_pi, subs)
             gamma, per_obs_pi = r_step(stats.b, obs.covariates, gamma)
-            subs = m_step(stats, structure)
+            subs = m_step(stats, mask)
             if config.i_step_every and it % config.i_step_every == 0:
                 betas, ll = i_step(obs, per_obs_pi, subs, betas)
             else:

@@ -4,8 +4,8 @@ Matrices are plain float64 ``numpy.ndarray`` objects (row-major). The
 kernels numpy lacks, a *batched* matrix exponential and its batched Fréchet
 derivative, are implemented here directly since the fitting loop
 exponentiates thousands of small matrices per iteration; both run on one
-Padé-13 scaling-and-squaring core. The Kronecker sum and a residual-checked
-solve serve the closed-form dependence measures.
+Padé-13 scaling-and-squaring core. A residual-checked solve serves the
+closed-form dependence measures.
 """
 
 from __future__ import annotations
@@ -17,18 +17,8 @@ from .exceptions import SingularMatrixError
 __all__ = [
     "expm_batch",
     "expm_frechet_batch",
-    "kron_sum",
     "solve",
 ]
-
-
-def _as_square(a, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} has non-finite entries")
-    return a
 
 
 # Padé-13 coefficients and the 1-norm threshold above which scaling kicks in
@@ -204,29 +194,20 @@ def expm_frechet_batch(a, e) -> tuple[np.ndarray, np.ndarray]:
     return r[..., :p].reshape(a.shape), r[..., p:].reshape(a.shape)
 
 
-def kron_sum(a, b) -> np.ndarray:
-    """Kronecker sum ``a (+) b = kron(a, I) + kron(I, b)`` for square a, b.
-
-    With column-stacking vec, ``(a (+) b) vec(V) = vec(b V + V a^T)``; its
-    eigenvalues are all pairwise sums of the factors' eigenvalues, so the
-    Kronecker sum of two sub-intensity matrices is invertible.
-    """
-    a = _as_square(a, "a")
-    b = _as_square(b, "b")
-    return np.kron(a, np.eye(b.shape[0])) + np.kron(np.eye(a.shape[0]), b)
+# residual bound of solve, relative to the right-hand side's largest entry
+_SOLVE_RTOL = 1e-10
 
 
-def solve(a, b, *, rtol: float = 1e-10) -> np.ndarray:
+def solve(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` with a residual guarantee.
+
+    The returned ``x`` satisfies ``max|a @ x - b| <= _SOLVE_RTOL * max|b|``.
+    One step of iterative refinement is applied if the first solve misses it.
 
     Parameters
     ----------
     a : (p, p) array_like
     b : (p,) or (p, k) array_like
-    rtol : float, optional
-        Residual contract: the returned ``x`` satisfies
-        ``max|a @ x - b| <= rtol * max|b|``. One step of iterative refinement
-        is applied if the first solve misses it.
 
     Raises
     ------
@@ -236,7 +217,11 @@ def solve(a, b, *, rtol: float = 1e-10) -> np.ndarray:
         ``a`` is singular to working precision, or the residual contract
         cannot be met.
     """
-    a = _as_square(a, "a")
+    a = np.asarray(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"a must be a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("a has non-finite entries")
     b = np.asarray(b, dtype=float)
     if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
         raise ValueError(f"incompatible shapes: a {a.shape}, b {b.shape}")
@@ -247,7 +232,7 @@ def solve(a, b, *, rtol: float = 1e-10) -> np.ndarray:
     except np.linalg.LinAlgError as err:
         raise SingularMatrixError(str(err)) from err
 
-    bound = rtol * max(np.max(np.abs(b)), np.finfo(float).tiny)
+    bound = _SOLVE_RTOL * max(np.max(np.abs(b)), np.finfo(float).tiny)
     residual = a @ x - b
     if np.max(np.abs(residual)) > bound:
         try:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .linalg import kron_sum, solve
+from .linalg import solve
 from .phasetype import (
     GompertzTransform,
     SubIntensity,
@@ -269,13 +269,16 @@ def _precedence_matrix(sub: SubIntensity) -> np.ndarray:
     """U[a, b] = P(a copy started in b is absorbed while a copy started in a
     is still alive), for two independent copies of the same chain.
 
-    Solves ``-(T (+) T) u = 1 (x) t`` and unstacks row-major, so entry
-    ``(a, b)`` sits at flat index ``a * p + b``.
+    Solves ``-(T (+) T) u = 1 (x) t`` with the Kronecker sum
+    ``T (+) T = T (x) I + I (x) T``, whose eigenvalues are the pairwise sums
+    of T's, so it is invertible. Unstacks row-major, so entry ``(a, b)``
+    sits at flat index ``a * p + b``.
     """
     _check_absorbing(sub)
     p = sub.dim
+    t, eye = sub.matrix, np.eye(p)
     rhs = np.tile(sub.exit_rates, p)
-    u = solve(-kron_sum(sub.matrix, sub.matrix), rhs)
+    u = solve(-(np.kron(t, eye) + np.kron(eye, t)), rhs)
     return u.reshape(p, p)
 
 

@@ -16,12 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DataValidationError, NumericalError
-from .linalg import expm_batch, solve
+from .linalg import expm_batch
 
 __all__ = [
     "SubIntensity",
-    "CoxianStructure",
-    "GeneralStructure",
     "GompertzTransform",
     "validate_initial_vector",
     "ph_density",
@@ -30,9 +28,14 @@ __all__ = [
     "iph_survival",
     "sample_absorption_times",
     "random_sub_intensity",
+    "transition_mask",
 ]
 
 _ROW_SUM_TOL = 1e-12
+# how far an initial vector's sum may be from 1
+_PI_SUM_TOL = 1e-9
+# random_sub_intensity draws every rate uniformly from [low, high)
+_RATE_BOUNDS = (0.1, 2.0)
 
 
 @dataclass(frozen=True)
@@ -96,58 +99,27 @@ class SubIntensity:
         return cls(trans)
 
 
-@dataclass(frozen=True)
-class CoxianStructure:
-    """Feed-forward chain: state k may only move to k+1 or exit."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-
-    def transition_mask(self) -> np.ndarray:
-        """Boolean (p, p) mask of admissible off-diagonal transitions."""
-        mask = np.zeros((self.dim, self.dim), dtype=bool)
-        idx = np.arange(self.dim - 1)
-        mask[idx, idx + 1] = True
-        return mask
-
-    def validate(self, sub: SubIntensity) -> None:
-        """Raise if ``sub`` carries rates outside the admissible pattern."""
-        if sub.dim != self.dim:
-            raise ValueError(f"dimension mismatch: structure {self.dim}, matrix {sub.dim}")
-        forbidden = ~(self.transition_mask() | np.eye(self.dim, dtype=bool))
-        if np.any(sub.matrix[forbidden] != 0.0):
-            raise ValueError("matrix has transitions outside the feed-forward pattern")
-
-
-@dataclass(frozen=True)
-class GeneralStructure:
-    """Unrestricted transient-state topology."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dim must be >= 1")
-
-    def transition_mask(self) -> np.ndarray:
-        return ~np.eye(self.dim, dtype=bool)
-
-    def validate(self, sub: SubIntensity) -> None:
-        if sub.dim != self.dim:
-            raise ValueError(f"dimension mismatch: structure {self.dim}, matrix {sub.dim}")
+def transition_mask(structure: str, p: int) -> np.ndarray:
+    """Boolean (p, p) pattern of the admissible transitions between transient
+    states: ``"coxian"``, a feed-forward chain where state k may only move
+    to k+1 (or exit), or ``"general"``, any state to any other."""
+    if p < 1:
+        raise ValueError("p must be >= 1")
+    if structure == "coxian":
+        return np.eye(p, k=1, dtype=bool)
+    if structure == "general":
+        return ~np.eye(p, dtype=bool)
+    raise ValueError(f"unknown structure {structure!r}")
 
 
 @dataclass(frozen=True)
 class GompertzTransform:
     """Matrix-Gompertz time change ``g(x) = log(beta x + 1) / beta``.
 
-    ``inverse`` maps an observed age to operational (Markov) time,
-    ``forward`` maps operational time back to age, and ``intensity`` is the
-    derivative ``(g^{-1})'(y) = exp(beta y)``, the factor that converts
-    operational-time densities to age densities.
+    ``inverse`` maps an observed age to operational (Markov) time and
+    ``forward`` maps operational time back to age. The derivative
+    ``(g^{-1})'(y) = exp(beta y)`` converts operational-time densities to
+    age densities.
     """
 
     beta: float
@@ -166,11 +138,6 @@ class GompertzTransform:
         x = _check_nonneg(x, "x")
         return np.log1p(self.beta * x) / self.beta
 
-    def intensity(self, y):
-        """Jacobian ``exp(beta y)`` of the inverse transform at age y."""
-        y = _check_nonneg(y, "y")
-        return np.exp(self.beta * y)
-
 
 def _check_nonneg(v, name: str):
     v = np.asarray(v, dtype=float)
@@ -181,7 +148,7 @@ def _check_nonneg(v, name: str):
     return v[()] if v.ndim == 0 else v
 
 
-def validate_initial_vector(pi, dim: int, *, tol: float = 1e-9) -> np.ndarray:
+def validate_initial_vector(pi, dim: int) -> np.ndarray:
     """Check pi is a length-``dim`` probability vector; returns it as float64."""
     pi = np.asarray(pi, dtype=float)
     if pi.shape != (dim,):
@@ -192,7 +159,7 @@ def validate_initial_vector(pi, dim: int, *, tol: float = 1e-9) -> np.ndarray:
         raise DataValidationError("initial vector has non-finite entries")
     if pi.min() < -1e-12:
         raise DataValidationError("initial vector has negative entries")
-    if abs(pi.sum() - 1.0) > tol:
+    if abs(pi.sum() - 1.0) > _PI_SUM_TOL:
         raise DataValidationError(
             f"initial vector sums to {pi.sum():.12f}, expected 1"
         )
@@ -370,28 +337,11 @@ def sample_absorption_times(sub: SubIntensity, start_states, rng) -> np.ndarray:
     return times
 
 
-def random_sub_intensity(structure, rng, low: float = 0.1, high: float = 2.0) -> SubIntensity:
-    """Draw admissible rates uniformly from [low, high) on ``structure``'s
-    pattern (exit rate included for every state)."""
-    p = structure.dim
-    mask = structure.transition_mask()
+def random_sub_intensity(mask, rng) -> SubIntensity:
+    """Draw rates uniformly from ``_RATE_BOUNDS`` on the transitions where the
+    (p, p) boolean ``mask`` is set, and an exit rate for every state."""
+    p = mask.shape[0]
     trans = np.zeros((p, p))
-    trans[mask] = rng.uniform(low, high, size=int(mask.sum()))
-    exits = rng.uniform(low, high, size=p)
+    trans[mask] = rng.uniform(*_RATE_BOUNDS, size=int(mask.sum()))
+    exits = rng.uniform(*_RATE_BOUNDS, size=p)
     return SubIntensity.from_rates(trans, exits)
-
-
-def mean_from_state(sub: SubIntensity, state: int) -> float:
-    """Expected absorption time started from ``state``: ``e_k' (-T)^{-1} 1``."""
-    if not 0 <= state < sub.dim:
-        raise ValueError(f"state must be in [0, {sub.dim}), got {state}")
-    return float(solve(-sub.matrix, np.ones(sub.dim))[state])
-
-
-def _scale_to_mean(sub: SubIntensity, state: int, target: float) -> SubIntensity:
-    """Rescale all rates so the mean absorption time from ``state`` equals
-    ``target`` (used to seed estimation at a sensible magnitude)."""
-    if not (np.isfinite(target) and target > 0.0):
-        raise ValueError(f"target mean must be positive, got {target}")
-    factor = mean_from_state(sub, state) / target
-    return SubIntensity(sub.matrix * factor)

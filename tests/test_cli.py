@@ -6,6 +6,7 @@ which raise SystemExit(2)), 3 numerical failure.
 
 import csv
 import io
+import json
 
 import numpy as np
 import pytest
@@ -155,6 +156,15 @@ class TestEval:
         assert 0.31 <= s_12_30 <= 0.33
         assert 0.108 <= s_30_12 <= 0.128
 
+    def test_model_on_another_time_scale_is_refused(self, small_model_path, tmp_path,
+                                                     capsys):
+        doc = json.loads(small_model_path.read_text())
+        doc["time_scale"] = 1.0
+        path = tmp_path / "unit_scale.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", str(path), "--points", "10,20"]) == 2
+        assert "time_scale" in capsys.readouterr().err
+
     def test_grid_output(self, small_model_path, capsys):
         rc = main(["eval", str(small_model_path), "--grid", "0:20:3"])
         assert rc == 0
@@ -282,6 +292,17 @@ class TestFit:
         assert trace.size == 6
         assert np.all(np.isfinite(trace))
         assert np.all(np.diff(trace) >= -1e-8 * 120)
+
+    def test_fit_general_structure(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "fitdir"
+        rc = main([
+            "fit", str(data_csv), "--p", "2", "--structure", "general",
+            "--iterations", "4", "--fixed-iterations", "--seed", "4",
+            "--output", str(out),
+        ])
+        assert rc == 0
+        assert "iterations: 4" in capsys.readouterr().out
+        assert load_model(out / "model.json").dim == 2
 
     def test_fit_missing_file(self, capsys):
         assert main(["fit", "nowhere.csv", "--p", "2"]) == 2

@@ -262,6 +262,25 @@ class TestModelJson:
         with pytest.raises(DataValidationError):
             load_model(f)
 
+    @pytest.mark.parametrize("key,value", [("time_scale", 1.0), ("p", 4), ("d", 3)])
+    def test_rejects_declared_field_that_disagrees(self, tmp_path, key, value):
+        f = tmp_path / "model.json"
+        save_model(self._model(True), f)
+        doc = json.loads(f.read_text())
+        doc[key] = value
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataValidationError, match=key):
+            load_model(f)
+
+    def test_declared_fields_are_optional(self, tmp_path):
+        f = tmp_path / "model.json"
+        save_model(self._model(False), f)
+        doc = json.loads(f.read_text())
+        for key in ("time_scale", "p", "d"):
+            del doc[key]
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        assert load_model(f).dim == 3
+
     def test_rejects_malformed_document(self, tmp_path):
         f = tmp_path / "model.json"
         f.write_text(json.dumps({"format": "miph-v1", "margins": [{}]}),

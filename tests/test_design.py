@@ -5,13 +5,22 @@ Every age-scale factor ``e_j' exp(T x) v`` comes from the one kernel in
 which its evidence and absorption counts need in full, and the Fréchet
 derivative that gives its occupancy integrals. Both exponential kernels in
 `linalg` share one Padé-13 table. Matrix exponentials never come from scipy.
-CSV text is read and written in `dataio` alone.
+CSV text is read and written in `dataio` alone. Every keyword-only option
+of a package function is set by some caller outside the tests; one that no
+caller sets is a module constant.
 """
 
 import ast
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "miph"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "miph"
+
+
+def _called(call):
+    """The called name of an ``ast.Call``: ``f`` in ``f(...)`` and ``m.f(...)``."""
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
 
 
 class _Calls(ast.NodeVisitor):
@@ -28,9 +37,7 @@ class _Calls(ast.NodeVisitor):
         self.scope.pop()
 
     def visit_Call(self, node):
-        func = node.func
-        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-        if called == self.name:
+        if _called(node) == self.name:
             self.sites.append((self.module, ".".join(self.scope)))
         self.generic_visit(node)
 
@@ -103,3 +110,18 @@ def test_only_dataio_imports_csv():
             if "csv" in names:
                 importers.add(module)
     assert importers == {"dataio"}
+
+
+def test_every_keyword_only_option_is_set_outside_the_tests():
+    """An option that no caller in the package, the demos or the benchmark
+    sets is a module constant, not a parameter."""
+    options = {(fn.name, arg.arg)
+               for _, tree in _modules() for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) for arg in fn.args.kwonlyargs}
+    passed = set()
+    for path in [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                 *(ROOT / "bench").glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                passed |= {(_called(node), kw.arg) for kw in node.keywords}
+    assert options <= passed, sorted(options - passed)

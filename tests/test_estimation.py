@@ -21,9 +21,7 @@ import scipy.linalg
 import scipy.optimize
 
 from miph import (
-    CoxianStructure,
     FitConfig,
-    GeneralStructure,
     GompertzTransform,
     Margin,
     MIPHModel,
@@ -39,10 +37,11 @@ from miph import (
     r_step,
     sample_joint,
     transform_data,
+    transition_mask,
 )
 from miph import estimation, phasetype
 from miph.estimation import _age_scale_loglik
-from miph.linalg import expm_batch
+from miph.linalg import expm_batch, solve
 
 from conftest import random_chain, random_pi
 
@@ -417,15 +416,16 @@ class TestRStep:
         np.testing.assert_array_equal(probs, np.ones((5, 1)))
         np.testing.assert_array_equal(gamma, np.zeros((1, 1)))
 
-    def test_separation_hits_cap_with_warning(self):
+    def test_separation_hits_cap_with_warning(self, monkeypatch):
         # weights fully determined by the sign of the covariate
         x = np.array([-1.0] * 20 + [1.0] * 20)
         a = np.column_stack([np.ones(40), x])
         b = np.zeros((40, 2))
         b[:20, 0] = 1.0
         b[20:, 1] = 1.0
+        monkeypatch.setattr(estimation, "_R_STEP_COEF_CAP", 5.0)
         with pytest.warns(RuntimeWarning, match="cap"):
-            gamma, probs = r_step(b, a, coef_cap=5.0)
+            gamma, probs = r_step(b, a)
         assert np.max(np.abs(gamma)) <= 5.0
         assert probs[0, 0] > 0.99 and probs[-1, 1] > 0.99
 
@@ -468,7 +468,7 @@ class TestMStep:
             n_trans=np.array([[[0.0, 1.0], [0.0, 0.0]]]),
             n_exit=np.array([[0.5, 2.0]]),
         )
-        (sub,) = m_step(stats, CoxianStructure(2))
+        (sub,) = m_step(stats, transition_mask("coxian", 2))
         np.testing.assert_allclose(sub.matrix[0, 1], 0.5)   # 1.0 / 2.0
         np.testing.assert_allclose(sub.exit_rates, [0.25, 0.5])
         np.testing.assert_allclose(sub.matrix[0, 0], -0.75)
@@ -476,9 +476,8 @@ class TestMStep:
     def test_maximizes_complete_data_surrogate(self):
         x, delta, pi_rows, subs = _toy_data(seed=367, n=10, d=2, p=3)
         stats = e_step(x, delta, pi_rows, subs)
-        structure = GeneralStructure(3)
-        fitted = m_step(stats, structure)
-        mask = structure.transition_mask()
+        mask = transition_mask("general", 3)
+        fitted = m_step(stats, mask)
 
         def surrogate(i, sub):
             trans = np.where(mask, sub.matrix, 0.0)
@@ -516,7 +515,7 @@ class TestMStep:
             n_exit=np.array([[1.5, 0.0]]),
         )
         with pytest.warns(RuntimeWarning, match="occupancy"):
-            (sub,) = m_step(stats, CoxianStructure(2))
+            (sub,) = m_step(stats, transition_mask("coxian", 2))
         assert sub.matrix[1, 1] == -1e-8
         assert sub.exit_rates[1] == pytest.approx(1e-8)
 
@@ -527,7 +526,7 @@ class TestMStep:
             n_trans=np.array([[[0.0, 1.0], [0.8, 0.0]]]),  # lower entry too
             n_exit=np.array([[0.5, 0.5]]),
         )
-        (sub,) = m_step(stats, CoxianStructure(2))
+        (sub,) = m_step(stats, transition_mask("coxian", 2))
         assert sub.matrix[1, 0] == 0.0
 
 
@@ -696,12 +695,12 @@ class TestIStep:
         calls = []
         monkeypatch.setattr(phasetype, "expm_batch",
                             lambda a: calls.append(1) or expm_batch(a))
+        monkeypatch.setattr(estimation, "_LOG_BETA_BOUNDS", (-5.0, 0.0))
         start = np.array([1.0, 1.0])
-        got, _ = i_step(obs, pi_rows, subs, start, log_bounds=(-5.0, 0.0))
+        got, _ = i_step(obs, pi_rows, subs, start)
         np.testing.assert_array_equal(got, start)
         assert len(calls) == 2  # one evaluation: the incumbent
-        got, _ = i_step(obs, pi_rows, subs, np.array([0.5, 0.5]),
-                        log_bounds=(-5.0, 0.0))
+        got, _ = i_step(obs, pi_rows, subs, np.array([0.5, 0.5]))
         assert np.all(got <= 1.0)
         assert (self._loglik(obs, pi_rows, subs, got)
                 > self._loglik(obs, pi_rows, subs, [0.5, 0.5]))
@@ -854,23 +853,46 @@ class TestFit:
         fitted = [m.transform.beta for m in report.model.margins]
         assert all(b != 1.0 for b in fitted)
 
+    def test_general_structure_fills_the_lower_triangle(self):
+        """The same desk-style couples fitted on both patterns: the general
+        fit ascends and moves mass below the diagonal, the Coxian fit keeps
+        every rate off the superdiagonal at zero."""
+        from test_acceptance import _synthetic_for_em
+
+        _, obs = _synthetic_for_em(seed=1031, n=300, p=3, betas=(2.0, 2.5),
+                                   censoring=0.2, n_covariates=2)
+        reports = {structure: fit(obs, FitConfig(
+            p=3, structure=structure, max_iterations=20, loglik_tolerance=None,
+            i_step_every=2, beta_init=1.0, seed=41)) for structure in ("general", "coxian")}
+        general = reports["general"]
+        assert np.diff(general.loglik_trace).min() >= -1e-8 * obs.n
+        lower = np.tril_indices(3, -1)
+        for margin in general.model.margins:
+            assert np.all(margin.sub.matrix[lower] > 0.0)
+        banned = ~(np.eye(3, dtype=bool) | np.eye(3, k=1, dtype=bool))
+        for margin in reports["coxian"].model.margins:
+            assert np.all(margin.sub.matrix[banned] == 0.0)
+
     def test_start_rescaled_only_for_faint_evidence(self):
         """Row 0 is censored at 600 times the uncensored mean, so at the
         start scaled to that mean its evidence is below _START_EVIDENCE; the
         means are doubled until it is not, and the fit runs. Without such a
         row the start is the plain rescale, bit for bit."""
-        structure = CoxianStructure(2)
+        mask = transition_mask("coxian", 2)
 
         def plain_start(o):
             rng = np.random.default_rng(0)
             x = transform_data(o, np.ones(2))
-            return [phasetype._scale_to_mean(
-                phasetype.random_sub_intensity(structure, rng), 0,
-                x[o.delta[:, i] == 1, i].mean()) for i in range(2)]
+            subs = []
+            for i in range(2):
+                t = phasetype.random_sub_intensity(mask, rng).matrix
+                mean = float(solve(-t, np.ones(2))[0])  # from state 0, the middle
+                subs.append(SubIntensity(t * (mean / x[o.delta[:, i] == 1, i].mean())))
+            return subs
 
         def start(o):
             return estimation._initial_sub_intensities(
-                o, structure, np.ones(2), np.random.default_rng(0))
+                o, mask, np.ones(2), np.random.default_rng(0))
 
         def evidence(o, subs):
             x = transform_data(o, np.ones(2))
@@ -893,6 +915,22 @@ class TestFit:
         report = fit(far, FitConfig(p=2, max_iterations=3, loglik_tolerance=None,
                                     i_step_every=0, beta_init=1.0))
         assert np.all(np.isfinite(report.loglik_trace))
+
+    @pytest.mark.parametrize("structure,p", [("coxian", 1), ("coxian", 3), ("general", 4)])
+    def test_start_has_the_target_mean_from_the_middle_state(self, structure, p):
+        """The start's mean absorption time from the middle state equals the
+        mean uncensored operational time; at p = 1 that is 1 / rate."""
+        obs = self._synthetic(409, n=120)
+        x = transform_data(obs, np.ones(2))
+        subs = estimation._initial_sub_intensities(
+            obs, transition_mask(structure, p), np.ones(2), np.random.default_rng(3))
+        middle = (p + 1) // 2 - 1
+        for i, sub in enumerate(subs):
+            target = x[obs.delta[:, i] == 1, i].mean()
+            means = np.linalg.solve(-sub.matrix, np.ones(p))
+            np.testing.assert_allclose(means[middle], target, rtol=1e-12)
+            if p == 1:
+                np.testing.assert_allclose(-1.0 / sub.matrix[0, 0], target, rtol=1e-14)
 
     @pytest.mark.parametrize("i_step_every", [1, 0])
     def test_one_likelihood_pass_per_iteration(self, monkeypatch, i_step_every):

@@ -15,9 +15,8 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from miph import (CoxianStructure, GeneralStructure, SingularMatrixError,
-                  SubIntensity, e_step)
-from miph.linalg import expm_batch, expm_frechet_batch, kron_sum, solve
+from miph import SingularMatrixError, SubIntensity, e_step, transition_mask
+from miph.linalg import expm_batch, expm_frechet_batch, solve
 from miph.phasetype import random_sub_intensity
 
 from conftest import DIAG_1, DIAG_2, SUPER_1, SUPER_2, chain_matrix, random_chain
@@ -301,7 +300,7 @@ class TestExpmBatchUnchanged:
         rng = np.random.default_rng(59 + p)
         rows = []
         for s in range(31):
-            t = random_sub_intensity(GeneralStructure(p), rng).matrix
+            t = random_sub_intensity(transition_mask("general", p), rng).matrix
             norm = np.abs(t).sum(axis=0).max()
             rows.append(t * (5.371920351148152 * 2.0 ** (s - 0.5) / norm))
         rows.append(np.zeros((p, p)))
@@ -320,7 +319,7 @@ class TestExpmBatchUnchanged:
 def random_sub_intensities(rng, n, p):
     """n sub-intensities of dimension p, alternately feed-forward and general."""
     return np.stack([(random_chain(rng, p) if k % 2 else
-                      random_sub_intensity(GeneralStructure(p), rng)).matrix
+                      random_sub_intensity(transition_mask("general", p), rng)).matrix
                      for k in range(n)])
 
 
@@ -355,7 +354,7 @@ class TestExpmFrechetBatch:
         for p in (1, 2, 3, 5, 10):
             n = 16
             t = np.stack([(random_chain(rng, p) if k % 2 else
-                           random_sub_intensity(CoxianStructure(p), rng)).matrix
+                           random_sub_intensity(transition_mask("coxian", p), rng)).matrix
                           for k in range(n)])
             x = rng.uniform(0.05, 30.0, size=n)
             v = rng.uniform(0.0, 2.0, size=(n, p))
@@ -403,37 +402,6 @@ class TestExpmFrechetBatch:
                 expm_frechet_batch(good, broken)
 
 
-class TestKronecker:
-    def test_kron_sum_eigenvalues_are_pairwise_sums(self):
-        rng = np.random.default_rng(37)
-        a = rng.normal(size=(3, 3))
-        b = rng.normal(size=(4, 4))
-        got = np.linalg.eigvals(kron_sum(a, b))
-        ea = np.linalg.eigvals(a)
-        eb = np.linalg.eigvals(b)
-        expected = (ea[:, None] + eb[None, :]).ravel()
-        # greedy nearest-neighbour matching: complex sorts are tie-unstable
-        remaining = list(range(expected.size))
-        for lam in got:
-            k = min(remaining, key=lambda i: abs(expected[i] - lam))
-            assert abs(expected[k] - lam) < 1e-9
-            remaining.remove(k)
-
-    def test_kron_sum_vec_identity(self):
-        # column-stacking vec: (a (+) b) vec(V) = vec(b V + V a')
-        rng = np.random.default_rng(41)
-        a = rng.normal(size=(3, 3))
-        b = rng.normal(size=(3, 3))
-        v = rng.normal(size=(3, 3))
-        lhs = kron_sum(a, b) @ v.ravel(order="F")
-        rhs = (b @ v + v @ a.T).ravel(order="F")
-        np.testing.assert_allclose(lhs, rhs, atol=1e-12)
-
-    def test_kron_sum_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            kron_sum(np.ones((2, 3)), np.eye(2))
-
-
 class TestSolve:
     def test_residual_contract(self):
         rng = np.random.default_rng(43)
@@ -467,7 +435,7 @@ class TestSolve:
         # the solve used by the dependence measures: -(T (+) T) is stable
         rng = np.random.default_rng(53)
         t = random_chain(rng, 5).matrix
-        a = -kron_sum(t, t)
+        a = -(np.kron(t, np.eye(5)) + np.kron(np.eye(5), t))
         b = np.kron(np.ones(5), -t.sum(axis=1))
         x = solve(a, b)
         assert np.all(x >= -1e-12) and np.all(x <= 1.0 + 1e-12)

@@ -9,9 +9,7 @@ import pytest
 import scipy.integrate
 
 from miph import (
-    CoxianStructure,
     DataValidationError,
-    GeneralStructure,
     GompertzTransform,
     SubIntensity,
     iph_density,
@@ -19,9 +17,10 @@ from miph import (
     ph_density,
     ph_survival,
     sample_absorption_times,
+    transition_mask,
     validate_initial_vector,
 )
-from miph.phasetype import mean_from_state, random_sub_intensity
+from miph.phasetype import random_sub_intensity
 
 from conftest import BETA_1, BETA_2, DIAG_1, DIAG_2, SUPER_1, SUPER_2, \
     chain_matrix, couple_pi, random_chain, random_pi
@@ -64,26 +63,20 @@ class TestSubIntensity:
 
 class TestStructures:
     def test_coxian_mask(self):
-        mask = CoxianStructure(4).transition_mask()
+        mask = transition_mask("coxian", 4)
         expected = np.zeros((4, 4), dtype=bool)
         expected[0, 1] = expected[1, 2] = expected[2, 3] = True
         np.testing.assert_array_equal(mask, expected)
 
     def test_general_mask(self):
-        mask = GeneralStructure(3).transition_mask()
+        mask = transition_mask("general", 3)
         np.testing.assert_array_equal(mask, ~np.eye(3, dtype=bool))
 
-    def test_coxian_validate(self):
-        good = SubIntensity(np.array([[-2.0, 1.0], [0.0, -1.0]]))
-        CoxianStructure(2).validate(good)
-        bad = SubIntensity(np.array([[-2.0, 0.0], [1.0, -2.0]]))
-        with pytest.raises(ValueError):
-            CoxianStructure(2).validate(bad)
-
-    def test_dimension_mismatch(self):
-        t = SubIntensity(np.array([[-1.0]]))
-        with pytest.raises(ValueError):
-            CoxianStructure(2).validate(t)
+    def test_rejects_unknown_structure_and_empty_chain(self):
+        with pytest.raises(ValueError, match="unknown structure"):
+            transition_mask("erlang", 3)
+        with pytest.raises(ValueError, match="p must be"):
+            transition_mask("coxian", 0)
 
 
 class TestGompertzTransform:
@@ -100,7 +93,7 @@ class TestGompertzTransform:
         y = np.linspace(0.01, 3.0, 50)
         h = 1e-6
         fd = (tr.inverse(y + h) - tr.inverse(y - h)) / (2 * h)
-        np.testing.assert_allclose(fd, tr.intensity(y), rtol=1e-7)
+        np.testing.assert_allclose(fd, np.exp(tr.beta * y), rtol=1e-7)
 
     def test_known_values(self):
         tr = GompertzTransform(1.0)
@@ -183,7 +176,7 @@ class TestDensities:
         )
         np.testing.assert_allclose(
             iph_density(sub, pi, tr, y),
-            ph_density(sub, pi, tr.inverse(y)) * tr.intensity(y),
+            ph_density(sub, pi, tr.inverse(y)) * np.exp(tr.beta * y),
             rtol=1e-12,
         )
 
@@ -220,16 +213,11 @@ class TestDensities:
 
 
 class TestMoments:
-    def test_mean_from_state_closed_form(self):
-        # exponential special case: mean 1/rate from the single state
-        sub = SubIntensity(np.array([[-2.5]]))
-        np.testing.assert_allclose(mean_from_state(sub, 0), 0.4, rtol=1e-14)
-
     def test_mean_matches_survival_integral(self):
         rng = np.random.default_rng(89)
         sub = random_chain(rng, 4)
         pi = random_pi(rng, 4)
-        closed = float(pi @ [mean_from_state(sub, k) for k in range(4)])
+        closed = float(pi @ np.linalg.solve(-sub.matrix, np.ones(4)))
         quad, _ = scipy.integrate.quad(
             lambda x: ph_survival(sub, pi, x), 0.0, np.inf, limit=200
         )
@@ -281,16 +269,19 @@ class TestSampler:
 
 class TestRandomSubIntensity:
     def test_respects_structure(self):
+        # nothing outside the mask and the diagonal, every rate on the mask
         rng = np.random.default_rng(103)
         for p in (1, 3, 6):
-            sub = random_sub_intensity(CoxianStructure(p), rng)
-            CoxianStructure(p).validate(sub)
-            sub = random_sub_intensity(GeneralStructure(p), rng)
-            GeneralStructure(p).validate(sub)
+            for structure in ("coxian", "general"):
+                mask = transition_mask(structure, p)
+                sub = random_sub_intensity(mask, rng)
+                assert sub.dim == p
+                assert np.all(sub.matrix[~(mask | np.eye(p, dtype=bool))] == 0.0)
+                assert np.all(sub.matrix[mask] > 0.0)
 
     def test_rates_within_bounds(self):
         rng = np.random.default_rng(107)
-        sub = random_sub_intensity(GeneralStructure(4), rng, low=0.5, high=0.9)
+        sub = random_sub_intensity(transition_mask("general", 4), rng)
         off = sub.matrix[~np.eye(4, dtype=bool)]
-        assert np.all(off >= 0.5) and np.all(off <= 0.9)
-        assert np.all(sub.exit_rates >= 0.5) and np.all(sub.exit_rates <= 0.9)
+        assert np.all(off >= 0.1) and np.all(off < 2.0)
+        assert np.all(sub.exit_rates >= 0.1) and np.all(sub.exit_rates < 2.0)
