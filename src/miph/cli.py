@@ -272,8 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):
-        p.add_argument("--seed", type=int, default=0,
-                       help="random seed where the command draws anything")
         p.add_argument("--output", default=None, help="output file/directory")
 
     p_fit = sub.add_parser("fit", help="estimate a model from a lifetime CSV")
@@ -288,6 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--beta-init", type=float, default=1.0)
     p_fit.add_argument("--i-step-every", type=int, default=1,
                        help="how often to update the transforms (0 = frozen)")
+    p_fit.add_argument("--seed", type=int, default=0, help="seed of the initial rates")
     common(p_fit)
     p_fit.set_defaults(func=_cmd_fit)
 
@@ -319,6 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="constant couple ages in years, e.g. 63,63")
     p_sim.add_argument("--covariates", default=None,
                        help="CSV with age1,age2 columns (years), one row per couple")
+    p_sim.add_argument("--seed", type=int, default=0, help="seed of the sampler")
     common(p_sim)
     p_sim.set_defaults(func=_cmd_simulate)
 

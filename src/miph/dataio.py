@@ -32,8 +32,6 @@ __all__ = [
     "TIME_SCALE",
     "load_csv",
     "write_csv",
-    "read_columns",
-    "write_rows",
     "standard_design",
     "save_model",
     "load_model",

@@ -31,7 +31,7 @@ import numpy as np
 
 from .exceptions import NumericalError
 from .linalg import expm_batch, expm_frechet_batch, solve
-from .model import Margin, MIPHModel
+from .model import Margin, MIPHModel, _softmax
 from .phasetype import (
     GompertzTransform,
     SubIntensity,
@@ -259,10 +259,9 @@ def _margin_kernels(sub: SubIntensity, x_col, delta_col):
     (censored). Transform Jacobians are constant over states and cancel in
     every posterior, so they are left out here.
 
-    The absorption counts need these full exponentials. The exp(T x) that
-    the E-step's Fréchet call returns is no substitute: in rows whose
-    posterior weights reach 1e20 and more, the weights set its scaling and
-    it loses exp(T x) entirely."""
+    The absorption counts need these full exponentials: the E-step's Fréchet
+    call scales by the posterior weights (ROADMAP E1), and its exp(T x) is
+    8.8e-5 off at weights near 4e10 on general structures, 0 near 1e21."""
     mats = expm_batch(sub.matrix[None, :, :] * x_col[:, None, None])
     a = np.where(
         delta_col[:, None].astype(bool),
@@ -299,10 +298,11 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     exponential, the upper-right block of exp([[T_i, v c'], [0, T_i]] x_mi)
     (Van Loan's block form); linearity in the middle factor collapses the
     per-state integrals into one. :func:`linalg.expm_frechet_batch` computes
-    it on p x p matrices (Al-Mohy & Higham 2009, Alg. 6.4), scaled by the
-    1-norm of that 2p x 2p block, so each row gets the block's scaling power:
-    in rows whose weights c reach 1e20 and more, that scaling loses the
-    occupancies (ROADMAP E1).
+    it on p x p matrices (Al-Mohy & Higham 2009, Alg. 6.4), each row scaled
+    like that 2p x 2p block, so large weights c lose occupancy (ROADMAP E1):
+    U is 8.8e-5 off at c near 4e10 on general structures, and with one couple
+    censored at 600 times the mean the EM start's margin-0 occupancies sum to
+    99.3 where the operational times sum to 304.8.
 
     A row whose evidence is exactly 0 in double precision raises
     :class:`NumericalError` naming it; no row is dropped. So does a row whose
@@ -364,12 +364,6 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     return SufficientStats(*(np.clip(v, 0.0, None) for v in (b, z, n_trans, n_exit)))
 
 
-def _log_softmax(eta):
-    """Row-wise log-softmax with max subtraction."""
-    shifted = eta - eta.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def r_step(b, covariates, gamma_init=None):
     """Weighted multinomial-logistic update of the initial-vector link.
 
@@ -407,8 +401,9 @@ def r_step(b, covariates, gamma_init=None):
     kk = np.arange(p - 1)
 
     def value_and_probs(gm):
-        logp = _log_softmax(a @ gm.T)
-        return float((b * logp).sum()), np.exp(logp)
+        eta = a @ gm.T
+        probs, top, log_total = _softmax(eta)
+        return float((b * (eta - top - log_total)).sum()), probs
 
     cur, probs = value_and_probs(gamma)
     for _ in range(_R_STEP_MAX_ITER):
@@ -469,10 +464,9 @@ def m_step(stats: SufficientStats, mask):
     ``mask`` of :func:`phasetype.transition_mask`.
 
     ``t_ks = E[N_ks] / E[Z_k]`` and ``t_k = E[N_k] / E[Z_k]`` per margin;
-    this maximizes the complete-data surrogate exactly. States with zero
-    expected occupancy get all rates zero and their diagonal set to
-    ``_M_STEP_DIAG_FLOOR`` (with a warning) so the matrix stays a valid
-    generator block.
+    this maximizes the complete-data surrogate exactly. A state with zero
+    expected occupancy (with a warning) or no outflow gets the exit rate
+    ``-_M_STEP_DIAG_FLOOR``, so the matrix stays a valid generator block.
     """
     z = stats.z
     d, p = z.shape
@@ -491,12 +485,9 @@ def m_step(stats: SufficientStats, mask):
         with np.errstate(divide="ignore", invalid="ignore"):
             trans = np.where(occupied[:, None] & mask, stats.n_trans[i] / z[i][:, None], 0.0)
             exits = np.where(occupied, stats.n_exit[i] / z[i], 0.0)
-        matrix = trans.copy()
-        diag = -(trans.sum(axis=1) + exits)
-        dead = (~occupied) | (diag >= 0.0)
-        diag[dead] = _M_STEP_DIAG_FLOOR
-        matrix[np.arange(p), np.arange(p)] = diag
-        out.append(SubIntensity(matrix))
+        dead = ~occupied | (trans.sum(axis=1) + exits <= 0.0)
+        out.append(SubIntensity.from_rates(
+            trans, np.where(dead, -_M_STEP_DIAG_FLOOR, exits)))
     return out
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+__all__ = ["DataValidationError", "NumericalError", "SingularMatrixError"]
+
 
 class DataValidationError(ValueError):
     """Malformed user input: bad CSV cells, schema violations, invalid shapes."""

@@ -134,19 +134,22 @@ class MIPHModel:
                     f"covariate width {a.shape[1]} does not match gamma "
                     f"width {self.gamma.shape[1]}"
                 )
-            return softmax_rows(a @ self.gamma.T)
+            return _softmax(a @ self.gamma.T)[0]
         if self.fixed_pi is not None:
             return np.broadcast_to(self.fixed_pi, (a.shape[0], self.dim)).copy()
         raise ValueError("model carries neither gamma nor fixed_pi")
 
 
-def softmax_rows(eta) -> np.ndarray:
-    """Row-wise softmax with max subtraction; rows sum to 1 exactly enough."""
-    eta = np.asarray(eta, dtype=float)
-    z = eta - eta.max(axis=1, keepdims=True)
-    np.exp(z, out=z)
-    z /= z.sum(axis=1, keepdims=True)
-    return z
+def _softmax(eta):
+    """Row-wise softmax of 2-d float ``eta`` with max subtraction, in place on
+    ``eta - top``. Returns ``(probs, top, log_total)``: the row maxima and log
+    normalisers, so the log-probabilities are ``eta - top - log_total``."""
+    top = eta.max(axis=1, keepdims=True)
+    probs = eta - top
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=1, keepdims=True)
+    probs /= total
+    return probs, top, np.log(total)
 
 
 def _check_points(model: MIPHModel, y):

@@ -380,6 +380,12 @@ class TestArgumentErrors:
             main(["eval", str(small_model_path), "--does-not-exist"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["eval", "measures", "beran"])
+    def test_seed_only_where_something_is_drawn(self, small_model_path, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(small_model_path), "--ages", "63,63", "--seed", "1"])
+        assert exc.value.code == 2
+
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
             main([])
