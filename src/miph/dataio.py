@@ -284,6 +284,8 @@ def beran_cdf(times, deltas, covariates, query, bandwidth: float, t):
         raise ValueError("times, deltas and covariates must agree on n")
     if not np.all(np.isin(deltas, (0, 1))):
         raise ValueError("deltas entries must be 0 or 1")
+    if not (np.all(np.isfinite(times)) and times.min() >= 0.0 and np.all(np.isfinite(cov))):
+        raise ValueError("times must be finite and >= 0, and covariates finite")
     q = np.atleast_1d(np.asarray(query, dtype=float))
     if q.shape != (cov.shape[1],):
         raise ValueError(f"query must have {cov.shape[1]} coordinates")

@@ -30,13 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .linalg import expm_batch, expm_frechet_batch, solve
+from .linalg import expm_frechet_batch, solve
 from .model import Margin, MIPHModel, _softmax
 from .phasetype import (
     GompertzTransform,
     SubIntensity,
     _age_factors,
     _exp_factors,
+    _exponentials,
     random_sub_intensity,
     transition_mask,
 )
@@ -204,8 +205,11 @@ class FitReport:
 
     model: MIPHModel
     loglik_trace: np.ndarray
-    iterations: int
     converged: bool
+
+    @property
+    def iterations(self) -> int:
+        return len(self.loglik_trace)
 
     @property
     def final_loglik(self) -> float:
@@ -253,24 +257,6 @@ def _require_rows(ok, what: str) -> None:
                              f"{' ...' if bad.size > 10 else ''}")
 
 
-def _margin_kernels(sub: SubIntensity, x_col, delta_col):
-    """exp(T x) for one margin plus the per-state evidence vector a, where
-    a[m, j] = e_j' exp(T x_m) t (death observed) or e_j' exp(T x_m) 1
-    (censored). Transform Jacobians are constant over states and cancel in
-    every posterior, so they are left out here.
-
-    The absorption counts need these full exponentials: the E-step's Fréchet
-    call scales by the posterior weights (ROADMAP E1), and its exp(T x) is
-    8.8e-5 off at weights near 4e10 on general structures, 0 near 1e21."""
-    mats = expm_batch(sub.matrix[None, :, :] * x_col[:, None, None])
-    a = np.where(
-        delta_col[:, None].astype(bool),
-        mats @ sub.exit_rates,
-        mats.sum(axis=-1),
-    )
-    return mats, a
-
-
 def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     """Posterior expectations of the complete-data statistics.
 
@@ -302,7 +288,9 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     like that 2p x 2p block, so large weights c lose occupancy (ROADMAP E1):
     U is 8.8e-5 off at c near 4e10 on general structures, and with one couple
     censored at 600 times the mean the EM start's margin-0 occupancies sum to
-    99.3 where the operational times sum to 304.8.
+    99.3 where the operational times sum to 304.8. Its exp(T x) is as far
+    off, 0 near c = 1e21, so the evidence and the absorption counts take the
+    exponentials of :func:`phasetype._exponentials` instead.
 
     A row whose evidence is exactly 0 in double precision raises
     :class:`NumericalError` naming it; no row is dropped. So does a row whose
@@ -324,8 +312,8 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     if not np.all(np.isfinite(x)) or (x.size and x.min() < 0.0):
         raise ValueError("x must be finite and >= 0")
 
-    mats, evidence = zip(*(_margin_kernels(sub, x[:, i], delta[:, i])
-                           for i, sub in enumerate(subs)))
+    exps = [_exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
+    evidence = [_exp_factors(sub, exps[i], delta[:, i])[0] for i, sub in enumerate(subs)]
     w = per_obs_pi.copy()
     for a_i in evidence:
         w *= a_i
@@ -357,9 +345,8 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
         z[i] = np.einsum("mkk->k", integral)
         n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)
         if np.any(died):
-            n_exit[i] = sub.exit_rates * np.einsum(
-                "mj,mjk->k", c[died], mats[i][died]
-            )
+            mats, index = exps[i]
+            n_exit[i] = sub.exit_rates * np.einsum("mj,mjk->k", c[died], mats[index[died]])
     # round tiny negatives from the Padé approximants up to zero
     return SufficientStats(*(np.clip(v, 0.0, None) for v in (b, z, n_trans, n_exit)))
 
@@ -652,7 +639,7 @@ def _initial_sub_intensities(obs, mask, betas, rng):
         rows = np.flatnonzero(~(bound.sum(axis=1) >= _START_EVIDENCE))
         w = np.full((rows.size, p), 1.0 / p)
         for i, sub in enumerate(subs):
-            w *= _exp_factors(sub, x[rows, i], obs.delta[rows, i])[0]
+            w *= _exp_factors(sub, _exponentials(sub, x[rows, i]), obs.delta[rows, i])[0]
         if np.all(w.sum(axis=1) >= _START_EVIDENCE):
             break
     return subs
@@ -701,5 +688,4 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     margins = tuple(Margin(sub=sub, transform=GompertzTransform(float(beta)))
                     for sub, beta in zip(subs, betas))
     return FitReport(model=MIPHModel(margins=margins, gamma=gamma),
-                     loglik_trace=np.asarray(trace), iterations=len(trace),
-                     converged=converged)
+                     loglik_trace=np.asarray(trace), converged=converged)

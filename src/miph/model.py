@@ -27,6 +27,7 @@ from .phasetype import (
     _age_factors,
     _check_absorbing,
     _check_nonneg,
+    _check_start_rows,
     iph_density,
     iph_survival,
     sample_absorption_times,
@@ -481,8 +482,7 @@ def sample_joint(model: MIPHModel, pi, rng, n: int) -> np.ndarray:
 def sample_joint_rows(model: MIPHModel, pi_rows, rng) -> np.ndarray:
     """Like :func:`sample_joint` with one initial vector per row."""
     pi_rows = np.asarray(pi_rows, dtype=float)
-    if pi_rows.ndim != 2 or pi_rows.shape[1] != model.dim:
-        raise ValueError(f"pi_rows must be (n, {model.dim}), got {pi_rows.shape}")
+    _check_start_rows(pi_rows, model.dim, "start row")
     starts = _draw_starts(pi_rows, rng)
     out = np.empty((pi_rows.shape[0], model.n_margins))
     for i, m in enumerate(model.margins):

@@ -43,8 +43,8 @@ class SubIntensity:
     """Sub-intensity matrix of a terminating Markov jump process.
 
     Off-diagonal entries are nonnegative transition rates, diagonal entries
-    are strictly negative, and every row sum is <= 0; the deficit is the exit
-    rate to the absorbing state.
+    are strictly negative, and row k sums to at most the round-off
+    ``_ROW_SUM_TOL * max(1, |T_kk|)``; the deficit is the exit rate.
 
     Attributes
     ----------
@@ -70,7 +70,7 @@ class SubIntensity:
         if np.diag(m).max() >= 0.0:
             raise ValueError("diagonal entries must be < 0")
         exits = -m.sum(axis=1)
-        if exits.min() < -_ROW_SUM_TOL:
+        if np.any(exits < -_ROW_SUM_TOL * np.maximum(1.0, np.abs(np.diag(m)))):
             raise ValueError(
                 f"row sums must be <= 0 (min exit rate {exits.min():.3e})"
             )
@@ -151,55 +151,65 @@ def _check_nonneg(v, name: str):
 def validate_initial_vector(pi, dim: int) -> np.ndarray:
     """Check pi is a length-``dim`` probability vector; returns it as float64."""
     pi = np.asarray(pi, dtype=float)
-    if pi.shape != (dim,):
-        raise DataValidationError(
-            f"initial vector must have shape ({dim},), got {pi.shape}"
-        )
-    if not np.all(np.isfinite(pi)):
-        raise DataValidationError("initial vector has non-finite entries")
-    if pi.min() < -1e-12:
-        raise DataValidationError("initial vector has negative entries")
-    if abs(pi.sum() - 1.0) > _PI_SUM_TOL:
-        raise DataValidationError(
-            f"initial vector sums to {pi.sum():.12f}, expected 1"
-        )
+    _check_start_rows(pi[None], dim, "initial vector")
     return pi
 
 
-def _exp_factors(sub: SubIntensity, x, died, derivatives: bool = False) -> list:
-    """Per-state factor rows ``e_j' exp(T x_m) v_m`` at operational times x.
+def _check_start_rows(rows, dim: int, what: str) -> None:
+    """Raise :class:`DataValidationError` unless ``rows`` is (n, dim) and each row
+    a probability vector; from row sums and one minimum, no (n, dim) temporary."""
+    if rows.ndim != 2 or rows.shape[1] != dim:
+        raise DataValidationError(f"{what} must have {dim} entries, got shape {rows.shape[1:]}")
+    sums = rows.sum(axis=1)  # finite only where every entry is
+    if not np.all(np.isfinite(sums)):
+        raise DataValidationError(f"{what} has non-finite entries")
+    if rows.size and rows.min() < -1e-12:
+        raise DataValidationError(f"{what} has negative entries")
+    bad = np.abs(sums - 1.0) > _PI_SUM_TOL
+    if np.any(bad):
+        raise DataValidationError(f"{what} sums to {sums[bad][0]:.12f}, expected 1")
+
+
+def _exponentials(sub: SubIntensity, x):
+    """``(mats, index)``: exp(T x) once per distinct finite x of the 1-d
+    ``x``, and for each entry of ``x`` the position of its matrix in
+    ``mats``, -1 where x overflowed; such an x is never exponentiated."""
+    xs, inverse = np.unique(np.asarray(x, dtype=float), return_inverse=True)
+    ok = np.isfinite(xs)
+    mats = np.empty((0, sub.dim, sub.dim))
+    if np.any(ok):
+        mats = expm_batch(sub.matrix[None, :, :] * xs[ok, None, None])
+    return mats, np.where(ok, np.cumsum(ok) - 1, -1)[inverse]
+
+
+def _exp_factors(sub: SubIntensity, exps, died, derivatives: bool = False) -> list:
+    """Per-state factor rows ``e_j' exp(T x_m) v_m``; ``exps = _exponentials(sub, x)``.
 
     ``v_m`` is the exit-rate vector t where ``died`` (a density factor) and
     the all-ones vector elsewhere (a survival factor); ``died`` broadcasts
-    against the 1-d ``x``. Returns ``[u]``, or with ``derivatives`` also
-    the x-derivatives ``exp(T x) T v`` and ``exp(T x) T^2 v``, which come
-    from the same exponentials because T commutes with exp(T x); T 1 = -t.
-
-    Each distinct finite x is exponentiated once and its row copied to every
-    repeat. Non-finite x (an operational time that overflowed) gets exact
-    zero rows, the limit of every factor, and is never exponentiated.
+    against the index. Returns ``[u]``, or with ``derivatives`` also the
+    x-derivatives ``exp(T x) T v`` and ``exp(T x) T^2 v``, which come from
+    the same exponentials because T commutes with exp(T x); T 1 = -t.
+    An overflowed x gets exact zero rows, the limit of every factor.
     """
-    x = np.asarray(x, dtype=float)
-    died = np.broadcast_to(np.asarray(died, dtype=bool), x.shape)
-    xs, inverse = np.unique(x, return_inverse=True)
-    ok = np.isfinite(xs)
+    mats, index = exps
+    died = np.broadcast_to(np.asarray(died, dtype=bool), index.shape)
     t = sub.exit_rates
     vectors = [t]
     if derivatives:
         vectors += [sub.matrix @ t, sub.matrix @ (sub.matrix @ t)]
-    # per distinct x: exp(T x) 1, then exp(T x) T^k t for k = 0, 1, 2
-    rows = np.zeros((len(vectors) + 1, xs.size, sub.dim))
-    if np.any(ok):
-        mats = expm_batch(sub.matrix[None, :, :] * xs[ok, None, None])
-        rows[0, ok] = mats.sum(axis=-1)
-        for k, vec in enumerate(vectors, start=1):
-            rows[k, ok] = mats @ vec
+    # per matrix: exp(T x) 1, then exp(T x) T^k t for k = 0, 1, 2; index -1
+    # picks the last row, which stays zero
+    rows = np.zeros((len(vectors) + 1, len(mats) + 1, sub.dim))
+    rows[0, :-1] = mats.sum(axis=-1)
+    for k, vec in enumerate(vectors, start=1):
+        rows[k, :-1] = mats @ vec
     # term k of a survival row is exp(T x) T^k 1 = -exp(T x) T^(k-1) t (k > 0);
     # rows where ``died`` are overwritten with the density version
-    dead = inverse[died]
+    dead = index[died]
     out = []
     for k in range(len(vectors)):
-        f = rows[k][inverse]
+        f = rows[k][index]
         if k:
             np.negative(f, out=f)
         f[died] = rows[k + 1][dead]
@@ -224,7 +234,7 @@ def _age_factors(sub: SubIntensity, beta: float, y, died,
     with np.errstate(over="ignore"):
         x = np.expm1(beta * y) / beta
         jac = np.exp(beta * y)
-    terms = _exp_factors(sub, x, died, derivatives)
+    terms = _exp_factors(sub, _exponentials(sub, x), died, derivatives)
     ok = np.isfinite(x)[:, None]
     died = np.broadcast_to(np.asarray(died, dtype=bool), y.shape)[:, None]
     # an observed death carries the Jacobian exp(beta y); overflowed rows stay 0
@@ -253,12 +263,14 @@ def ph_density(sub: SubIntensity, pi, x):
 
     ``x`` may be a scalar or a 1-d array; the result matches its shape.
     """
-    return _mixed(sub, pi, x, "x", lambda v: _exp_factors(sub, v, True)[0])
+    return _mixed(sub, pi, x, "x",
+                  lambda v: _exp_factors(sub, _exponentials(sub, v), True)[0])
 
 
 def ph_survival(sub: SubIntensity, pi, x):
     """Phase-type survival ``pi @ exp(T x) @ ones`` at x >= 0."""
-    return _mixed(sub, pi, x, "x", lambda v: _exp_factors(sub, v, False)[0])
+    return _mixed(sub, pi, x, "x",
+                  lambda v: _exp_factors(sub, _exponentials(sub, v), False)[0])
 
 
 def iph_density(sub: SubIntensity, pi, transform: GompertzTransform, y):

@@ -396,6 +396,15 @@ class TestBeran:
         with pytest.raises(ValueError):
             beran_cdf(times, deltas, cov, np.array([0.0, 1.0]), 1.0, 1.0)
 
+    @pytest.mark.parametrize("column,value", [("times", np.nan), ("times", -2.0),
+                                              ("times", np.inf), ("cov", np.nan)])
+    def test_rejects_non_finite_or_negative_inputs(self, column, value):
+        data = {"times": np.array([1.0, 2.0, 3.0, 4.0]), "cov": np.zeros(4)}
+        data[column][1] = value
+        with pytest.raises(ValueError, match="finite"):
+            beran_cdf(data["times"], np.array([1, 1, 1, 0]), data["cov"], 0.0, 1.0,
+                      [1.5, 2.5, 5.0])
+
 
 class TestGenerateSynthetic:
     def _model(self):

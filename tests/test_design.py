@@ -1,9 +1,10 @@
 """Checks on the package source that pin its design.
 
-Every age-scale factor ``e_j' exp(T x) v`` comes from the one kernel in
-`phasetype`; the only other matrix exponentials are the E-step's: exp(T x),
-which its evidence and absorption counts need in full, and the Fréchet
-derivative that gives its occupancy integrals. Until ROADMAP E1 the
+Every exp(T x) is taken in `phasetype._exponentials`, once per distinct x,
+and every factor ``e_j' exp(T x) v`` comes from `phasetype._exp_factors`,
+the E-step's evidence included; the E-step's absorption counts contract the
+same exponentials. The only other matrix exponential is the Fréchet
+derivative that gives the E-step's occupancy integrals. Until ROADMAP E1 the
 posterior weights set that derivative's scaling, so its exp(T x) cannot
 stand in: on general structures it is 8.8e-5 off at weights near 4e10, and
 with one couple censored at 600 times the mean a margin's occupancies sum
@@ -17,6 +18,7 @@ module's ``__all__`` alone, and every CLI option is read by its command.
 
 import argparse
 import ast
+import importlib
 from pathlib import Path
 
 import miph
@@ -67,11 +69,16 @@ def _call_sites(name):
 
 
 def test_expm_batch_call_sites():
-    # _margin_kernels leaves once the E-step's evidence comes from
-    # _exp_factors and its exit counts from the Fréchet call's exp(T x)
-    assert _call_sites("expm_batch") == [("estimation", "_margin_kernels"),
-                                         ("phasetype", "_exp_factors")]
+    assert _call_sites("expm_batch") == [("phasetype", "_exponentials")]
     assert _call_sites("expm_frechet_batch") == [("estimation", "e_step")]
+
+
+def test_only_linalg_and_phasetype_bind_expm_batch():
+    """A tracer that wraps ``expm_batch`` where it is looked up needs to
+    wrap it in these two modules only."""
+    binders = [module for module, _ in _modules() if module != "__init__"
+               and hasattr(importlib.import_module(f"miph.{module}"), "expm_batch")]
+    assert binders == ["linalg", "phasetype"]
 
 
 def test_one_pade_table_behind_both_exponentials():

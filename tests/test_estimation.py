@@ -120,16 +120,29 @@ def quadrature_e_step(x, delta, pi_rows, subs):
     return b, z, n_trans, n_exit
 
 
+def frozen_margin_kernels(sub, x_col, delta_col):
+    """exp(T x) of every row of one margin, and the per-state evidence
+    e_j' exp(T x_m) t (death observed) or e_j' exp(T x_m) 1 (censored), as
+    the E-step computed them before it took both from
+    `phasetype._exponentials`: one exponential per row, repeats included."""
+    mats = expm_batch(sub.matrix[None, :, :] * x_col[:, None, None])
+    a = np.where(
+        delta_col[:, None].astype(bool),
+        mats @ sub.exit_rates,
+        mats.sum(axis=-1),
+    )
+    return mats, a
+
+
 def block_e_step(x, delta, pi_rows, subs):
     """E-step statistics with each occupancy integral read off the 2p x 2p
     Van Loan block exp([[T, v c'], [0, T]] x), as the E-step once computed
-    them. Also returns the largest posterior weight c."""
+    them, and the evidence and absorption counts from
+    :func:`frozen_margin_kernels`. Also returns the largest posterior weight c."""
     n, d = x.shape
     p = subs[0].dim
-    mats = [expm_batch(sub.matrix[None, :, :] * x[:, i, None, None])
-            for i, sub in enumerate(subs)]
-    evidence = [np.where(delta[:, i, None] == 1, mats[i] @ sub.exit_rates,
-                         mats[i].sum(axis=-1)) for i, sub in enumerate(subs)]
+    mats, evidence = zip(*(frozen_margin_kernels(sub, x[:, i], delta[:, i])
+                           for i, sub in enumerate(subs)))
     w = pi_rows.copy()
     for a_i in evidence:
         w *= a_i
@@ -352,6 +365,26 @@ class TestEStep:
             for got, want in zip((stats.b, stats.z, stats.n_trans, stats.n_exit),
                                  expected):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_one_exponential_per_distinct_time(self, monkeypatch):
+        """With repeated operational times, some of them censored in one row
+        and observed in another, each margin exponentiates every distinct x
+        once, in `phasetype`; the evidence and absorption counts are bit for
+        bit those of one exponential per row."""
+        x, delta, pi_rows, subs = _toy_data(seed=353, n=8, d=2, p=3)
+        x = np.vstack([x, x[:5], x[2:4]])
+        delta = np.vstack([delta, 1 - delta[:5], delta[2:4]])
+        pi_rows = np.vstack([pi_rows, pi_rows[3:8], pi_rows[:2]])
+        sizes = []
+        monkeypatch.setattr(phasetype, "expm_batch",
+                            lambda a: sizes.append(a.shape[0]) or expm_batch(a))
+        stats = e_step(x, delta, pi_rows, subs)
+        assert sizes == [np.unique(col).size for col in x.T] == [8, 8]
+        (b, z, n_trans, n_exit), _ = block_e_step(x, delta, pi_rows, subs)
+        np.testing.assert_array_equal(stats.b, b)
+        np.testing.assert_array_equal(stats.n_exit, n_exit)
+        np.testing.assert_allclose(stats.z, z, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(stats.n_trans, n_trans, rtol=1e-12, atol=0.0)
 
     def test_shape_validation(self):
         x, delta, pi_rows, subs = _toy_data()
@@ -906,7 +939,8 @@ class TestFit:
             x = transform_data(o, np.ones(2))
             w = np.full((o.n, 2), 0.5)
             for i, sub in enumerate(subs):
-                w *= estimation._margin_kernels(sub, x[:, i], o.delta[:, i])[1]
+                w *= phasetype._exp_factors(sub, phasetype._exponentials(sub, x[:, i]),
+                                            o.delta[:, i])[0]
             return w.sum(axis=1)
 
         obs = self._synthetic(389, 200)

@@ -18,6 +18,7 @@ import scipy.stats
 import miph.model
 import miph.phasetype
 from miph import (
+    DataValidationError,
     GompertzTransform,
     Margin,
     MIPHModel,
@@ -653,3 +654,12 @@ class TestSampling:
             sample_joint(model, pi, np.random.default_rng(0), 0)
         with pytest.raises(ValueError):
             sample_joint_rows(model, np.ones((4, 3)) / 3, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("row", [[np.nan, np.nan], [-1.0, -1.0], [2.5, 2.5]])
+    def test_rows_variant_rejects_invalid_start_rows(self, row):
+        """Each row meets the rules of an initial vector: finite, no negative
+        entry and a sum of 1."""
+        model, _ = random_bivariate_model(np.random.default_rng(283), p=2)
+        rows = np.vstack([np.full((3, 2), 0.5), row])
+        with pytest.raises(DataValidationError, match="start row"):
+            sample_joint_rows(model, rows, np.random.default_rng(0))
