@@ -19,6 +19,11 @@ covariates. One EM iteration runs four steps:
 * I: guarded Newton ascent of the observed log-likelihood over
   theta = log(beta), on its analytic gradient and exact d x d Hessian.
 
+Each parameter point is exponentiated once per margin: the likelihood
+evaluation that accepts the current parameters (the I-step's last one, or
+the value pass of an iteration without one) keeps its exp(T x), and the next
+E-step takes them instead of exponentiating the same T x again.
+
 Times enter estimation on the internal scale (years / 100); see `dataio`.
 """
 
@@ -38,6 +43,7 @@ from .phasetype import (
     _age_factors,
     _exp_factors,
     _exponentials,
+    _operational_time,
     random_sub_intensity,
     transition_mask,
 )
@@ -235,9 +241,7 @@ def transform_data(obs: ObservationSet, betas) -> np.ndarray:
     Raises if any entry overflows the float range (reported with its row and
     margin index).
     """
-    betas = _as_betas(betas, obs.n_margins)
-    with np.errstate(over="ignore"):
-        x = np.expm1(obs.y * betas) / betas
+    x = _operational_time(_as_betas(betas, obs.n_margins), obs.y)
     bad = ~np.isfinite(x)
     if np.any(bad):
         rows, cols = np.nonzero(bad)
@@ -257,7 +261,7 @@ def _require_rows(ok, what: str) -> None:
                              f"{' ...' if bad.size > 10 else ''}")
 
 
-def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
+def e_step(x, delta, per_obs_pi, subs, exps=None) -> SufficientStats:
     """Posterior expectations of the complete-data statistics.
 
     Parameters
@@ -270,6 +274,9 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
         Initial vector for each observation (rows sum to 1).
     subs : sequence of SubIntensity
         One per margin.
+    exps : sequence of (mats, index) pairs, optional
+        Margin i's ``phasetype._exponentials(subs[i], x[:, i])``, taken as
+        given; computed here when None.
 
     Notes
     -----
@@ -290,7 +297,9 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     censored at 600 times the mean the EM start's margin-0 occupancies sum to
     99.3 where the operational times sum to 304.8. Its exp(T x) is as far
     off, 0 near c = 1e21, so the evidence and the absorption counts take the
-    exponentials of :func:`phasetype._exponentials` instead.
+    exponentials of :func:`phasetype._exponentials` instead. :func:`fit`
+    passes those of the likelihood evaluation that accepted the current
+    parameters, so each parameter point is exponentiated once per margin.
 
     A row whose evidence is exactly 0 in double precision raises
     :class:`NumericalError` naming it; no row is dropped. So does a row whose
@@ -311,8 +320,14 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
         raise ValueError(f"per_obs_pi must be (n, p) = {(n, p)}")
     if not np.all(np.isfinite(x)) or (x.size and x.min() < 0.0):
         raise ValueError("x must be finite and >= 0")
-
-    exps = [_exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
+    if exps is None:
+        exps = [_exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
+    if len(exps) != d:
+        raise ValueError(f"expected {d} exponential pairs, got {len(exps)}")
+    for i, (mats, index) in enumerate(exps):
+        if np.shape(index) != (n,) or np.ndim(mats) != 3 or np.shape(mats)[1:] != (p, p):
+            raise ValueError(f"margin {i}: exponentials must be (k, {p}, {p}) "
+                             f"matrices with {n} indices")
     evidence = [_exp_factors(sub, exps[i], delta[:, i])[0] for i, sub in enumerate(subs)]
     w = per_obs_pi.copy()
     for a_i in evidence:
@@ -478,7 +493,7 @@ def m_step(stats: SufficientStats, mask):
     return out
 
 
-def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
+def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True, keep=None):
     """Observed log-likelihood with the transform Jacobians included, and its
     gradient and Hessian in theta = log(beta).
 
@@ -488,11 +503,19 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
     precision raises :class:`NumericalError` naming it.
     Margin i's factor and its theta-derivatives come from
     :func:`phasetype._age_factors`: survival where censored, density with
-    the Jacobian where the death was observed.
+    the Jacobian where the death was observed. ``keep``, if given, is a list
+    that is emptied first, freeing the exponentials it held, and then
+    receives margin i's :func:`phasetype._exponentials` pair in position i,
+    the pairs :func:`e_step` needs at these parameters.
     """
     d = y.shape[1]
-    parts = [_age_factors(sub, betas[i], y[:, i], delta[:, i].astype(bool), derivatives)
-             for i, sub in enumerate(subs)]
+    keep = [] if keep is None else keep
+    keep.clear()
+    parts = []
+    for i, sub in enumerate(subs):
+        keep.append(_exponentials(sub, _operational_time(betas[i], y[:, i])))
+        parts.append(_age_factors(sub, betas[i], y[:, i], delta[:, i].astype(bool),
+                                  derivatives, keep[i]))
     lik = per_obs_pi.copy()
     for f, *_ in parts:
         lik *= f
@@ -548,7 +571,8 @@ def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
                              derivatives=False)
 
 
-def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init) -> tuple[np.ndarray, float]:
+def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init,
+           keep=None) -> tuple[np.ndarray, float]:
     """Update the transform parameters by guarded Newton ascent of the
     observed log-likelihood over theta = log(beta).
 
@@ -563,14 +587,20 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init) -> tuple[np.ndarra
 
     Returns ``(betas, loglik)``: ``betas = exp(theta)`` at the last accepted
     point (the incumbent if none was), and the log-likelihood evaluated
-    there.
+    there. Each point is exponentiated once per margin, and at most one
+    point's exponentials are alive at a time: ``keep``, if given, ends
+    holding the per-margin pairs of the evaluation at ``betas`` (see
+    :func:`_age_scale_loglik`) when that evaluation was the last, and empty
+    when a rejected trial came after it.
     """
     betas_init = _as_betas(betas_init, obs.n_margins)
     per_obs_pi = np.asarray(per_obs_pi, dtype=float)
     lo, hi = _LOG_BETA_BOUNDS
+    keep = [] if keep is None else keep
 
     def evaluate(theta):
-        return _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, np.exp(theta))
+        return _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, np.exp(theta),
+                                 keep=keep)
 
     theta = np.log(betas_init)
     cur, grad, hess = evaluate(theta)
@@ -603,6 +633,7 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init) -> tuple[np.ndarra
                 theta, cur, grad, hess = trial, new, new_grad, new_hess
                 accepted = True
                 break
+            keep.clear()  # a rejected point's exponentials serve no E-step
             step *= 0.5
         if not accepted:
             break
@@ -651,9 +682,10 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     Deterministic given ``(obs, config)``: the only randomness is the
     rate initialization, seeded by ``config.seed``. Trace entry k is the
     observed log-likelihood at the end of iteration k: the I-step's own value
-    where one ran, else one value pass. A couple whose evidence or likelihood
-    is 0 in double precision stops the fit with a :class:`NumericalError`
-    naming its row; no row is dropped.
+    where one ran, else one value pass. The next E-step reuses that
+    evaluation's exponentials, unless a rejected I-step trial came after it.
+    A couple whose evidence or likelihood is 0 in double precision stops the
+    fit with a :class:`NumericalError` naming its row; no row is dropped.
     """
     n, d = obs.y.shape
     mask = transition_mask(config.structure, config.p)
@@ -666,16 +698,19 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     trace = []
     converged = False
     prev = None
+    held = []  # per margin, exp(T x) at (subs, betas), empty when not at hand
     for it in range(1, config.max_iterations + 1):
         try:
-            stats = e_step(transform_data(obs, betas), obs.delta, per_obs_pi, subs)
+            stats = e_step(transform_data(obs, betas), obs.delta, per_obs_pi, subs,
+                           held or None)
+            held.clear()  # free them through the R-, M- and I-steps
             gamma, per_obs_pi = r_step(stats.b, obs.covariates, gamma)
             subs = m_step(stats, mask)
             if config.i_step_every and it % config.i_step_every == 0:
-                betas, ll = i_step(obs, per_obs_pi, subs, betas)
+                betas, ll = i_step(obs, per_obs_pi, subs, betas, keep=held)
             else:
                 ll = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
-                                       derivatives=False)
+                                       derivatives=False, keep=held)
         except NumericalError as err:
             raise NumericalError(f"EM iteration {it}: {err}") from err
         trace.append(ll)

@@ -217,24 +217,35 @@ def _exp_factors(sub: SubIntensity, exps, died, derivatives: bool = False) -> li
     return out
 
 
+def _operational_time(beta, y):
+    """``expm1(beta y) / beta``, inf where it overflows; ``beta`` broadcasts
+    against ``y``. The likelihood and the E-step both take x from here, so
+    exponentials taken for one serve the other bit for bit."""
+    with np.errstate(over="ignore"):
+        return np.expm1(beta * y) / beta
+
+
 def _age_factors(sub: SubIntensity, beta: float, y, died,
-                 derivatives: bool = False) -> list:
+                 derivatives: bool = False, exps=None) -> list:
     """Per-state factor rows at ages y under the Gompertz clock ``beta``.
 
     Row m is ``e_j' exp(T x_m) 1`` (survival) or, where ``died``,
     ``e_j' exp(T x_m) t exp(beta y_m)`` (density with the Jacobian), at
-    ``x = expm1(beta y) / beta``. Ages whose operational time overflows get
-    exact zero rows. With ``derivatives`` the list also holds the first and
-    second derivatives in theta = log(beta), from the chain rule
-    ``x_beta = (y e^{beta y} - x) / beta`` and
+    ``x = _operational_time(beta, y)``; ``exps``, if given, is
+    ``_exponentials(sub, x)``, taken as is. Ages whose operational time
+    overflows get exact zero rows. With ``derivatives`` the list also holds
+    the first and second derivatives in theta = log(beta), from the chain
+    rule ``x_beta = (y e^{beta y} - x) / beta`` and
     ``x_betabeta = (y^2 e^{beta y} - 2 x_beta) / beta`` on the operational-
     time derivatives of :func:`_exp_factors`.
     """
     y = np.asarray(y, dtype=float)
+    x = _operational_time(beta, y)
     with np.errstate(over="ignore"):
-        x = np.expm1(beta * y) / beta
         jac = np.exp(beta * y)
-    terms = _exp_factors(sub, _exponentials(sub, x), died, derivatives)
+    if exps is None:
+        exps = _exponentials(sub, x)
+    terms = _exp_factors(sub, exps, died, derivatives)
     ok = np.isfinite(x)[:, None]
     died = np.broadcast_to(np.asarray(died, dtype=bool), y.shape)[:, None]
     # an observed death carries the Jacobian exp(beta y); overflowed rows stay 0

@@ -13,6 +13,7 @@ Oracles, in increasing strength:
 """
 
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -395,6 +396,35 @@ class TestEStep:
         with pytest.raises(ValueError):
             e_step(x, delta, pi_rows, subs[:1])
 
+    def test_supplied_exponentials_are_used_as_given(self, monkeypatch):
+        """Given each margin's ``_exponentials`` pair, the E-step takes no
+        exponential of its own and its statistics are bit for bit the same."""
+        x, delta, pi_rows, subs = _toy_data(seed=359, n=8, d=2, p=3)
+        exps = [phasetype._exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
+        want = e_step(x, delta, pi_rows, subs)
+        calls = []
+        monkeypatch.setattr(phasetype, "expm_batch",
+                            lambda a: calls.append(1) or expm_batch(a))
+        got = e_step(x, delta, pi_rows, subs, exps)
+        assert calls == []
+        for name in ("b", "z", "n_trans", "n_exit"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    def test_rejects_exponentials_with_the_wrong_index_length(self):
+        x, delta, pi_rows, subs = _toy_data(seed=359, n=8, d=2, p=3)
+        exps = [phasetype._exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
+        exps[1] = phasetype._exponentials(subs[1], x[:-1, 1])
+        with pytest.raises(ValueError, match="margin 1: .* 8 indices"):
+            e_step(x, delta, pi_rows, subs, exps)
+
+    def test_rejects_exponentials_of_the_wrong_size(self):
+        x, delta, pi_rows, subs = _toy_data(seed=359, n=8, d=2, p=3)
+        exps = [phasetype._exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
+        exps[0] = phasetype._exponentials(random_chain(np.random.default_rng(1), 2),
+                                          x[:, 0])
+        with pytest.raises(ValueError, match=r"margin 0: .* \(k, 3, 3\)"):
+            e_step(x, delta, pi_rows, subs, exps)
+
 
 class TestSufficientStats:
     def test_shape_and_sign_validation(self):
@@ -761,12 +791,13 @@ class TestIStep:
         trials = []
         real = estimation._age_scale_loglik
 
-        def zero_at_first_trial(y, delta, per_obs_pi, subs, betas, derivatives=True):
+        def zero_at_first_trial(y, delta, per_obs_pi, subs, betas, derivatives=True,
+                                keep=None):
             trials.append(betas)
             if len(trials) == 2:
                 per_obs_pi = per_obs_pi.copy()
                 per_obs_pi[7] = 0.0
-            return real(y, delta, per_obs_pi, subs, betas, derivatives)
+            return real(y, delta, per_obs_pi, subs, betas, derivatives, keep)
 
         monkeypatch.setattr(estimation, "_age_scale_loglik", zero_at_first_trial)
         got, ll = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
@@ -1020,6 +1051,103 @@ class TestFit:
         report = fit(obs, config)
         assert report.iterations == 4
         assert outside == ([] if i_step_every else [False] * 4)
+
+    @pytest.mark.parametrize("i_step_every", [0, 1, 2])
+    def test_matches_the_steps_run_without_reuse(self, i_step_every):
+        """`fit` reuses exponentials across steps; a loop of the public steps
+        that takes every exponential afresh gives the same fit bit for bit."""
+        obs = self._synthetic(433, n=250)
+        config = FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=5,
+                           i_step_every=i_step_every, beta_init=1.0)
+        mask = transition_mask("coxian", 2)
+        betas = np.ones(2)
+        subs = estimation._initial_sub_intensities(obs, mask, betas,
+                                                   np.random.default_rng(5))
+        gamma, pi_rows = np.zeros((2, 2)), np.full((obs.n, 2), 0.5)
+        trace = []
+        for it in range(1, 5):
+            stats = e_step(transform_data(obs, betas), obs.delta, pi_rows, subs)
+            gamma, pi_rows = r_step(stats.b, obs.covariates, gamma)
+            subs = m_step(stats, mask)
+            if i_step_every and it % i_step_every == 0:
+                betas, ll = i_step(obs, pi_rows, subs, betas)
+            else:
+                ll = _age_scale_loglik(obs.y, obs.delta, pi_rows, subs, betas,
+                                       derivatives=False)
+            trace.append(ll)
+
+        report = fit(obs, config)
+        np.testing.assert_array_equal(report.loglik_trace, trace)
+        np.testing.assert_array_equal(report.model.gamma, gamma)
+        for margin, sub, beta in zip(report.model.margins, subs, betas):
+            np.testing.assert_array_equal(margin.sub.matrix, sub.matrix)
+            assert margin.transform.beta == beta
+
+    @pytest.mark.parametrize("i_step_every", [0, 1, 2])
+    def test_one_exponential_per_parameter_point(self, monkeypatch, i_step_every):
+        """Each likelihood evaluation exponentiates once per margin, and only
+        the first E-step exponentiates: every later one takes the pairs of
+        the evaluation that accepted its parameters."""
+        obs = self._synthetic(433, n=250)
+        calls, evals, given = [], [], []
+        real_loglik, real_e_step = estimation._age_scale_loglik, estimation.e_step
+        monkeypatch.setattr(phasetype, "expm_batch",
+                            lambda a: calls.append(1) or expm_batch(a))
+        monkeypatch.setattr(estimation, "_age_scale_loglik",
+                            lambda *a, **k: evals.append(1) or real_loglik(*a, **k))
+        monkeypatch.setattr(estimation, "e_step",
+                            lambda *a: given.append(a[4] is not None) or real_e_step(*a))
+        fit(obs, FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=5,
+                           i_step_every=i_step_every, beta_init=1.0))
+        assert given == [False, True, True, True]
+        assert len(calls) == 2 + 2 * len(evals)
+
+    def test_rejected_last_trial_leaves_the_e_step_to_exponentiate(self, monkeypatch):
+        """Every I-step trial here has a row of zero likelihood and is
+        rejected, so no pair at the incumbent is left: the next E-step takes
+        its own exponentials."""
+        obs = self._synthetic(433, n=250)
+        incumbent, given = [], []
+        real_loglik, real_i_step = estimation._age_scale_loglik, estimation.i_step
+        real_e_step = estimation.e_step
+
+        def zero_at_trials(y, delta, per_obs_pi, subs, betas, derivatives=True, keep=None):
+            if incumbent and not np.array_equal(betas, incumbent[-1]):
+                per_obs_pi = per_obs_pi.copy()
+                per_obs_pi[7] = 0.0
+            return real_loglik(y, delta, per_obs_pi, subs, betas, derivatives, keep)
+
+        def recorded(*args, **kwargs):
+            incumbent.append(args[3])
+            return real_i_step(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_age_scale_loglik", zero_at_trials)
+        monkeypatch.setattr(estimation, "i_step", recorded)
+        monkeypatch.setattr(estimation, "e_step",
+                            lambda *a: given.append(a[4] is not None) or real_e_step(*a))
+        report = fit(obs, FitConfig(p=2, max_iterations=4, loglik_tolerance=None,
+                                    seed=5, i_step_every=2, beta_init=1.0))
+        assert given == [False, True, False, True]
+        assert report.model.margins[0].transform.beta == 1.0
+
+    def test_one_parameter_point_alive_at_a_time(self, monkeypatch):
+        """Whenever the fit exponentiates, at most the other margin's matrices
+        of the same point are still alive, and none outlive the fit."""
+        obs = self._synthetic(433, n=250)
+        refs, alive = [], []
+        real = estimation._exponentials
+
+        def tracked(sub, x):
+            alive.append(sum(ref() is not None for ref in refs))
+            mats, index = real(sub, x)
+            refs.append(weakref.ref(mats))
+            return mats, index
+
+        monkeypatch.setattr(estimation, "_exponentials", tracked)
+        fit(obs, FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=5,
+                           i_step_every=1, beta_init=1.0))
+        assert len(alive) > 8 and max(alive) == 1
+        assert all(ref() is None for ref in refs)
 
     @pytest.mark.parametrize("iterations", [4, 3])
     def test_final_loglik_is_the_returned_model_value(self, iterations):
