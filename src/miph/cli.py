@@ -61,8 +61,8 @@ def _parse_grid(text: str, what: str) -> np.ndarray:
         start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise DataValidationError(f"{what} must be numeric, got {text!r}") from None
-    if num < 1 or stop < start or start < 0:
-        raise DataValidationError(f"{what}: need 0 <= start <= stop and num >= 1")
+    if num < 1 or not 0.0 <= start <= stop < np.inf:  # NaN fails every comparison
+        raise DataValidationError(f"{what}: need finite 0 <= start <= stop and num >= 1")
     return np.linspace(start, stop, num)
 
 

@@ -270,7 +270,8 @@ def beran_cdf(times, deltas, covariates, query, bandwidth: float, t):
     bandwidth : float
         Kernel bandwidth b > 0, in the covariates' units.
     t : scalar or array_like
-        Evaluation time(s); values below the smallest observation give 0.
+        Evaluation time(s), not NaN; values below the smallest observation
+        give 0.
     """
     times = np.asarray(times, dtype=float)
     deltas = np.asarray(deltas)
@@ -292,6 +293,9 @@ def beran_cdf(times, deltas, covariates, query, bandwidth: float, t):
     bandwidth = float(bandwidth)
     if not (np.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")
+    t_arr = np.asarray(t, dtype=float)
+    if np.any(np.isnan(t_arr)):
+        raise ValueError("evaluation times must not be NaN")
 
     dist2 = (((cov - q) / bandwidth) ** 2).sum(axis=1)
     with np.errstate(under="ignore"):
@@ -313,7 +317,6 @@ def beran_cdf(times, deltas, covariates, query, bandwidth: float, t):
         factors = np.where(ds & (at_risk > 0.0), 1.0 - ws / at_risk, 1.0)
     surv_steps = np.cumprod(factors)
 
-    t_arr = np.asarray(t, dtype=float)
     idx = np.searchsorted(ts, t_arr, side="right")
     flat = np.concatenate([[1.0], surv_steps])
     vals = 1.0 - flat[idx]

@@ -19,10 +19,10 @@ covariates. One EM iteration runs four steps:
 * I: guarded Newton ascent of the observed log-likelihood over
   theta = log(beta), on its analytic gradient and exact d x d Hessian.
 
-Each parameter point is exponentiated once per margin: the likelihood
-evaluation that accepts the current parameters (the I-step's last one, or
-the value pass of an iteration without one) keeps its exp(T x), and the next
-E-step takes them instead of exponentiating the same T x again.
+Each parameter point is exponentiated once per margin: the EM start and
+each likelihood evaluation return their exp(T x) pairs with their values, and
+:func:`fit` hands those of the point it accepts to the next E-step instead of
+exponentiating the same T x again.
 
 Times enter estimation on the internal scale (years / 100); see `dataio`.
 """
@@ -298,8 +298,9 @@ def e_step(x, delta, per_obs_pi, subs, exps=None) -> SufficientStats:
     99.3 where the operational times sum to 304.8. Its exp(T x) is as far
     off, 0 near c = 1e21, so the evidence and the absorption counts take the
     exponentials of :func:`phasetype._exponentials` instead. :func:`fit`
-    passes those of the likelihood evaluation that accepted the current
-    parameters, so each parameter point is exponentiated once per margin.
+    passes the pairs returned by the EM start or by the likelihood
+    evaluation that accepted the current parameters, so each parameter
+    point is exponentiated once per margin.
 
     A row whose evidence is exactly 0 in double precision raises
     :class:`NumericalError` naming it; no row is dropped. So does a row whose
@@ -493,29 +494,26 @@ def m_step(stats: SufficientStats, mask):
     return out
 
 
-def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True, keep=None):
+def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
     """Observed log-likelihood with the transform Jacobians included, and its
     gradient and Hessian in theta = log(beta).
 
-    Returns ``(total, grad, hess)`` with the (d,) gradient and the (d, d)
-    Hessian, or ``total`` alone without ``derivatives``. Every row keeps its
+    Returns ``(total, grad, hess, exps)`` with the (d,) gradient and the
+    (d, d) Hessian, or ``(total, exps)`` without ``derivatives``. ``exps``
+    holds margin i's :func:`phasetype._exponentials` pair in position i,
+    the pairs :func:`e_step` needs at these parameters. Every row keeps its
     exact log, however small; a row whose likelihood is 0 in double
     precision raises :class:`NumericalError` naming it.
     Margin i's factor and its theta-derivatives come from
     :func:`phasetype._age_factors`: survival where censored, density with
-    the Jacobian where the death was observed. ``keep``, if given, is a list
-    that is emptied first, freeing the exponentials it held, and then
-    receives margin i's :func:`phasetype._exponentials` pair in position i,
-    the pairs :func:`e_step` needs at these parameters.
+    the Jacobian where the death was observed.
     """
     d = y.shape[1]
-    keep = [] if keep is None else keep
-    keep.clear()
-    parts = []
+    exps, parts = [], []
     for i, sub in enumerate(subs):
-        keep.append(_exponentials(sub, _operational_time(betas[i], y[:, i])))
+        exps.append(_exponentials(sub, _operational_time(betas[i], y[:, i])))
         parts.append(_age_factors(sub, betas[i], y[:, i], delta[:, i].astype(bool),
-                                  derivatives, keep[i]))
+                                  derivatives, exps[i]))
     lik = per_obs_pi.copy()
     for f, *_ in parts:
         lik *= f
@@ -523,7 +521,7 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True, keep=
     _require_rows(rows > 0.0, "likelihood underflowed to 0")
     total = float(np.log(rows).sum())
     if not derivatives:
-        return total
+        return total, exps
     with np.errstate(over="ignore"):
         inv = 1.0 / rows
     overflow = np.isinf(inv)  # rows under 2**-1024: divide by them instead
@@ -550,7 +548,7 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True, keep=
             hess[i, k] = hess[k, i] = (
                 weighted({i: first[i], k: first[k]}) - score[i] * score[k]
             ).sum()
-    return total, grad, hess
+    return total, grad, hess, exps
 
 
 def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
@@ -568,11 +566,10 @@ def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
     subs = [m.sub for m in model.margins]
     betas = np.array([m.transform.beta for m in model.margins])
     return _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
-                             derivatives=False)
+                             derivatives=False)[0]
 
 
-def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init,
-           keep=None) -> tuple[np.ndarray, float]:
+def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init):
     """Update the transform parameters by guarded Newton ascent of the
     observed log-likelihood over theta = log(beta).
 
@@ -585,25 +582,23 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init,
     counts as -inf and is rejected; at the incumbent such a row raises
     :class:`NumericalError`. The step never lowers the likelihood.
 
-    Returns ``(betas, loglik)``: ``betas = exp(theta)`` at the last accepted
-    point (the incumbent if none was), and the log-likelihood evaluated
-    there. Each point is exponentiated once per margin, and at most one
-    point's exponentials are alive at a time: ``keep``, if given, ends
-    holding the per-margin pairs of the evaluation at ``betas`` (see
-    :func:`_age_scale_loglik`) when that evaluation was the last, and empty
-    when a rejected trial came after it.
+    Returns ``(betas, loglik, exps)``: ``betas = exp(theta)`` at the last
+    accepted point (the incumbent if none was), the log-likelihood evaluated
+    there, and that evaluation's per-margin exponential pairs (see
+    :func:`_age_scale_loglik`), or None when a rejected trial came after it.
+    Each point is exponentiated once per margin, and the incumbent's pairs
+    are dropped before each trial is evaluated, so at most one point's
+    exponentials are alive at a time.
     """
     betas_init = _as_betas(betas_init, obs.n_margins)
     per_obs_pi = np.asarray(per_obs_pi, dtype=float)
     lo, hi = _LOG_BETA_BOUNDS
-    keep = [] if keep is None else keep
 
     def evaluate(theta):
-        return _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, np.exp(theta),
-                                 keep=keep)
+        return _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, np.exp(theta))
 
     theta = np.log(betas_init)
-    cur, grad, hess = evaluate(theta)
+    cur, grad, hess, exps = evaluate(theta)
     if not np.isfinite(cur):
         raise NumericalError("transform objective is non-finite at the incumbent")
     evals = 1
@@ -624,8 +619,9 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init,
             trial = np.clip(theta + step * direction, lo, hi)
             if np.array_equal(trial, theta):
                 break
+            exps = None  # free the incumbent's before the trial takes its own
             try:
-                new, new_grad, new_hess = evaluate(trial)
+                new, new_grad, new_hess, exps = evaluate(trial)
             except NumericalError:  # a row of zero likelihood
                 new = -np.inf
             evals += 1
@@ -633,11 +629,11 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init,
                 theta, cur, grad, hess = trial, new, new_grad, new_hess
                 accepted = True
                 break
-            keep.clear()  # a rejected point's exponentials serve no E-step
+            exps = None  # a rejected point's exponentials serve no E-step
             step *= 0.5
         if not accepted:
             break
-    return np.exp(theta), cur
+    return np.exp(theta), cur, exps
 
 
 def _initial_sub_intensities(obs, mask, betas, rng):
@@ -647,7 +643,9 @@ def _initial_sub_intensities(obs, mask, betas, rng):
     Keeps iteration 1 on a sane numeric scale. A couple censored far past
     that mean can have evidence 0 or nearly so at this start; then every
     margin's mean is doubled, at most 64 times, until no couple's evidence
-    under equal start weights is below _START_EVIDENCE."""
+    under equal start weights is below _START_EVIDENCE. Returns ``(subs, exps)``
+    with each margin's :func:`phasetype._exponentials` pair at ``subs``, which
+    the first :func:`e_step` takes."""
     x = transform_data(obs, betas)
     p = mask.shape[0]
     anchor = (p + 1) // 2 - 1  # middle state, 0-based
@@ -661,19 +659,13 @@ def _initial_sub_intensities(obs, mask, betas, rng):
     for doubling in range(65):
         subs = [SubIntensity(matrix * (mean / (target * 2.0 ** doubling)))
                 for matrix, mean, target in zip(raw, means, targets)]
-        # exp(T x) >= exp(diag(T) x) entrywise, so only couples where that
-        # cheap bound on the evidence is low need the full exponentials
-        bound = np.full((obs.n, p), 1.0 / p)
+        exps, w = [], np.full((obs.n, p), 1.0 / p)  # frees the last doubling's
         for i, sub in enumerate(subs):
-            v = np.where(obs.delta[:, i, None] == 1, sub.exit_rates, 1.0)
-            bound *= np.exp(np.diag(sub.matrix) * x[:, i, None]) * v
-        rows = np.flatnonzero(~(bound.sum(axis=1) >= _START_EVIDENCE))
-        w = np.full((rows.size, p), 1.0 / p)
-        for i, sub in enumerate(subs):
-            w *= _exp_factors(sub, _exponentials(sub, x[rows, i]), obs.delta[rows, i])[0]
+            exps.append(_exponentials(sub, x[:, i]))
+            w *= _exp_factors(sub, exps[i], obs.delta[:, i])[0]
         if np.all(w.sum(axis=1) >= _START_EVIDENCE):
             break
-    return subs
+    return subs, exps
 
 
 def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
@@ -683,7 +675,8 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     rate initialization, seeded by ``config.seed``. Trace entry k is the
     observed log-likelihood at the end of iteration k: the I-step's own value
     where one ran, else one value pass. The next E-step reuses that
-    evaluation's exponentials, unless a rejected I-step trial came after it.
+    evaluation's exponentials, unless a rejected I-step trial came after it;
+    the first takes those of the start.
     A couple whose evidence or likelihood is 0 in double precision stops the
     fit with a :class:`NumericalError` naming its row; no row is dropped.
     """
@@ -691,26 +684,24 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     mask = transition_mask(config.structure, config.p)
     rng = np.random.default_rng(config.seed)
     betas = _as_betas(config.beta_init, d)
-    subs = _initial_sub_intensities(obs, mask, betas, rng)
+    subs, exps = _initial_sub_intensities(obs, mask, betas, rng)
     gamma = np.zeros((config.p, obs.covariates.shape[1]))
     per_obs_pi = np.full((n, config.p), 1.0 / config.p)
 
     trace = []
     converged = False
     prev = None
-    held = []  # per margin, exp(T x) at (subs, betas), empty when not at hand
     for it in range(1, config.max_iterations + 1):
         try:
-            stats = e_step(transform_data(obs, betas), obs.delta, per_obs_pi, subs,
-                           held or None)
-            held.clear()  # free them through the R-, M- and I-steps
+            stats = e_step(transform_data(obs, betas), obs.delta, per_obs_pi, subs, exps)
+            exps = None  # free them through the R-, M- and I-steps
             gamma, per_obs_pi = r_step(stats.b, obs.covariates, gamma)
             subs = m_step(stats, mask)
             if config.i_step_every and it % config.i_step_every == 0:
-                betas, ll = i_step(obs, per_obs_pi, subs, betas, keep=held)
+                betas, ll, exps = i_step(obs, per_obs_pi, subs, betas)
             else:
-                ll = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
-                                       derivatives=False, keep=held)
+                ll, exps = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
+                                             derivatives=False)
         except NumericalError as err:
             raise NumericalError(f"EM iteration {it}: {err}") from err
         trace.append(ll)

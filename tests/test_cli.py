@@ -399,6 +399,13 @@ class TestArgumentErrors:
         assert rc == 2
         assert "start:stop:num" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("grid", ["nan:10:3", "0:inf:3", "0:nan:3"])
+    def test_non_finite_grid_ends_exit_two(self, data_csv, grid, capsys):
+        rc = main(["beran", str(data_csv), "--ages", "63,63", "--grid", grid])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "--grid" in captured.err and captured.out == ""
+
     def test_bad_ages_pair(self, spousal_model_path, capsys):
         rc = main(["eval", str(spousal_model_path), "--ages", "63",
                    "--points", "1,1"])

@@ -405,6 +405,11 @@ class TestBeran:
             beran_cdf(data["times"], np.array([1, 1, 1, 0]), data["cov"], 0.0, 1.0,
                       [1.5, 2.5, 5.0])
 
+    @pytest.mark.parametrize("t", [np.nan, [1.5, np.nan]])
+    def test_rejects_nan_evaluation_times(self, t):
+        with pytest.raises(ValueError, match="NaN"):
+            beran_cdf(np.array([1.0, 2.0]), np.array([1, 0]), np.zeros(2), 0.0, 1.0, t)
+
 
 class TestGenerateSynthetic:
     def _model(self):

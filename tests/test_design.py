@@ -3,13 +3,16 @@
 Every exp(T x) is taken in `phasetype._exponentials`, once per distinct x,
 and every factor ``e_j' exp(T x) v`` comes from `phasetype._exp_factors`,
 the E-step's evidence included; the E-step's absorption counts contract the
-same exponentials. The only other matrix exponential is the Fréchet
-derivative that gives the E-step's occupancy integrals. Until ROADMAP E1 the
-posterior weights set that derivative's scaling, so its exp(T x) cannot
-stand in: on general structures it is 8.8e-5 off at weights near 4e10, and
-with one couple censored at 600 times the mean a margin's occupancies sum
-to 99.3 where its operational times sum to 304.8. Both exponential kernels in
-`linalg` share one Padé-13 table. Matrix exponentials never come from scipy.
+same exponentials. In estimation, the EM start and the likelihood return
+their exponential pairs as values, which the fit hands to the next E-step;
+the E-step takes its own only when called without them. The only other
+matrix exponential is the Fréchet derivative that gives the E-step's
+occupancy integrals. Until ROADMAP E1 the posterior weights set that
+derivative's scaling, so its exp(T x) cannot stand in: on general
+structures it is 8.8e-5 off at weights near 4e10, and with one couple
+censored at 600 times the mean a margin's occupancies sum to 99.3 where
+its operational times sum to 304.8. Both exponential kernels in `linalg`
+share one Padé-13 table. Matrix exponentials never come from scipy.
 CSV text is read and written in `dataio` alone. Every keyword-only option
 of a package function is set by some caller outside the tests; one that no
 caller sets is a module constant. A public name is listed in its own
@@ -71,6 +74,15 @@ def _call_sites(name):
 def test_expm_batch_call_sites():
     assert _call_sites("expm_batch") == [("phasetype", "_exponentials")]
     assert _call_sites("expm_frechet_batch") == [("estimation", "e_step")]
+
+
+def test_exponentials_call_sites():
+    """Estimation exponentiates at the EM start, in the likelihood and in an
+    E-step called without pairs; `phasetype` in its factor kernels."""
+    assert _call_sites("_exponentials") == [
+        ("estimation", "_age_scale_loglik"), ("estimation", "_initial_sub_intensities"),
+        ("estimation", "e_step"), ("phasetype", "_age_factors"),
+        ("phasetype", "ph_density"), ("phasetype", "ph_survival")]
 
 
 def test_only_linalg_and_phasetype_bind_expm_batch():

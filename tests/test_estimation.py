@@ -631,7 +631,7 @@ class TestIStep:
 
     def _loglik(self, obs, pi_rows, subs, betas):
         return _age_scale_loglik(obs.y, obs.delta, pi_rows, subs,
-                                 np.asarray(betas, dtype=float), derivatives=False)
+                                 np.asarray(betas, dtype=float), derivatives=False)[0]
 
     def _mixed_case(self, rng, p, n=60):
         """Two margins with their own rates, censored and observed rows."""
@@ -663,8 +663,8 @@ class TestIStep:
         pi_rows = np.full((2, 2), 0.5)
         exact = np.logaddexp.reduce(np.log(0.5) - x.sum(axis=1)[:, None] * [1.0, 2.0],
                                     axis=1).sum()
-        total = _age_scale_loglik(y, np.zeros((2, 2), dtype=int), pi_rows, subs,
-                                  np.ones(2), derivatives=False)
+        total, _ = _age_scale_loglik(y, np.zeros((2, 2), dtype=int), pi_rows, subs,
+                                     np.ones(2), derivatives=False)
         assert total < np.log(0.5 * 1e-300)
         np.testing.assert_allclose(total, exact, rtol=1e-12)
 
@@ -675,7 +675,7 @@ class TestIStep:
         y = np.log1p([[0.5, 0.4], [356.5, 356.5]])  # operational times at beta = 1
         delta = np.zeros((2, 2), dtype=int)
         pi_rows = np.full((2, 2), 0.5)
-        total, grad, hess = _age_scale_loglik(y, delta, pi_rows, subs, np.ones(2))
+        total, grad, hess, _ = _age_scale_loglik(y, delta, pi_rows, subs, np.ones(2))
         assert total < np.log(2.0 ** -1024)
         h = 1e-6
         for i in range(2):
@@ -692,7 +692,7 @@ class TestIStep:
         h = 1e-5
         for p in (1, 2, 3, 4, 3, 2):
             y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
-            total, grad, hess = _age_scale_loglik(y, delta, pi_rows, subs, betas)
+            total, grad, hess, _ = _age_scale_loglik(y, delta, pi_rows, subs, betas)
             assert np.isfinite(total)
             theta = np.log(betas)
             num_grad = np.zeros(2)
@@ -712,13 +712,13 @@ class TestIStep:
         rng = np.random.default_rng(373)
         for p in (1, 2, 3, 5):
             y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
-            total, _, _ = _age_scale_loglik(y, delta, pi_rows, subs, betas)
+            total, _, _, _ = _age_scale_loglik(y, delta, pi_rows, subs, betas)
             assert total == reference_age_scale_loglik(y, delta, pi_rows, subs, betas)
 
     def test_joint_mode_improves_and_flattens_gradient(self):
         obs, pi_rows, subs = self._age_data()
         start = np.array([1.0, 1.0])
-        got, ll = i_step(obs, pi_rows, subs, start)
+        got, ll, _ = i_step(obs, pi_rows, subs, start)
         before = self._loglik(obs, pi_rows, subs, start)
         after = self._loglik(obs, pi_rows, subs, got)
         assert after > before
@@ -741,14 +741,14 @@ class TestIStep:
     def test_improves_from_bad_start(self):
         obs, pi_rows, subs = self._age_data(seed=379)
         start = np.array([1.0, 1.0])
-        got, _ = i_step(obs, pi_rows, subs, start)
+        got, _, _ = i_step(obs, pi_rows, subs, start)
         assert (self._loglik(obs, pi_rows, subs, got)
                 > self._loglik(obs, pi_rows, subs, start))
 
     def test_never_returns_worse_than_incumbent(self):
         obs, pi_rows, subs = self._age_data(seed=383, n=150)
-        first, ll_first = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
-        second, ll_second = i_step(obs, pi_rows, subs, first)
+        first, ll_first, _ = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
+        second, ll_second, _ = i_step(obs, pi_rows, subs, first)
         assert ll_second >= ll_first
         assert ll_second == self._loglik(obs, pi_rows, subs, second)
 
@@ -760,10 +760,10 @@ class TestIStep:
                             lambda a: calls.append(1) or expm_batch(a))
         monkeypatch.setattr(estimation, "_LOG_BETA_BOUNDS", (-5.0, 0.0))
         start = np.array([1.0, 1.0])
-        got, _ = i_step(obs, pi_rows, subs, start)
+        got, _, _ = i_step(obs, pi_rows, subs, start)
         np.testing.assert_array_equal(got, start)
         assert len(calls) == 2  # one evaluation: the incumbent
-        got, _ = i_step(obs, pi_rows, subs, np.array([0.5, 0.5]))
+        got, _, _ = i_step(obs, pi_rows, subs, np.array([0.5, 0.5]))
         assert np.all(got <= 1.0)
         assert (self._loglik(obs, pi_rows, subs, got)
                 > self._loglik(obs, pi_rows, subs, [0.5, 0.5]))
@@ -791,16 +791,15 @@ class TestIStep:
         trials = []
         real = estimation._age_scale_loglik
 
-        def zero_at_first_trial(y, delta, per_obs_pi, subs, betas, derivatives=True,
-                                keep=None):
+        def zero_at_first_trial(y, delta, per_obs_pi, subs, betas, derivatives=True):
             trials.append(betas)
             if len(trials) == 2:
                 per_obs_pi = per_obs_pi.copy()
                 per_obs_pi[7] = 0.0
-            return real(y, delta, per_obs_pi, subs, betas, derivatives, keep)
+            return real(y, delta, per_obs_pi, subs, betas, derivatives)
 
         monkeypatch.setattr(estimation, "_age_scale_loglik", zero_at_first_trial)
-        got, ll = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
+        got, ll, _ = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
         assert len(trials) >= 3
         assert not np.array_equal(got, trials[1])
         assert ll > self._loglik(obs, pi_rows, subs, [1.0, 1.0])
@@ -949,7 +948,8 @@ class TestFit:
         """Row 0 is censored at 600 times the uncensored mean, so at the
         start scaled to that mean its evidence is below _START_EVIDENCE; the
         means are doubled until it is not, and the fit runs. Without such a
-        row the start is the plain rescale, bit for bit."""
+        row the start is the plain rescale, bit for bit. Either way the start
+        returns each margin's exponentials at the rates it returns."""
         mask = transition_mask("coxian", 2)
 
         def plain_start(o):
@@ -963,8 +963,14 @@ class TestFit:
             return subs
 
         def start(o):
-            return estimation._initial_sub_intensities(
+            subs, exps = estimation._initial_sub_intensities(
                 o, mask, np.ones(2), np.random.default_rng(0))
+            x = transform_data(o, np.ones(2))
+            for i, (sub, (mats, index)) in enumerate(zip(subs, exps)):
+                want_mats, want_index = phasetype._exponentials(sub, x[:, i])
+                np.testing.assert_array_equal(mats, want_mats)
+                np.testing.assert_array_equal(index, want_index)
+            return subs
 
         def evidence(o, subs):
             x = transform_data(o, np.ones(2))
@@ -1013,7 +1019,7 @@ class TestFit:
         mean uncensored operational time; at p = 1 that is 1 / rate."""
         obs = self._synthetic(409, n=120)
         x = transform_data(obs, np.ones(2))
-        subs = estimation._initial_sub_intensities(
+        subs, _ = estimation._initial_sub_intensities(
             obs, transition_mask(structure, p), np.ones(2), np.random.default_rng(3))
         middle = (p + 1) // 2 - 1
         for i, sub in enumerate(subs):
@@ -1061,8 +1067,8 @@ class TestFit:
                            i_step_every=i_step_every, beta_init=1.0)
         mask = transition_mask("coxian", 2)
         betas = np.ones(2)
-        subs = estimation._initial_sub_intensities(obs, mask, betas,
-                                                   np.random.default_rng(5))
+        subs, _ = estimation._initial_sub_intensities(obs, mask, betas,
+                                                      np.random.default_rng(5))
         gamma, pi_rows = np.zeros((2, 2)), np.full((obs.n, 2), 0.5)
         trace = []
         for it in range(1, 5):
@@ -1070,10 +1076,10 @@ class TestFit:
             gamma, pi_rows = r_step(stats.b, obs.covariates, gamma)
             subs = m_step(stats, mask)
             if i_step_every and it % i_step_every == 0:
-                betas, ll = i_step(obs, pi_rows, subs, betas)
+                betas, ll, _ = i_step(obs, pi_rows, subs, betas)
             else:
-                ll = _age_scale_loglik(obs.y, obs.delta, pi_rows, subs, betas,
-                                       derivatives=False)
+                ll, _ = _age_scale_loglik(obs.y, obs.delta, pi_rows, subs, betas,
+                                          derivatives=False)
             trace.append(ll)
 
         report = fit(obs, config)
@@ -1085,9 +1091,9 @@ class TestFit:
 
     @pytest.mark.parametrize("i_step_every", [0, 1, 2])
     def test_one_exponential_per_parameter_point(self, monkeypatch, i_step_every):
-        """Each likelihood evaluation exponentiates once per margin, and only
-        the first E-step exponentiates: every later one takes the pairs of
-        the evaluation that accepted its parameters."""
+        """Each likelihood evaluation exponentiates once per margin, and no
+        E-step exponentiates: the first takes the pairs of the start, every
+        later one those of the evaluation that accepted its parameters."""
         obs = self._synthetic(433, n=250)
         calls, evals, given = [], [], []
         real_loglik, real_e_step = estimation._age_scale_loglik, estimation.e_step
@@ -1099,7 +1105,7 @@ class TestFit:
                             lambda *a: given.append(a[4] is not None) or real_e_step(*a))
         fit(obs, FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=5,
                            i_step_every=i_step_every, beta_init=1.0))
-        assert given == [False, True, True, True]
+        assert given == [True] * 4
         assert len(calls) == 2 + 2 * len(evals)
 
     def test_rejected_last_trial_leaves_the_e_step_to_exponentiate(self, monkeypatch):
@@ -1111,11 +1117,11 @@ class TestFit:
         real_loglik, real_i_step = estimation._age_scale_loglik, estimation.i_step
         real_e_step = estimation.e_step
 
-        def zero_at_trials(y, delta, per_obs_pi, subs, betas, derivatives=True, keep=None):
+        def zero_at_trials(y, delta, per_obs_pi, subs, betas, derivatives=True):
             if incumbent and not np.array_equal(betas, incumbent[-1]):
                 per_obs_pi = per_obs_pi.copy()
                 per_obs_pi[7] = 0.0
-            return real_loglik(y, delta, per_obs_pi, subs, betas, derivatives, keep)
+            return real_loglik(y, delta, per_obs_pi, subs, betas, derivatives)
 
         def recorded(*args, **kwargs):
             incumbent.append(args[3])
@@ -1127,13 +1133,14 @@ class TestFit:
                             lambda *a: given.append(a[4] is not None) or real_e_step(*a))
         report = fit(obs, FitConfig(p=2, max_iterations=4, loglik_tolerance=None,
                                     seed=5, i_step_every=2, beta_init=1.0))
-        assert given == [False, True, False, True]
+        assert given == [True, True, False, True]
         assert report.model.margins[0].transform.beta == 1.0
 
     def test_one_parameter_point_alive_at_a_time(self, monkeypatch):
         """Whenever the fit exponentiates, at most the other margin's matrices
-        of the same point are still alive, and none outlive the fit."""
-        obs = self._synthetic(433, n=250)
+        of the same point are still alive, and none outlive the fit. On the
+        far-censored data the start doubles its means once, and the previous
+        doubling's matrices are gone before the next are taken."""
         refs, alive = [], []
         real = estimation._exponentials
 
@@ -1144,10 +1151,13 @@ class TestFit:
             return mats, index
 
         monkeypatch.setattr(estimation, "_exponentials", tracked)
-        fit(obs, FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=5,
-                           i_step_every=1, beta_init=1.0))
-        assert len(alive) > 8 and max(alive) == 1
-        assert all(ref() is None for ref in refs)
+        for obs in (self._synthetic(433, n=250),
+                    self._far_censored(self._synthetic(389, 200))):
+            alive.clear()
+            fit(obs, FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=5,
+                               i_step_every=1, beta_init=1.0))
+            assert len(alive) > 8 and max(alive) == 1
+            assert all(ref() is None for ref in refs)
 
     @pytest.mark.parametrize("iterations", [4, 3])
     def test_final_loglik_is_the_returned_model_value(self, iterations):
