@@ -2,9 +2,9 @@
 
 A lifetime is modelled as the absorption time of a Markov jump process on a
 few transient states, observed through a time transform that bends the
-operational clock into calendar age. This script builds one such margin,
-checks its density integrates to one, and compares simulated draws with the
-exact survival function.
+operational clock into calendar age. This script builds one such margin as
+a one-margin joint model, checks its density integrates to one, and compares
+simulated draws with the exact survival function.
 
 Run from the repository root:
 
@@ -16,10 +16,11 @@ from scipy import integrate
 
 from miph import (
     GompertzTransform,
+    Margin,
+    MIPHModel,
     SubIntensity,
-    iph_density,
-    iph_survival,
-    ph_density,
+    joint_density,
+    marginal_survival,
     sample_absorption_times,
 )
 
@@ -42,22 +43,19 @@ def main():
     print(sub.matrix)
     print("exit rates:", sub.exit_rates)
 
-    # On the operational clock the density must integrate to one.
-    total, _ = integrate.quad(lambda x: ph_density(sub, pi, x), 0, 200)
-    print(f"\noperational density integrates to {total:.12f}")
-
     # The transform: age y corresponds to operational time (e^(b y) - 1) / b.
     transform = GompertzTransform(4.0)
+    print()
     for y in (0.2, 0.5, 0.8):
         x = transform.inverse(y)
         print(f"age {y:.1f} -> operational time {x:8.3f} "
               f"-> back to age {transform.forward(x):.10f}")
 
-    # Age-scale density still integrates to one (the Jacobian is built in).
-    total_age, _ = integrate.quad(
-        lambda y: iph_density(sub, pi, transform, y), 0, 3.0
-    )
-    print(f"age-scale density integrates to   {total_age:.12f}")
+    # Chain plus transform is one margin; a model of that margin alone is
+    # the single lifetime, whose joint density is its age-scale density.
+    model = MIPHModel((Margin(sub, transform),))
+    total, _ = integrate.quad(lambda y: joint_density(model, pi, [y]), 0, 3.0)
+    print(f"\nage-scale density integrates to {total:.12f}")
 
     # Simulate by running the jump chain and read off survival frequencies.
     starts = rng.choice(3, size=200_000, p=pi)
@@ -65,7 +63,7 @@ def main():
     y_draws = transform.forward(x_draws)
     print("\n  age   exact S(y)   simulated")
     for y in (0.1, 0.3, 0.5, 0.7, 0.9):
-        exact = iph_survival(sub, pi, transform, y)
+        exact = marginal_survival(model, pi, 0, y)
         seen = float(np.mean(y_draws > y))
         print(f"  {y:.1f}   {exact:.6f}     {seen:.6f}")
 

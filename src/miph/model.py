@@ -28,8 +28,6 @@ from .phasetype import (
     _check_absorbing,
     _check_nonneg,
     _check_start_rows,
-    iph_density,
-    iph_survival,
     sample_absorption_times,
     validate_initial_vector,
 )
@@ -40,7 +38,6 @@ __all__ = [
     "joint_density",
     "joint_survival",
     "joint_cdf",
-    "marginal_density",
     "marginal_survival",
     "condition_on_value",
     "condition_on_survival",
@@ -50,7 +47,6 @@ __all__ = [
     "psi2",
     "cross_ratio",
     "conditional_expectation",
-    "sample_joint",
     "sample_joint_rows",
 ]
 
@@ -203,15 +199,12 @@ def _over_margins(model: MIPHModel, pi, y, factor):
 
 
 def marginal_survival(model: MIPHModel, pi, margin: int, y):
-    """Survival of one coordinate, ignoring the others."""
+    """Survival of one coordinate, ignoring the others, at the scalar or 1-d
+    ``y >= 0``; a scalar gives a float."""
     m = model.margins[_check_margin(model, margin)]
-    return iph_survival(m.sub, pi, m.transform, y)
-
-
-def marginal_density(model: MIPHModel, pi, margin: int, y):
-    """Density of one coordinate, ignoring the others."""
-    m = model.margins[_check_margin(model, margin)]
-    return iph_density(m.sub, pi, m.transform, y)
+    pi = validate_initial_vector(pi, model.dim)
+    vals = _margin_factors(m, np.atleast_1d(_check_nonneg(y, "y")), False) @ pi
+    return float(vals[0]) if np.ndim(y) == 0 else vals
 
 
 def _check_margin(model: MIPHModel, margin: int) -> int:
@@ -469,18 +462,9 @@ def _draw_starts(pi_rows: np.ndarray, rng) -> np.ndarray:
     return (u[:, None] >= cum).sum(axis=1)
 
 
-def sample_joint(model: MIPHModel, pi, rng, n: int) -> np.ndarray:
-    """Draw ``n`` joint lifetimes (ages), shape (n, d)."""
-    pi = validate_initial_vector(pi, model.dim)
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    rows = np.broadcast_to(pi, (n, model.dim))
-    return sample_joint_rows(model, rows, rng)
-
-
 def sample_joint_rows(model: MIPHModel, pi_rows, rng) -> np.ndarray:
-    """Like :func:`sample_joint` with one initial vector per row."""
+    """Draw one joint lifetime (ages) per row of the (n, p) initial vectors
+    ``pi_rows``; shape (n, d). Deterministic given ``rng``'s state."""
     pi_rows = np.asarray(pi_rows, dtype=float)
     _check_start_rows(pi_rows, model.dim, "start row")
     starts = _draw_starts(pi_rows, rng)

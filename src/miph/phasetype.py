@@ -1,4 +1,4 @@
-"""Univariate phase-type building blocks.
+"""Univariate phase-type kernels.
 
 A phase-type (PH) lifetime is the absorption time of a Markov jump process on
 transient states ``0..p-1`` plus one absorbing state, parameterized by a
@@ -7,6 +7,11 @@ initial probability vector ``pi``. The inhomogeneous (IPH) variant observed on
 the age scale applies a strictly increasing time transform ``g`` to the
 absorption time; this module ships the matrix-Gompertz transform used for
 human mortality, ``g(x) = log(beta x + 1) / beta``.
+
+The module holds kernels only: the chain and transform types, transition
+masks, random chains, the jump-path sampler, and the factor kernels behind
+every density and survival function. Those are evaluated in :mod:`miph.model`,
+where an IPH law is a one-margin model.
 """
 
 from __future__ import annotations
@@ -22,10 +27,6 @@ __all__ = [
     "SubIntensity",
     "GompertzTransform",
     "validate_initial_vector",
-    "ph_density",
-    "ph_survival",
-    "iph_density",
-    "iph_survival",
     "sample_absorption_times",
     "random_sub_intensity",
     "transition_mask",
@@ -129,9 +130,9 @@ class GompertzTransform:
             raise ValueError(f"beta must be finite and > 0, got {self.beta}")
 
     def inverse(self, y):
-        """Operational time ``(exp(beta y) - 1) / beta`` for age y >= 0."""
-        y = _check_nonneg(y, "y")
-        return np.expm1(self.beta * y) / self.beta
+        """Operational time ``(exp(beta y) - 1) / beta`` for age y >= 0;
+        inf, without a warning, where it overflows."""
+        return _operational_time(self.beta, _check_nonneg(y, "y"))
 
     def forward(self, x):
         """Age ``log(beta x + 1) / beta`` for operational time x >= 0."""
@@ -151,6 +152,8 @@ def _check_nonneg(v, name: str):
 def validate_initial_vector(pi, dim: int) -> np.ndarray:
     """Check pi is a length-``dim`` probability vector; returns it as float64."""
     pi = np.asarray(pi, dtype=float)
+    if pi.shape != (dim,):
+        raise DataValidationError(f"initial vector must have {dim} entries, got shape {pi.shape}")
     _check_start_rows(pi[None], dim, "initial vector")
     return pi
 
@@ -159,7 +162,7 @@ def _check_start_rows(rows, dim: int, what: str) -> None:
     """Raise :class:`DataValidationError` unless ``rows`` is (n, dim) and each row
     a probability vector; from row sums and one minimum, no (n, dim) temporary."""
     if rows.ndim != 2 or rows.shape[1] != dim:
-        raise DataValidationError(f"{what} must have {dim} entries, got shape {rows.shape[1:]}")
+        raise DataValidationError(f"{what}s must have shape (n, {dim}), got shape {rows.shape}")
     sums = rows.sum(axis=1)  # finite only where every entry is
     if not np.all(np.isfinite(sums)):
         raise DataValidationError(f"{what} has non-finite entries")
@@ -219,8 +222,8 @@ def _exp_factors(sub: SubIntensity, exps, died, derivatives: bool = False) -> li
 
 def _operational_time(beta, y):
     """``expm1(beta y) / beta``, inf where it overflows; ``beta`` broadcasts
-    against ``y``. The likelihood and the E-step both take x from here, so
-    exponentials taken for one serve the other bit for bit."""
+    against ``y``. The likelihood, the E-step and :meth:`GompertzTransform.inverse`
+    take x from here, so exponentials taken for one serve the other bit for bit."""
     with np.errstate(over="ignore"):
         return np.expm1(beta * y) / beta
 
@@ -267,46 +270,6 @@ def _age_factors(sub: SubIntensity, beta: float, y, died,
         f1 = np.where(ok, beta * f_b, 0.0)
         f2 = np.where(ok, beta * f_b + beta * beta * f_bb, 0.0)
     return [f, f1, f2]
-
-
-def ph_density(sub: SubIntensity, pi, x):
-    """Phase-type density ``pi @ exp(T x) @ exit_rates`` at x >= 0.
-
-    ``x`` may be a scalar or a 1-d array; the result matches its shape.
-    """
-    return _mixed(sub, pi, x, "x",
-                  lambda v: _exp_factors(sub, _exponentials(sub, v), True)[0])
-
-
-def ph_survival(sub: SubIntensity, pi, x):
-    """Phase-type survival ``pi @ exp(T x) @ ones`` at x >= 0."""
-    return _mixed(sub, pi, x, "x",
-                  lambda v: _exp_factors(sub, _exponentials(sub, v), False)[0])
-
-
-def iph_density(sub: SubIntensity, pi, transform: GompertzTransform, y):
-    """Age-scale density: PH density at ``g^{-1}(y)`` times the Jacobian.
-
-    Zero at ages whose operational time overflows the float range.
-    """
-    return _mixed(sub, pi, y, "y",
-                  lambda v: _age_factors(sub, transform.beta, v, True)[0])
-
-
-def iph_survival(sub: SubIntensity, pi, transform: GompertzTransform, y):
-    """Age-scale survival: PH survival evaluated at ``g^{-1}(y)``.
-
-    Zero at ages whose operational time overflows the float range.
-    """
-    return _mixed(sub, pi, y, "y",
-                  lambda v: _age_factors(sub, transform.beta, v, False)[0])
-
-
-def _mixed(sub: SubIntensity, pi, t, name: str, factors):
-    """``factors(t) @ pi`` at the scalar or 1-d ``t >= 0``; a scalar gives a float."""
-    pi = validate_initial_vector(pi, sub.dim)
-    vals = factors(np.atleast_1d(_check_nonneg(t, name))) @ pi
-    return float(vals[0]) if np.ndim(t) == 0 else vals
 
 
 def _check_absorbing(sub: SubIntensity) -> None:

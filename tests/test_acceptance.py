@@ -28,7 +28,7 @@ from miph import (
     generate_synthetic,
     joint_survival,
     kendall_tau,
-    sample_joint,
+    sample_joint_rows,
     spearman_rho,
 )
 
@@ -96,7 +96,8 @@ def test_acceptance_4_monte_carlo_concordance():
     start = time.perf_counter()
     tau = kendall_tau(model, pi)
     rho = spearman_rho(model, pi)
-    draws = sample_joint(model, pi, np.random.default_rng(1013), 1_000_000)
+    draws = sample_joint_rows(model, np.broadcast_to(pi, (1_000_000, model.dim)),
+                              np.random.default_rng(1013))
     tau_hat = scipy.stats.kendalltau(draws[:, 0], draws[:, 1]).statistic
     rho_hat = scipy.stats.spearmanr(draws[:, 0], draws[:, 1]).statistic
     elapsed = time.perf_counter() - start
@@ -191,7 +192,8 @@ def test_acceptance_7_recovery_at_desk_scale():
     pi_fit = report.model.initial_vectors(obs.covariates).mean(axis=0)
 
     # grid covering the central 99% of the true population mass per margin
-    probe = sample_joint(true_model, pi_true, np.random.default_rng(43), 20_000)
+    probe = sample_joint_rows(true_model, np.broadcast_to(pi_true, (20_000, true_model.dim)),
+                              np.random.default_rng(43))
     axes = [
         np.linspace(np.quantile(probe[:, i], 0.005),
                     np.quantile(probe[:, i], 0.995), 20)

@@ -16,12 +16,14 @@ share one Padé-13 table. Matrix exponentials never come from scipy.
 CSV text is read and written in `dataio` alone. Every keyword-only option
 of a package function is set by some caller outside the tests; one that no
 caller sets is a module constant. A public name is listed in its own
-module's ``__all__`` alone, and every CLI option is read by its command.
+module's ``__all__`` alone and is used outside the tests, and every CLI
+option is read by its command.
 """
 
 import argparse
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import miph
@@ -78,11 +80,11 @@ def test_expm_batch_call_sites():
 
 def test_exponentials_call_sites():
     """Estimation exponentiates at the EM start, in the likelihood and in an
-    E-step called without pairs; `phasetype` in its factor kernels."""
+    E-step called without pairs; `phasetype` in its age-scale factor kernel,
+    which every density and survival of the model layer goes through."""
     assert _call_sites("_exponentials") == [
         ("estimation", "_age_scale_loglik"), ("estimation", "_initial_sub_intensities"),
-        ("estimation", "e_step"), ("phasetype", "_age_factors"),
-        ("phasetype", "ph_density"), ("phasetype", "ph_survival")]
+        ("estimation", "e_step"), ("phasetype", "_age_factors")]
 
 
 def test_only_linalg_and_phasetype_bind_expm_batch():
@@ -164,6 +166,47 @@ def test_public_names_are_listed_once_in_their_module():
     assert miph.__all__ == [*names, "__version__"]
     assert len(set(miph.__all__)) == len(miph.__all__)
     assert [name for name in miph.__all__ if not hasattr(miph, name)] == []
+
+
+class _Uses(ast.NodeVisitor):
+    """Names read as ``name`` or ``x.name``, except inside a definition of
+    that same name."""
+
+    def __init__(self):
+        self.scope: list[str] = []
+        self.names: set[str] = set()
+
+    def _define(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    visit_FunctionDef = visit_ClassDef = _define
+
+    def visit_Name(self, node):
+        if node.id not in self.scope:
+            self.names.add(node.id)
+
+    def visit_Attribute(self, node):
+        if node.attr not in self.scope:
+            self.names.add(node.attr)
+        self.generic_visit(node)
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    """A public function or class that only the tests call is a wrapper to
+    delete, its tested property moved to the code that survives. A use is
+    a read in the package, the demos or the benchmark, or a name in the
+    README's code, fenced or inline."""
+    uses = _Uses()
+    for path in [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                 *(ROOT / "bench").glob("*.py")]:
+        uses.visit(ast.parse(path.read_text(encoding="utf-8")))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    for code in re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S):
+        uses.names |= set(re.findall(r"\w+", code))
+    public = [name for name in miph.__all__ if name != "__version__"]
+    assert [name for name in public if name not in uses.names] == []
 
 
 def test_every_cli_option_is_read_by_its_command():

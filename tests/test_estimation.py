@@ -36,7 +36,7 @@ from miph import (
     m_step,
     observed_loglik,
     r_step,
-    sample_joint,
+    sample_joint_rows,
     transform_data,
     transition_mask,
 )
@@ -624,7 +624,7 @@ class TestIStep:
         pi = random_pi(rng, 2)
         model = MIPHModel((Margin(sub, GompertzTransform(betas[0])),
                            Margin(sub, GompertzTransform(betas[1]))))
-        y = sample_joint(model, pi, rng, n)
+        y = sample_joint_rows(model, np.broadcast_to(pi, (n, model.dim)), rng)
         obs = ObservationSet(y=y, delta=np.ones_like(y, dtype=int),
                              covariates=np.ones((n, 1)))
         return obs, np.tile(pi, (n, 1)), [sub, sub]
@@ -857,7 +857,7 @@ class TestFit:
         model = MIPHModel(
             tuple(Margin(sub, GompertzTransform(b)) for b in betas)
         )
-        y = sample_joint(model, pi, rng, n)
+        y = sample_joint_rows(model, np.broadcast_to(pi, (n, model.dim)), rng)
         cutoff = np.quantile(y, censor)
         delta = (y <= cutoff).astype(int)
         y = np.minimum(y, cutoff)

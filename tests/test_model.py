@@ -33,11 +33,9 @@ from miph import (
     joint_survival,
     kendall_tau,
     load_model,
-    marginal_density,
     marginal_survival,
     psi1,
     psi2,
-    sample_joint,
     sample_joint_rows,
     save_model,
     spearman_rho,
@@ -51,6 +49,18 @@ from conftest import (
     random_chain,
     random_pi,
 )
+
+
+def _marginal_density(model, pi, margin, y):
+    """Density of one coordinate at the scalar or 1-d ``y``: the joint density
+    of a model of that margin alone."""
+    one = MIPHModel((model.margins[margin],))
+    return joint_density(one, pi, np.asarray(y, dtype=float)[..., None])
+
+
+def _sample(model, pi, rng, n):
+    """``n`` joint lifetimes that all start from ``pi``."""
+    return sample_joint_rows(model, np.broadcast_to(pi, (n, model.dim)), rng)
 
 
 def _trivariate_model(seed=211, betas=(1.0, 2.0, 1.5), p=3):
@@ -186,7 +196,7 @@ class TestJointEvaluation:
         fd = (marginal_survival(model, pi, 1, y - h)
               - marginal_survival(model, pi, 1, y + h)) / (2 * h)
         np.testing.assert_allclose(
-            marginal_density(model, pi, 1, y), fd, rtol=1e-6
+            _marginal_density(model, pi, 1, y), fd, rtol=1e-6
         )
 
     def test_point_validation(self):
@@ -270,8 +280,8 @@ class TestIndependenceDegeneracy:
         s2 = marginal_survival(model, pi, 1, pts[:, 1])
         np.testing.assert_allclose(joint_survival(model, pi, pts), s1 * s2,
                                    rtol=1e-13)
-        f1 = marginal_density(model, pi, 0, pts[:, 0])
-        f2 = marginal_density(model, pi, 1, pts[:, 1])
+        f1 = _marginal_density(model, pi, 0, pts[:, 0])
+        f2 = _marginal_density(model, pi, 1, pts[:, 1])
         np.testing.assert_allclose(joint_density(model, pi, pts), f1 * f2,
                                    rtol=1e-13)
 
@@ -298,7 +308,7 @@ class TestConditioning:
         for rest in ([0.3, 0.7], [1.1, 0.2]):
             lhs = joint_density(reduced, alpha, np.array(rest))
             full = joint_density(model, pi, np.array([y1, *rest]))
-            f1 = marginal_density(model, pi, 0, y1)
+            f1 = _marginal_density(model, pi, 0, y1)
             np.testing.assert_allclose(lhs, full / f1, rtol=1e-11)
 
     def test_survival_conditioning_matches_survival_ratio(self):
@@ -314,7 +324,7 @@ class TestConditioning:
     def test_survival_conditioning_against_simulation(self):
         model, pi = random_bivariate_model(np.random.default_rng(163), p=3)
         rng = np.random.default_rng(167)
-        draws = sample_joint(model, pi, rng, 300_000)
+        draws = _sample(model, pi, rng, 300_000)
         y1 = float(np.quantile(draws[:, 0], 0.4))
         kept = draws[draws[:, 0] >= y1]
         reduced, nu = condition_on_survival(model, pi, 0, y1)
@@ -363,7 +373,7 @@ class TestMarginWithoutAbsorption:
                 lambda: conditional_expectation(model, pi, 0, given=(1, 0.2)),
                 lambda: psi2(model, pi, 0, np.array([0.1, 0.2])),
                 # its jump paths would never end
-                lambda: sample_joint(model, pi, np.random.default_rng(0), 5),
+                lambda: _sample(model, pi, np.random.default_rng(0), 5),
             ):
                 with pytest.raises(NumericalError, match="never reach absorption"):
                     measure()
@@ -377,7 +387,7 @@ class TestRankCorrelations:
     def test_against_simulated_concordance(self):
         model, pi = random_bivariate_model(np.random.default_rng(179), p=3)
         rng = np.random.default_rng(181)
-        draws = sample_joint(model, pi, rng, 300_000)
+        draws = _sample(model, pi, rng, 300_000)
         tau_hat = scipy.stats.kendalltau(draws[:, 0], draws[:, 1]).statistic
         rho_hat = scipy.stats.spearmanr(draws[:, 0], draws[:, 1]).statistic
         assert abs(kendall_tau(model, pi) - tau_hat) < 0.012
@@ -430,7 +440,7 @@ class TestDependenceMeasures:
     def test_psi2_against_simulation(self):
         model, pi = random_bivariate_model(np.random.default_rng(227), p=3)
         rng = np.random.default_rng(229)
-        draws = sample_joint(model, pi, rng, 300_000)
+        draws = _sample(model, pi, rng, 300_000)
         y = float(np.quantile(draws[:, 1], 0.6))
         kept = draws[draws[:, 1] >= y, 0]
         empirical = kept.mean() / draws[:, 0].mean()
@@ -446,7 +456,7 @@ class TestDependenceMeasures:
     def test_conditional_expectation_against_simulation(self):
         model, pi = random_bivariate_model(np.random.default_rng(233), p=3)
         rng = np.random.default_rng(239)
-        draws = sample_joint(model, pi, rng, 200_000)
+        draws = _sample(model, pi, rng, 200_000)
         np.testing.assert_allclose(
             conditional_expectation(model, pi, 0), draws[:, 0].mean(), rtol=0.01
         )
@@ -622,7 +632,7 @@ class TestSampling:
     def test_empirical_survival_matches_exact(self):
         model, pi = random_bivariate_model(np.random.default_rng(257), p=3)
         rng = np.random.default_rng(263)
-        draws = sample_joint(model, pi, rng, 200_000)
+        draws = _sample(model, pi, rng, 200_000)
         for y in ([0.3, 0.3], [0.8, 0.4]):
             emp = np.mean((draws[:, 0] >= y[0]) & (draws[:, 1] >= y[1]))
             assert abs(emp - joint_survival(model, pi, np.array(y))) < 0.005
@@ -644,16 +654,22 @@ class TestSampling:
 
     def test_deterministic_under_seed(self):
         model, pi = random_bivariate_model(np.random.default_rng(277), p=2)
-        a = sample_joint(model, pi, np.random.default_rng(3), 100)
-        b = sample_joint(model, pi, np.random.default_rng(3), 100)
+        a = _sample(model, pi, np.random.default_rng(3), 100)
+        b = _sample(model, pi, np.random.default_rng(3), 100)
         np.testing.assert_array_equal(a, b)
 
     def test_rejects_bad_shapes(self):
+        """The error gives the array's shape and the expected (n, p), also
+        for one 1-d vector where rows are due; a single initial vector
+        keeps its own message."""
         model, pi = random_bivariate_model(np.random.default_rng(281), p=2)
-        with pytest.raises(ValueError):
-            sample_joint(model, pi, np.random.default_rng(0), 0)
-        with pytest.raises(ValueError):
-            sample_joint_rows(model, np.ones((4, 3)) / 3, np.random.default_rng(0))
+        for rows, shape in ((np.ones((4, 3)) / 3, r"\(4, 3\)"), (pi, r"\(2,\)")):
+            with pytest.raises(DataValidationError,
+                               match=rf"start rows must have shape \(n, 2\), got shape {shape}"):
+                sample_joint_rows(model, rows, np.random.default_rng(0))
+        with pytest.raises(DataValidationError,
+                           match=r"initial vector must have 2 entries, got shape \(3,\)"):
+            joint_survival(model, np.ones(3) / 3, np.array([0.1, 0.1]))
 
     @pytest.mark.parametrize("row", [[np.nan, np.nan], [-1.0, -1.0], [2.5, 2.5]])
     def test_rows_variant_rejects_invalid_start_rows(self, row):

@@ -2,6 +2,9 @@
 
 Oracles: closed-form moments via (-T)^{-1}, adaptive quadrature of the
 density, and large-sample Kolmogorov-Smirnov agreement for the simulator.
+On the operational clock a PH law is ``pi @`` the factor rows of
+`_exp_factors`; on the age scale it is a one-margin model, evaluated by
+`joint_density` and `marginal_survival`.
 """
 
 import numpy as np
@@ -11,19 +14,40 @@ import scipy.integrate
 from miph import (
     DataValidationError,
     GompertzTransform,
+    Margin,
+    MIPHModel,
     SubIntensity,
-    iph_density,
-    iph_survival,
-    ph_density,
-    ph_survival,
+    joint_density,
+    marginal_survival,
     sample_absorption_times,
     transition_mask,
     validate_initial_vector,
 )
-from miph.phasetype import random_sub_intensity
+from miph.phasetype import _exp_factors, _exponentials, random_sub_intensity
 
 from conftest import BETA_1, BETA_2, DIAG_1, DIAG_2, SUPER_1, SUPER_2, \
     chain_matrix, couple_pi, random_chain, random_pi
+
+
+def _ph(sub, pi, x, died):
+    """PH density (``died``) or survival on the operational clock at the 1-d
+    ``x``: ``pi`` times the factor rows of one batch of exponentials."""
+    return _exp_factors(sub, _exponentials(sub, x), died)[0] @ pi
+
+
+def _ph_at(sub, pi, x, died):
+    """:func:`_ph` at one operational time, for scalar quadrature."""
+    return float(_ph(sub, pi, np.array([x]), died)[0])
+
+
+def _iph_model(sub, transform):
+    """The IPH law of chain ``sub`` under ``transform``: a one-margin model."""
+    return MIPHModel((Margin(sub, transform),))
+
+
+def _iph_density(model, pi, y):
+    """Age-scale density of a one-margin model at the scalar or 1-d ``y``."""
+    return joint_density(model, pi, np.asarray(y, dtype=float)[..., None])
 
 
 class TestSubIntensity:
@@ -143,7 +167,7 @@ class TestDensities:
             sub = random_chain(rng, p)
             pi = random_pi(rng, p)
             total, _ = scipy.integrate.quad(
-                lambda x: ph_density(sub, pi, x), 0.0, np.inf, limit=200
+                lambda x: _ph_at(sub, pi, x, True), 0.0, np.inf, limit=200
             )
             np.testing.assert_allclose(total, 1.0, rtol=1e-8)
 
@@ -153,26 +177,25 @@ class TestDensities:
         pi = random_pi(rng, 4)
         x = np.linspace(0.05, 6.0, 40)
         h = 1e-6
-        fd = (ph_survival(sub, pi, x - h) - ph_survival(sub, pi, x + h)) / (2 * h)
-        np.testing.assert_allclose(fd, ph_density(sub, pi, x), rtol=1e-6)
+        fd = (_ph(sub, pi, x - h, False) - _ph(sub, pi, x + h, False)) / (2 * h)
+        np.testing.assert_allclose(fd, _ph(sub, pi, x, True), rtol=1e-6)
 
     def test_survival_boundary_and_monotonicity(self):
         rng = np.random.default_rng(71)
         sub = random_chain(rng, 3)
         pi = random_pi(rng, 3)
-        assert ph_survival(sub, pi, 0.0) == pytest.approx(1.0, abs=1e-14)
+        assert _ph_at(sub, pi, 0.0, False) == pytest.approx(1.0, abs=1e-14)
         x = np.linspace(0.0, 20.0, 200)
-        s = ph_survival(sub, pi, x)
+        s = _ph(sub, pi, x, False)
         assert np.all(np.diff(s) <= 1e-14)
         assert s[-1] < 1e-3
 
     def test_iph_density_integrates_to_one(self):
         rng = np.random.default_rng(73)
-        sub = random_chain(rng, 3)
         pi = random_pi(rng, 3)
-        tr = GompertzTransform(3.0)
+        model = _iph_model(random_chain(rng, 3), GompertzTransform(3.0))
         total, _ = scipy.integrate.quad(
-            lambda y: iph_density(sub, pi, tr, y), 0.0, np.inf, limit=200
+            lambda y: _iph_density(model, pi, y), 0.0, np.inf, limit=200
         )
         np.testing.assert_allclose(total, 1.0, rtol=1e-8)
 
@@ -182,15 +205,16 @@ class TestDensities:
         sub = random_chain(rng, 4)
         pi = random_pi(rng, 4)
         tr = GompertzTransform(40.0)
+        model = _iph_model(sub, tr)
         y = np.linspace(0.01, 0.2, 25)
         np.testing.assert_allclose(
-            iph_survival(sub, pi, tr, y),
-            ph_survival(sub, pi, tr.inverse(y)),
+            marginal_survival(model, pi, 0, y),
+            _ph(sub, pi, tr.inverse(y), False),
             rtol=1e-12,
         )
         np.testing.assert_allclose(
-            iph_density(sub, pi, tr, y),
-            ph_density(sub, pi, tr.inverse(y)) * np.exp(tr.beta * y),
+            _iph_density(model, pi, y),
+            _ph(sub, pi, tr.inverse(y), True) * np.exp(tr.beta * y),
             rtol=1e-12,
         )
 
@@ -199,8 +223,8 @@ class TestDensities:
         sub = random_chain(rng, 3)
         pi = random_pi(rng, 3)
         x = np.array([0.1, 0.7, 2.0])
-        batch = ph_density(sub, pi, x)
-        singles = [ph_density(sub, pi, xi) for xi in x]
+        batch = _ph(sub, pi, x, True)
+        singles = [_ph_at(sub, pi, xi, True) for xi in x]
         np.testing.assert_allclose(batch, singles, rtol=1e-13)
         # the reference margins at 200, 250 and 4000 years, where the
         # operational time is 6e35 to 7e49 and then overflows
@@ -209,21 +233,26 @@ class TestDensities:
                                       (DIAG_2, SUPER_2, BETA_2)):
             ref = SubIntensity(chain_matrix(diag, superdiag))
             tr = GompertzTransform(beta)
-            for fn in (iph_survival, iph_density):
-                batch = fn(ref, couple_pi(1), tr, y)
-                singles = [fn(ref, couple_pi(1), tr, yi) for yi in y]
+            model = _iph_model(ref, tr)
+            for fn in (lambda v: marginal_survival(model, couple_pi(1), 0, v),
+                       lambda v: _iph_density(model, couple_pi(1), v)):
+                batch = fn(y)
+                singles = [fn(yi) for yi in y]
+                assert all(isinstance(v, float) for v in singles)
                 np.testing.assert_allclose(batch, singles, rtol=1e-13)
                 np.testing.assert_array_equal(batch, 0.0)
             xs = tr.inverse(y[:2])
-            for fn in (ph_survival, ph_density):
-                batch = fn(ref, couple_pi(1), xs)
-                singles = [fn(ref, couple_pi(1), xi) for xi in xs]
+            for died in (False, True):
+                batch = _ph(ref, couple_pi(1), xs, died)
+                singles = [_ph_at(ref, couple_pi(1), xi, died) for xi in xs]
                 np.testing.assert_allclose(batch, singles, rtol=1e-13)
 
     def test_rejects_negative_times(self):
-        sub = SubIntensity(np.array([[-1.0]]))
+        model = _iph_model(SubIntensity(np.array([[-1.0]])), GompertzTransform(1.0))
         with pytest.raises(ValueError):
-            ph_density(sub, np.array([1.0]), -0.5)
+            marginal_survival(model, np.array([1.0]), 0, -0.5)
+        with pytest.raises(ValueError):
+            _iph_density(model, np.array([1.0]), -0.5)
 
 
 class TestMoments:
@@ -233,7 +262,7 @@ class TestMoments:
         pi = random_pi(rng, 4)
         closed = float(pi @ np.linalg.solve(-sub.matrix, np.ones(4)))
         quad, _ = scipy.integrate.quad(
-            lambda x: ph_survival(sub, pi, x), 0.0, np.inf, limit=200
+            lambda x: _ph_at(sub, pi, x, False), 0.0, np.inf, limit=200
         )
         np.testing.assert_allclose(closed, quad, rtol=1e-9)
 
@@ -249,7 +278,7 @@ class TestSampler:
         cdf = np.empty(n)
         for lo in range(0, n, 200_000):
             hi = min(lo + 200_000, n)
-            cdf[lo:hi] = 1.0 - ph_survival(sub, pi, draws[lo:hi])
+            cdf[lo:hi] = 1.0 - _ph(sub, pi, draws[lo:hi], False)
         i = np.arange(1, n + 1)
         d = max(np.max(cdf - (i - 1) / n), np.max(i / n - cdf))
         assert d < 0.002  # 1% critical value is ~0.00163
