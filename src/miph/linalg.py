@@ -6,9 +6,21 @@ derivative, are implemented here directly since the fitting loop
 exponentiates thousands of small matrices per iteration; both run on one
 Padé-13 scaling-and-squaring core. A residual-checked solve serves the
 closed-form dependence measures.
+
+Both batched kernels are row-wise: every matrix gets its own scaling power,
+Padé solve and squarings. So each cuts its stack into row blocks of at most
+``_BLOCK_ENTRIES`` matrix entries, whose temporaries stay in cache, and runs
+the blocks on one lazily built thread pool shared by the module (numpy
+releases the GIL in ``matmul`` and the ``linalg`` gufuncs), each block
+writing its slice of one output. A stack of one block runs inline. The split
+changes no bit of the result.
 """
 
 from __future__ import annotations
+
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
@@ -98,6 +110,79 @@ def _block_mul(x, y):
     return out
 
 
+# matrix entries of one row block (about 1000 rows at p = 10): a block's
+# temporaries stay in cache, and the small-p stacks of a desk-scale fit stay
+# in one block, where two threads would only contend for the GIL
+_BLOCK_ENTRIES = 100_000
+# most threads the shared pool ever has
+_MAX_WORKERS = 4
+_pool = None
+_pool_lock = threading.Lock()
+
+
+def _worker_count() -> int:
+    """The cores this process may run on, at most ``_MAX_WORKERS``."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform (macOS)
+        cores = os.cpu_count() or 1
+    return max(1, min(cores, _MAX_WORKERS))
+
+
+def _shared_pool() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(_worker_count(), thread_name_prefix="miph-linalg")
+        return _pool
+
+
+def _forget_pool():
+    """A forked child has none of its parent's threads: it builds its own pool."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _in_blocks(kernel, width, *stacks):
+    """``kernel(*stacks)``, an (n, p, width) array, for a kernel that maps
+    each row of the (n, p, p) stacks on its own. A stack of at most
+    ``_BLOCK_ENTRIES`` entries runs inline; a larger one is cut into row
+    blocks of at most that many, which run on the shared pool and write
+    their slices of one output. An error raised in a block reaches the
+    caller once every block is done."""
+    n, p = stacks[0].shape[:2]
+    rows = max(1, _BLOCK_ENTRIES // (p * p))
+    if n <= rows:
+        return kernel(*stacks)
+    out = np.empty((n, p, width))
+
+    def block(i):
+        out[i:i + rows] = kernel(*(s[i:i + rows] for s in stacks))
+
+    futures = [_shared_pool().submit(block, i) for i in range(0, n, rows)]
+    wait(futures)
+    for future in futures:
+        future.result()
+    return out
+
+
+def _expm_block(a) -> np.ndarray:
+    """``exp(a[i])`` for one block (m, p, p) of ``expm_batch``."""
+    p = a.shape[-1]
+    # per-matrix 1-norm (max abs column sum) -> scaling power s
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = _scaling_power(norms)
+    u, v = _pade13_uv(a, s, np.matmul, np.eye(p))
+    r = np.linalg.solve(v - u, v + u)
+    # the Pade solve of b0*I by b0*I rounds the diagonal to 1 - eps/2
+    r[norms == 0.0] = np.eye(p)
+    return _square(r, s, np.matmul)
+
+
 def expm_batch(a) -> np.ndarray:
     """Matrix exponential of a stack of square matrices.
 
@@ -116,9 +201,11 @@ def expm_batch(a) -> np.ndarray:
     Padé-13 scaling-and-squaring applied per matrix: each matrix gets its own
     scaling power from its 1-norm, and each squaring step runs only on the
     matrices that still need it. Always uses the degree-13 approximant (no
-    degree switching), trading a few matmuls on easy inputs for simplicity;
-    accuracy matches the scalar path to ~1e-13. A zero matrix maps to the
-    exact identity.
+    degree switching), trading a few matmuls on easy inputs for simplicity.
+    A zero matrix maps to the exact identity. The stack runs in row blocks
+    of at most ``_BLOCK_ENTRIES`` entries on the module's shared thread pool,
+    inline when it fits in one; since every matrix is exponentiated on its
+    own, the result does not depend on the blocks.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -129,16 +216,27 @@ def expm_batch(a) -> np.ndarray:
     p = a.shape[-1]
     if p == 0:
         return np.zeros_like(a)
-    a = a.reshape(-1, p, p)
+    return _in_blocks(_expm_block, p, a.reshape(-1, p, p)).reshape(*batch_shape, p, p)
 
-    # per-matrix 1-norm (max abs column sum) -> scaling power s
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+
+def _expm_frechet_block(a, e) -> np.ndarray:
+    """``[exp(a[i]) | L(a[i], e[i])]``, (m, p, 2p), for one block (m, p, p)
+    of ``expm_frechet_batch``."""
+    p = a.shape[-1]
+    x = np.concatenate([a, e], axis=-1)
+    cols = np.abs(x).sum(axis=-2)
+    norms = (cols[:, :p] + cols[:, p:]).max(axis=-1)
     s = _scaling_power(norms)
-    u, v = _pade13_uv(a, s, np.matmul, np.eye(p))
-    r = np.linalg.solve(v - u, v + u)
-    # the Pade solve of b0*I by b0*I rounds the diagonal to 1 - eps/2
-    r[norms == 0.0] = np.eye(p)
-    return _square(r, s, np.matmul).reshape(*batch_shape, p, p)
+    eye = np.eye(p, 2 * p)
+    u, v = _pade13_uv(x, s, _block_mul, eye)
+    # R = Q (V + U) and L = Q (Lu + Lv) + Q (Lu - Lv) R with Q = (V - U)^-1;
+    # on small stacked matrices one inverse and three matmuls beat a solve
+    # with 3p right-hand sides, and V - U is well conditioned at these norms
+    q = np.linalg.inv(v[..., :p] - u[..., :p])
+    r = q @ (v + u)
+    r[..., p:] += (q @ (u[..., p:] - v[..., p:])) @ r[..., :p]
+    r[norms == 0.0] = eye
+    return _square(r, s, _block_mul)
 
 
 def expm_frechet_batch(a, e) -> tuple[np.ndarray, np.ndarray]:
@@ -164,7 +262,10 @@ def expm_frechet_batch(a, e) -> tuple[np.ndarray, np.ndarray]:
     as on the block matrix [[R, L], [0, R]]. Each matrix is scaled by the
     1-norm of that 2p x 2p block, the column sums of ``|a| + |e|``, so every
     matrix gets the scaling power of the block exponential. A zero pair maps
-    to the exact ``(I, 0)``.
+    to the exact ``(I, 0)``. Like :func:`expm_batch`, the stack runs in row
+    blocks on the shared thread pool, inline when it fits in one block, and
+    the result does not depend on the blocks; both outputs are views of one
+    (n, p, 2p) array.
     """
     a = np.asarray(a, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -176,21 +277,7 @@ def expm_frechet_batch(a, e) -> tuple[np.ndarray, np.ndarray]:
     if a.size == 0:
         return np.zeros_like(a), np.zeros_like(a)
     p = a.shape[-1]
-    x = np.concatenate([a, e], axis=-1).reshape(-1, p, 2 * p)
-
-    cols = np.abs(x).sum(axis=-2)
-    norms = (cols[:, :p] + cols[:, p:]).max(axis=-1)
-    s = _scaling_power(norms)
-    eye = np.eye(p, 2 * p)
-    u, v = _pade13_uv(x, s, _block_mul, eye)
-    # R = Q (V + U) and L = Q (Lu + Lv) + Q (Lu - Lv) R with Q = (V - U)^-1;
-    # on small stacked matrices one inverse and three matmuls beat a solve
-    # with 3p right-hand sides, and V - U is well conditioned at these norms
-    q = np.linalg.inv(v[..., :p] - u[..., :p])
-    r = q @ (v + u)
-    r[..., p:] += (q @ (u[..., p:] - v[..., p:])) @ r[..., :p]
-    r[norms == 0.0] = eye
-    r = _square(r, s, _block_mul)
+    r = _in_blocks(_expm_frechet_block, 2 * p, a.reshape(-1, p, p), e.reshape(-1, p, p))
     return r[..., :p].reshape(a.shape), r[..., p:].reshape(a.shape)
 
 

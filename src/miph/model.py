@@ -120,7 +120,8 @@ class MIPHModel:
         """Per-observation initial vectors.
 
         With ``gamma`` set, rows are ``softmax(A @ gamma.T)`` (computed with
-        max subtraction); with ``fixed_pi`` set, that vector is broadcast.
+        max subtraction), taken once when every row of ``A @ gamma.T`` is the
+        same; with ``fixed_pi`` set, that vector is broadcast.
         """
         a = np.asarray(covariates, dtype=float)
         if a.ndim != 2:
@@ -131,7 +132,11 @@ class MIPHModel:
                     f"covariate width {a.shape[1]} does not match gamma "
                     f"width {self.gamma.shape[1]}"
                 )
-            return _softmax(a @ self.gamma.T)[0]
+            eta = a @ self.gamma.T
+            if len(eta) > 1 and (eta == eta[0]).all():
+                # one design row repeated, as `miph simulate --ages` builds
+                return np.broadcast_to(_softmax(eta[:1])[0], eta.shape).copy()
+            return _softmax(eta)[0]
         if self.fixed_pi is not None:
             return np.broadcast_to(self.fixed_pi, (a.shape[0], self.dim)).copy()
         raise ValueError("model carries neither gamma nor fixed_pi")

@@ -12,7 +12,8 @@ derivative's scaling, so its exp(T x) cannot stand in: on general
 structures it is 8.8e-5 off at weights near 4e10, and with one couple
 censored at 600 times the mean a margin's occupancies sum to 99.3 where
 its operational times sum to 304.8. Both exponential kernels in `linalg`
-share one Padé-13 table. Matrix exponentials never come from scipy.
+share one Padé-13 table, read in their per-block kernels, and `linalg` alone
+starts threads. Matrix exponentials never come from scipy.
 CSV text is read and written in `dataio` alone. Every keyword-only option
 of a package function is set by some caller outside the tests; one that no
 caller sets is a module constant. A public name is listed in its own
@@ -104,13 +105,36 @@ def test_one_pade_table_behind_both_exponentials():
                and any(isinstance(node, ast.Name) and node.id == "_PADE13"
                        for node in ast.walk(fn))}
     assert readers == {"_pade13_uv"}
-    assert _call_sites("_pade13_uv") == [("linalg", "expm_batch"),
-                                         ("linalg", "expm_frechet_batch")]
+    assert _call_sites("_pade13_uv") == [("linalg", "_expm_block"),
+                                         ("linalg", "_expm_frechet_block")]
     b0 = tables[0].value.elts[0].value
     for module, tree in _modules():
         copies = [node for node in ast.walk(tree)
                   if isinstance(node, ast.Constant) and node.value == b0]
         assert len(copies) == (module == "linalg"), module
+
+
+def _importers(name):
+    """Modules that import ``name`` or a submodule of it."""
+    importers = set()
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == name or n.startswith(name + ".") for n in names):
+                importers.add(module)
+    return importers
+
+
+def test_only_linalg_runs_threads():
+    """The row blocks of the two exponential kernels are the package's only
+    parallel work, on the one pool that `linalg` owns."""
+    assert _importers("concurrent") == {"linalg"}
+    assert _importers("threading") == {"linalg"}
 
 
 def test_no_module_uses_scipy_linalg():
@@ -129,18 +153,7 @@ def test_no_module_uses_scipy_linalg():
 
 
 def test_only_dataio_imports_csv():
-    importers = set()
-    for module, tree in _modules():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module]
-            else:
-                continue
-            if "csv" in names:
-                importers.add(module)
-    assert importers == {"dataio"}
+    assert _importers("csv") == {"dataio"}
 
 
 def test_every_keyword_only_option_is_set_outside_the_tests():

@@ -40,7 +40,7 @@ from miph import (
     transform_data,
     transition_mask,
 )
-from miph import estimation, phasetype
+from miph import estimation, linalg, phasetype
 from miph.estimation import _age_scale_loglik
 from miph.linalg import expm_batch, solve
 
@@ -366,6 +366,18 @@ class TestEStep:
             for got, want in zip((stats.b, stats.z, stats.n_trans, stats.n_exit),
                                  expected):
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_row_blocks_change_no_bit(self, monkeypatch):
+        """At n = 2500 and p = 10 both exponential kernels split their
+        stacks into row blocks on the shared pool; every statistic is bit for
+        bit that of the same stacks in one block."""
+        x, delta, pi_rows, subs = _toy_data(seed=359, n=2500, d=2, p=10)
+        assert 2500 * 10 * 10 > 2 * linalg._BLOCK_ENTRIES
+        split = e_step(x, delta, pi_rows, subs)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 10 ** 12)
+        whole = e_step(x, delta, pi_rows, subs)
+        for name in ("b", "z", "n_trans", "n_exit"):
+            np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
 
     def test_one_exponential_per_distinct_time(self, monkeypatch):
         """With repeated operational times, some of them censored in one row

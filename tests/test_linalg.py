@@ -6,8 +6,16 @@ composite-Simpson / adaptive quadrature of the integrand (built from scipy's
 scalar expm, not the block construction) for the Van Loan integral, and
 scipy's ``expm_frechet`` and the 2p x 2p Van Loan block for the batched
 Fréchet derivative that the E-step reads that integral from. A frozen copy
-of the earlier ``expm_batch`` pins that its results have not moved.
+of the earlier ``expm_batch`` pins that its results have not moved, and
+both kernels split into row blocks on their thread pool are bit-identical
+to the same kernels run in one block.
 """
+
+import multiprocessing
+import os
+import sys
+import threading
+import time
 
 import mpmath as mp
 import numpy as np
@@ -15,7 +23,7 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from miph import SingularMatrixError, SubIntensity, e_step, transition_mask
+from miph import SingularMatrixError, SubIntensity, e_step, linalg, transition_mask
 from miph.linalg import expm_batch, expm_frechet_batch, solve
 from miph.phasetype import random_sub_intensity
 
@@ -292,19 +300,22 @@ def frozen_expm_batch(a):
     return r.reshape(*batch_shape, p, p)
 
 
+def scaling_power_stack(p, rng):
+    """One general p x p matrix per scaling power 0..30, plus a zero matrix,
+    shuffled so that rows of every scaling power interleave in the stack."""
+    rows = []
+    for s in range(31):
+        t = random_sub_intensity(transition_mask("general", p), rng).matrix
+        norm = np.abs(t).sum(axis=0).max()
+        rows.append(t * (5.371920351148152 * 2.0 ** (s - 0.5) / norm))
+    rows.append(np.zeros((p, p)))
+    return np.stack(rows)[rng.permutation(len(rows))]
+
+
 class TestExpmBatchUnchanged:
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
     def test_bit_identical_to_the_frozen_copy(self, p):
-        # one matrix per scaling power 0..30, plus a zero matrix, shuffled so
-        # that rows of every scaling power interleave in the stack
-        rng = np.random.default_rng(59 + p)
-        rows = []
-        for s in range(31):
-            t = random_sub_intensity(transition_mask("general", p), rng).matrix
-            norm = np.abs(t).sum(axis=0).max()
-            rows.append(t * (5.371920351148152 * 2.0 ** (s - 0.5) / norm))
-        rows.append(np.zeros((p, p)))
-        stack = np.stack(rows)[rng.permutation(len(rows))]
+        stack = scaling_power_stack(p, np.random.default_rng(59 + p))
         np.testing.assert_array_equal(expm_batch(stack), frozen_expm_batch(stack))
         np.testing.assert_array_equal(expm_batch(stack.reshape(4, 8, p, p)),
                                       frozen_expm_batch(stack.reshape(4, 8, p, p)))
@@ -400,6 +411,214 @@ class TestExpmFrechetBatch:
                 expm_frechet_batch(broken, good)
             with pytest.raises(ValueError):
                 expm_frechet_batch(good, broken)
+
+
+@pytest.fixture
+def split_run(monkeypatch):
+    """``split_run(f, *stacks, rows=r)`` returns ``f(*stacks)`` run in row
+    blocks of r matrices on the shared pool, and run in one block inline."""
+    threads = []
+    for name in ("_expm_block", "_expm_frechet_block"):
+        def spy(*args, kernel=getattr(linalg, name)):
+            threads.append(threading.current_thread().name)
+            return kernel(*args)
+        monkeypatch.setattr(linalg, name, spy)
+
+    def run(f, *stacks, rows):
+        n, p = np.prod(stacks[0].shape[:-2]), stacks[0].shape[-1]
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 10 ** 12)
+        threads.clear()
+        whole = f(*stacks)
+        assert threads == [threading.current_thread().name]
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", rows * p * p)
+        threads.clear()
+        split = f(*stacks)
+        assert len(threads) == -(-n // rows) > 1
+        assert all(name.startswith("miph-linalg") for name in threads)
+        return split, whole
+
+    return run
+
+
+def assert_blocks_change_no_bit(split_run, a, e, rows):
+    split, whole = split_run(expm_batch, a, rows=rows)
+    np.testing.assert_array_equal(split, whole)
+    (split_exp, split_frechet), (exp_a, frechet) = split_run(
+        expm_frechet_batch, a, e, rows=rows)
+    np.testing.assert_array_equal(split_exp, exp_a)
+    np.testing.assert_array_equal(split_frechet, frechet)
+    return split
+
+
+class TestRowBlocks:
+    """Both kernels are row-wise, so cutting a stack into row blocks that run
+    on the shared pool changes no bit: the split result is array_equal to
+    the result of one block."""
+
+    @pytest.mark.parametrize("rows", [1, 3, 7])
+    def test_random_stacks(self, split_run, rows):
+        rng = np.random.default_rng(79)
+        a = rng.uniform(-1.0, 1.0, size=(40, 4, 4)) * 2.0 ** rng.uniform(
+            -4.0, 6.0, size=(40, 1, 1))
+        e = rng.uniform(-1.0, 1.0, size=a.shape)
+        assert_blocks_change_no_bit(split_run, a, e, rows)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
+    def test_coxian_stacks(self, split_run, p):
+        # E-step inputs: A = T x and E = v c' x with weights c up to 1e40
+        rng = np.random.default_rng(83 + p)
+        n = 24
+        t = np.stack([random_sub_intensity(transition_mask("coxian", p), rng).matrix
+                      for _ in range(n)])
+        x = 10.0 ** rng.uniform(-3.0, 4.0, size=n)
+        v = rng.uniform(0.0, 2.0, size=(n, p))
+        c = rng.uniform(0.1, 1.0, size=(n, p)) * 10.0 ** np.linspace(0, 40, n)[:, None]
+        a = t * x[:, None, None]
+        e = v[:, :, None] * c[:, None, :] * x[:, None, None]
+        assert_blocks_change_no_bit(split_run, a, e, rows=5)
+
+    @pytest.mark.parametrize("diag, superdiag", [(DIAG_1, SUPER_1),
+                                                 (DIAG_2, SUPER_2)])
+    def test_stiff_reference_chains(self, split_run, diag, superdiag):
+        t = chain_matrix(diag, superdiag)
+        xs = np.geomspace(1e-5, 2e8, 30)
+        a = t[None, :, :] * xs[:, None, None]
+        e = np.ones((len(xs), t.shape[0], t.shape[0])) * xs[:, None, None]
+        assert_blocks_change_no_bit(split_run, a, e, rows=4)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
+    def test_every_scaling_power(self, split_run, p):
+        rng = np.random.default_rng(89 + p)
+        a = scaling_power_stack(p, rng)
+        e = rng.uniform(0.0, 1.0, size=a.shape)
+        split = assert_blocks_change_no_bit(split_run, a, e, rows=3)
+        np.testing.assert_array_equal(split, frozen_expm_batch(a))
+
+    def test_leading_batch_dimensions(self, split_run):
+        rng = np.random.default_rng(97)
+        a = scaling_power_stack(5, rng).reshape(4, 8, 5, 5)
+        e = rng.uniform(0.0, 1.0, size=a.shape)
+        split = assert_blocks_change_no_bit(split_run, a, e, rows=3)
+        assert split.shape == a.shape
+        np.testing.assert_array_equal(split, frozen_expm_batch(a))
+
+
+class TestSharedPool:
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        rng = np.random.default_rng(101)
+        a = random_sub_intensities(rng, 40, 3)
+        a[13, 0, 0] = -99.0  # marks the fourth block of four rows
+        raised_in = []
+        for name in ("_expm_block", "_expm_frechet_block"):
+            def failing(*args, kernel=getattr(linalg, name)):
+                if np.any(args[0] == -99.0):
+                    raised_in.append(threading.current_thread().name)
+                    raise RuntimeError("block kernel failed")
+                return kernel(*args)
+            monkeypatch.setattr(linalg, name, failing)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 4 * 3 * 3)
+        with pytest.raises(RuntimeError, match="block kernel failed"):
+            expm_batch(a)
+        with pytest.raises(RuntimeError, match="block kernel failed"):
+            expm_frechet_batch(a, np.ones_like(a))
+        assert len(raised_in) == 2
+        assert all(name.startswith("miph-linalg") for name in raised_in)
+
+    def test_never_more_workers_than_the_cap(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                            raising=False)
+        assert linalg._worker_count() == linalg._MAX_WORKERS
+        monkeypatch.setattr(linalg, "_pool", None)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 3 * 3)  # one row a block
+        threads = set()
+
+        def spy(*args, kernel=linalg._expm_block):
+            threads.add(threading.current_thread().name)
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, "_expm_block", spy)
+        try:
+            expm_batch(random_sub_intensities(np.random.default_rng(103), 200, 3))
+            assert linalg._pool._max_workers == linalg._MAX_WORKERS
+        finally:
+            linalg._pool.shutdown()
+        assert 1 <= len(threads) <= linalg._MAX_WORKERS
+        # without an affinity call, the CPU count stands in, under the same cap
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, workers in ((64, linalg._MAX_WORKERS), (2, 2), (None, 1)):
+            monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
+            assert linalg._worker_count() == workers
+
+    def test_concurrent_callers_share_one_pool(self, monkeypatch):
+        # more callers than cores, all racing to build the pool and writing
+        # blocks of their own outputs, with thread switches forced often
+        built = []
+
+        class CountedPool(linalg.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                time.sleep(0.05)  # a slow build, for the other callers to race
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(linalg, "ThreadPoolExecutor", CountedPool)
+        monkeypatch.setattr(linalg, "_pool", None)
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 2 * 3 * 3)
+        rng = np.random.default_rng(109)
+        stacks = [random_sub_intensities(rng, 30, 3) * rng.uniform(0.1, 50.0)
+                  for _ in range(6)]
+        expected = [frozen_expm_batch(a) for a in stacks]
+        results = [None] * len(stacks)
+        start = threading.Barrier(len(stacks))
+
+        def call(k):
+            start.wait()
+            results[k] = expm_batch(stacks[k])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(len(stacks))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            for pool in built:
+                pool.shutdown()
+        assert not any(caller.is_alive() for caller in callers)
+        assert len(built) == 1
+        for got, want in zip(results, expected):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_a_forked_child_builds_its_own_pool(self, monkeypatch):
+        # the parent's pool threads do not exist in a forked child; a child
+        # that submitted to the inherited pool would wait forever
+        monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 3 * 3)
+        a = random_sub_intensities(np.random.default_rng(113), 40, 3)
+        expected = expm_batch(a)  # builds the parent's pool
+        with multiprocessing.get_context("fork").Pool(1) as children:
+            got = children.apply_async(expm_batch, (a,)).get(timeout=60)
+        np.testing.assert_array_equal(got, expected)
+
+    def test_stacks_of_one_block_never_build_the_pool(self, monkeypatch):
+        def refuse():
+            raise AssertionError("the pool was built")
+
+        monkeypatch.setattr(linalg, "_pool", None)
+        monkeypatch.setattr(linalg, "_shared_pool", refuse)
+        rng = np.random.default_rng(107)
+        rows = linalg._BLOCK_ENTRIES // 100
+        # empty stacks, one full block at p = 10, and the desk-scale fit's
+        # 2000 rows at p = 3
+        for shape in ((0, 3, 3), (2, 0, 0), (rows, 10, 10), (2, rows // 2, 10, 10),
+                      (2000, 3, 3)):
+            a = rng.uniform(-1.0, 1.0, size=shape)
+            assert expm_batch(a).shape == shape
+            assert all(out.shape == shape for out in expm_frechet_batch(a, a))
+        assert linalg._pool is None
 
 
 class TestSolve:

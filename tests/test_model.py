@@ -112,6 +112,27 @@ class TestConstruction:
         np.testing.assert_allclose(got, expected, rtol=1e-12)
         np.testing.assert_allclose(got.sum(axis=1), 1.0, atol=1e-14)
 
+    def test_initial_vectors_constant_rows_take_one_softmax(self, spousal_model_with_gamma):
+        # the design `miph simulate --ages 63,63` builds: one row, repeated
+        from miph import standard_design
+        age = np.full(1000, 0.63)
+        a = standard_design(age, age)
+        got = spousal_model_with_gamma.initial_vectors(a)
+        expected = miph.model._softmax(a @ spousal_model_with_gamma.gamma.T)[0]
+        np.testing.assert_array_equal(got, expected)
+        assert got.flags.writeable and got.flags.c_contiguous
+
+    def test_initial_vectors_mixed_rows_take_a_softmax_per_row(self, spousal_model_with_gamma):
+        from miph import standard_design
+        for odd in (0, 500, 999):  # one row differs: first, middle, last
+            age = np.full(1000, 0.63)
+            age[odd] = 0.73
+            a = standard_design(age, np.full(1000, 0.63))
+            got = spousal_model_with_gamma.initial_vectors(a)
+            expected = miph.model._softmax(a @ spousal_model_with_gamma.gamma.T)[0]
+            np.testing.assert_array_equal(got, expected)
+            assert not np.array_equal(got[odd], got[(odd + 1) % 1000])
+
     def test_initial_vectors_fixed_broadcast(self):
         rng = np.random.default_rng(4)
         sub = random_chain(rng, 3)
