@@ -155,8 +155,8 @@ def _cmd_fit(args) -> int:
 def _cmd_eval(args) -> int:
     mdl = _bivariate_model(args.model, "eval")
     pi = _initial_vector(mdl, args.ages)
-    if args.points is None and args.grid is None:
-        raise DataValidationError("pass --points or --grid")
+    if (args.points is None) == (args.grid is None):
+        raise DataValidationError("pass exactly one of --points or --grid")
     if args.points is not None:
         pts_years = _parse_points(args.points)
     else:

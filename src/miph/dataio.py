@@ -21,7 +21,6 @@ import itertools
 import json
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .estimation import ObservationSet
 from .exceptions import DataValidationError, NumericalError
@@ -330,7 +329,7 @@ def generate_synthetic(model: MIPHModel, covariate_sampler, censoring_rate: floa
     ``covariate_sampler(rng, n)`` must return an (n, g) design matrix with a
     leading 1-column, matched to the model's coefficient width. Censoring
     times are independent exponentials whose common rate is calibrated by
-    root finding so the expected censored fraction over all margins equals
+    Newton's method so the expected censored fraction over all margins equals
     ``censoring_rate``. Deterministic given ``seed``.
     """
     n = int(n)
@@ -347,15 +346,21 @@ def generate_synthetic(model: MIPHModel, covariate_sampler, censoring_rate: floa
     y = sample_joint_rows(model, pi_rows, rng)
 
     if censoring_rate == 0.0:
-        delta = np.ones_like(y, dtype=np.int8)
-        return ObservationSet(y=y, delta=delta, covariates=design)
-
-    flat = y.ravel()
-
-    def censored_fraction(rate):
-        return float(np.mean(-np.expm1(-rate * flat))) - censoring_rate
-
-    rate = brentq(censored_fraction, 1e-12, 1e12, xtol=1e-14, rtol=1e-12)
-    cens = rng.exponential(1.0 / rate, size=y.shape)
+        return ObservationSet(y=y, delta=np.ones_like(y, dtype=np.int8), covariates=design)
+    cens = rng.exponential(1.0 / _censoring_rate(y.ravel(), censoring_rate), size=y.shape)
     delta = (y <= cens).astype(np.int8)
     return ObservationSet(y=np.minimum(y, cens), delta=delta, covariates=design)
+
+
+def _censoring_rate(y, fraction: float) -> float:
+    """The rate r with ``mean(1 - exp(-r y)) = fraction``, by Newton's method:
+    the mean is increasing and concave in r and, by Jensen, at most
+    ``fraction`` at r0 = -log(1 - fraction) / mean(y), so the iterates rise
+    to the root without a bracket. They stop once a step is within a few
+    ulps of r, or not positive because rounding crossed the root."""
+    rate, step = -np.log1p(-fraction) / y.mean(), np.inf
+    while step > 4.0 * np.spacing(rate):
+        decay = np.expm1(-rate * y)  # exp(-r y) - 1
+        step = (fraction + decay.mean()) / np.mean(y * (1.0 + decay))
+        rate += step
+    return float(rate)

@@ -10,16 +10,16 @@ closed-form dependence measures.
 Both batched kernels are row-wise: every matrix gets its own scaling power,
 Padé solve and squarings. So each cuts its stack into row blocks of at most
 ``_BLOCK_ENTRIES`` matrix entries, whose temporaries stay in cache, and runs
-the blocks on one lazily built thread pool shared by the module (numpy
-releases the GIL in ``matmul`` and the ``linalg`` gufuncs), each block
-writing its slice of one output. A stack of one block runs inline. The split
+the blocks on one thread pool shared by the module (numpy releases the GIL in
+``matmul`` and the ``linalg`` gufuncs), each block writing its slice of one
+output. The pool is built at import and starts no thread until the first
+stack of more than one block; a stack of one block runs inline. The split
 changes no bit of the result.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
@@ -116,8 +116,6 @@ def _block_mul(x, y):
 _BLOCK_ENTRIES = 100_000
 # most threads the shared pool ever has
 _MAX_WORKERS = 4
-_pool = None
-_pool_lock = threading.Lock()
 
 
 def _worker_count() -> int:
@@ -129,22 +127,16 @@ def _worker_count() -> int:
     return max(1, min(cores, _MAX_WORKERS))
 
 
-def _shared_pool() -> ThreadPoolExecutor:
+def _build_pool():
+    """Build the module's pool, at import and again in a forked child, which
+    has none of its parent's threads. It starts no thread until first used."""
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(_worker_count(), thread_name_prefix="miph-linalg")
-        return _pool
+    _pool = ThreadPoolExecutor(_worker_count(), thread_name_prefix="miph-linalg")
 
 
-def _forget_pool():
-    """A forked child has none of its parent's threads: it builds its own pool."""
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
+_build_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_build_pool)
 
 
 def _in_blocks(kernel, width, *stacks):
@@ -163,7 +155,7 @@ def _in_blocks(kernel, width, *stacks):
     def block(i):
         out[i:i + rows] = kernel(*(s[i:i + rows] for s in stacks))
 
-    futures = [_shared_pool().submit(block, i) for i in range(0, n, rows)]
+    futures = [_pool.submit(block, i) for i in range(0, n, rows)]
     wait(futures)
     for future in futures:
         future.result()

@@ -208,6 +208,8 @@ def marginal_survival(model: MIPHModel, pi, margin: int, y):
     ``y >= 0``; a scalar gives a float."""
     m = model.margins[_check_margin(model, margin)]
     pi = validate_initial_vector(pi, model.dim)
+    if np.ndim(y) > 1:
+        raise ValueError(f"y must be a scalar or a 1-d array, got shape {np.shape(y)}")
     vals = _margin_factors(m, np.atleast_1d(_check_nonneg(y, "y")), False) @ pi
     return float(vals[0]) if np.ndim(y) == 0 else vals
 

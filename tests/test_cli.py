@@ -194,6 +194,13 @@ class TestEval:
         assert rc == 2
         capsys.readouterr()
 
+    def test_points_and_grid_together_exit_two(self, small_model_path, capsys):
+        rc = main(["eval", str(small_model_path), "--points", "10,20", "--grid", "0:20:3"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "pass exactly one of --points or --grid" in captured.err
+        assert captured.out == ""
+
     def test_fixed_pi_model_warns_on_ages(self, small_model_path, capsys):
         rc = main(["eval", str(small_model_path), "--ages", "63,63",
                    "--points", "10,10"])

@@ -10,6 +10,7 @@ import json
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from miph import dataio
 from miph import (
@@ -437,6 +438,24 @@ class TestGenerateSynthetic:
             obs = generate_synthetic(model, self._sampler, rate, 30_000, seed=23)
             empirical = float(np.mean(obs.delta == 0))
             assert abs(empirical - rate) < 0.01
+
+    @pytest.mark.parametrize("fraction", [0.01, 0.2, 0.6, 0.99])
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_newton_rate_matches_a_bracketed_root(self, fraction, scale):
+        # the oracle is scipy's Brent root on the same censored fraction,
+        # bracketed around the 1 / scale the rate scales with
+        y = generate_synthetic(self._model(), self._sampler, 0.0, 2000, seed=37).y.ravel()
+        y = y * scale
+
+        def censored(rate):
+            return float(np.mean(-np.expm1(-rate * y)))
+
+        rate = dataio._censoring_rate(y, fraction)
+        oracle = scipy.optimize.brentq(lambda r: censored(r) - fraction,
+                                       1e-6 / scale, 1e6 / scale,
+                                       xtol=1e-300, rtol=4 * np.finfo(float).eps)
+        assert abs(rate - oracle) <= 1e-12 * oracle
+        assert abs(censored(rate) - fraction) <= 1e-14
 
     def test_zero_rate_leaves_everything_uncensored(self):
         obs = generate_synthetic(self._model(), self._sampler, 0.0, 50, seed=29)

@@ -13,7 +13,8 @@ structures it is 8.8e-5 off at weights near 4e10, and with one couple
 censored at 600 times the mean a margin's occupancies sum to 99.3 where
 its operational times sum to 304.8. Both exponential kernels in `linalg`
 share one Padé-13 table, read in their per-block kernels, and `linalg` alone
-starts threads. Matrix exponentials never come from scipy.
+starts threads. No module imports scipy, so matrix exponentials never come
+from it.
 CSV text is read and written in `dataio` alone. Every keyword-only option
 of a package function is set by some caller outside the tests; one that no
 caller sets is a module constant. A public name is listed in its own
@@ -24,7 +25,11 @@ option is read by its command.
 import argparse
 import ast
 import importlib
+import os
 import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import miph
@@ -132,9 +137,15 @@ def _importers(name):
 
 def test_only_linalg_runs_threads():
     """The row blocks of the two exponential kernels are the package's only
-    parallel work, on the one pool that `linalg` owns."""
+    parallel work, on the one pool that `linalg` builds at import: no module
+    takes a lock or starts a thread of its own."""
     assert _importers("concurrent") == {"linalg"}
-    assert _importers("threading") == {"linalg"}
+    assert _importers("threading") == set()
+
+
+def test_no_module_imports_scipy():
+    """The package runs on numpy alone; scipy serves the tests and demo 01."""
+    assert _importers("scipy") == set()
 
 
 def test_no_module_uses_scipy_linalg():
@@ -150,6 +161,39 @@ def test_no_module_uses_scipy_linalg():
                 continue
             assert not any(n == "scipy.linalg" or n.startswith("scipy.linalg.")
                            for n in names), (module, names)
+
+
+def test_package_runs_without_scipy(tmp_path):
+    """With scipy unimportable, the package simulates censored data, fits it
+    and runs the CLI: numpy is its only runtime dependency."""
+    model_path = ROOT / "demos" / "models" / "spousal_reference.json"
+    script = textwrap.dedent(f"""
+        import sys
+        sys.modules["scipy"] = None  # any import of scipy now raises
+        import numpy as np
+        import miph
+        from miph import cli
+
+        def sampler(rng, n):
+            return np.ones((n, 1))
+
+        rng = np.random.default_rng(3)
+        sub = miph.random_sub_intensity(miph.transition_mask("coxian", 2), rng)
+        model = miph.MIPHModel((miph.Margin(sub, miph.GompertzTransform(2.0)),) * 2,
+                               fixed_pi=np.array([0.3, 0.7]))
+        obs = miph.generate_synthetic(model, sampler, 0.2, 200, seed=5)
+        assert 0 < obs.delta.sum() < obs.delta.size
+        config = miph.FitConfig(p=2, max_iterations=2, loglik_tolerance=None)
+        assert miph.fit(obs, config).iterations == 2
+        assert cli.main(["measures", {str(model_path)!r}, "--ages", "63,63",
+                         "--output", {str(tmp_path / "m.csv")!r}]) == 0
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    assert (tmp_path / "m.csv").read_text(encoding="utf-8").startswith("measure,")
 
 
 def test_only_dataio_imports_csv():

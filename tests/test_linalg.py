@@ -15,7 +15,6 @@ import multiprocessing
 import os
 import sys
 import threading
-import time
 
 import mpmath as mp
 import numpy as np
@@ -528,7 +527,8 @@ class TestSharedPool:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
                             raising=False)
         assert linalg._worker_count() == linalg._MAX_WORKERS
-        monkeypatch.setattr(linalg, "_pool", None)
+        monkeypatch.setattr(linalg, "_pool", None)  # the module's pool, restored after
+        linalg._build_pool()
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 3 * 3)  # one row a block
         threads = set()
 
@@ -550,19 +550,27 @@ class TestSharedPool:
             assert linalg._worker_count() == workers
 
     def test_concurrent_callers_share_one_pool(self, monkeypatch):
-        # more callers than cores, all racing to build the pool and writing
-        # blocks of their own outputs, with thread switches forced often
+        # more callers than cores, all submitting to the pool built at import
+        # and writing blocks of their own outputs, with thread switches
+        # forced often; no caller builds a pool of its own
         built = []
 
         class CountedPool(linalg.ThreadPoolExecutor):
             def __init__(self, *args, **kwargs):
                 built.append(self)
-                time.sleep(0.05)  # a slow build, for the other callers to race
                 super().__init__(*args, **kwargs)
 
         monkeypatch.setattr(linalg, "ThreadPoolExecutor", CountedPool)
-        monkeypatch.setattr(linalg, "_pool", None)
+        monkeypatch.setattr(linalg, "_pool", None)  # the module's pool, restored after
+        linalg._build_pool()  # as at import
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 2 * 3 * 3)
+        ran_on = set()
+
+        def spy(*args, kernel=linalg._expm_block):
+            ran_on.add(threading.current_thread())
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, "_expm_block", spy)
         rng = np.random.default_rng(109)
         stacks = [random_sub_intensities(rng, 30, 3) * rng.uniform(0.1, 50.0)
                   for _ in range(6)]
@@ -587,7 +595,8 @@ class TestSharedPool:
             for pool in built:
                 pool.shutdown()
         assert not any(caller.is_alive() for caller in callers)
-        assert len(built) == 1
+        assert built == [linalg._pool]
+        assert ran_on and ran_on <= set(linalg._pool._threads)
         for got, want in zip(results, expected):
             np.testing.assert_array_equal(got, want)
 
@@ -598,17 +607,19 @@ class TestSharedPool:
         # that submitted to the inherited pool would wait forever
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 3 * 3)
         a = random_sub_intensities(np.random.default_rng(113), 40, 3)
-        expected = expm_batch(a)  # builds the parent's pool
+        expected = expm_batch(a)  # starts the parent's pool threads
         with multiprocessing.get_context("fork").Pool(1) as children:
             got = children.apply_async(expm_batch, (a,)).get(timeout=60)
         np.testing.assert_array_equal(got, expected)
 
     def test_stacks_of_one_block_never_build_the_pool(self, monkeypatch):
-        def refuse():
-            raise AssertionError("the pool was built")
+        # the pool is built at import; a stack of one block never submits
+        # to it, so it starts no thread
+        class RefusingPool:
+            def submit(self, *args):
+                raise AssertionError("the pool was used")
 
-        monkeypatch.setattr(linalg, "_pool", None)
-        monkeypatch.setattr(linalg, "_shared_pool", refuse)
+        monkeypatch.setattr(linalg, "_pool", RefusingPool())
         rng = np.random.default_rng(107)
         rows = linalg._BLOCK_ENTRIES // 100
         # empty stacks, one full block at p = 10, and the desk-scale fit's
@@ -618,7 +629,6 @@ class TestSharedPool:
             a = rng.uniform(-1.0, 1.0, size=shape)
             assert expm_batch(a).shape == shape
             assert all(out.shape == shape for out in expm_frechet_batch(a, a))
-        assert linalg._pool is None
 
 
 class TestSolve:

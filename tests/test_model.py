@@ -7,6 +7,7 @@ Reference dependence values for the spousal model live in the acceptance
 suite; here a couple of them pin the same fixtures at looser cost.
 """
 
+import re
 import warnings
 
 import mpmath as mp
@@ -219,6 +220,12 @@ class TestJointEvaluation:
         np.testing.assert_allclose(
             _marginal_density(model, pi, 1, y), fd, rtol=1e-6
         )
+
+    @pytest.mark.parametrize("shape", [(2, 3), (1, 1), (3, 1), (1, 1, 1)])
+    def test_marginal_survival_rejects_arrays_above_1d(self, shape):
+        model, pi = random_bivariate_model(np.random.default_rng(153), p=2)
+        with pytest.raises(ValueError, match=re.escape(f"1-d array, got shape {shape}")):
+            marginal_survival(model, pi, 0, np.full(shape, 0.5))
 
     def test_point_validation(self):
         model, pi = random_bivariate_model(np.random.default_rng(157), p=2)
