@@ -85,10 +85,13 @@ def _couple_ages(text: str) -> np.ndarray:
     return scaled
 
 
-def _custom_design(mdl) -> bool:
-    """Whether the model's coefficients need another design than the
-    standard (1, age1, age2, age1*age2), the only one the CLI builds."""
-    return mdl.gamma is not None and mdl.gamma.shape[1] != 4
+def _couple_design(mdl, scaled) -> np.ndarray:
+    """The standard design (1, age1, age2, age1*age2) of (n, 2) scaled ages,
+    the only one the CLI builds; refuses a model that needs another."""
+    if mdl.gamma is not None and mdl.gamma.shape[1] != 4:
+        raise DataValidationError("model expects a custom design; the CLI only "
+                                  "builds the standard (1, age1, age2, age1*age2) one")
+    return dataio.standard_design(scaled[:, 0], scaled[:, 1])
 
 
 def _bivariate_model(path, command: str):
@@ -106,13 +109,7 @@ def _initial_vector(mdl, ages_arg: str | None) -> np.ndarray:
             raise DataValidationError(
                 "model links initial vectors to covariates; pass --ages A1,A2"
             )
-        scaled = _couple_ages(ages_arg)
-        if _custom_design(mdl):
-            raise DataValidationError(
-                "model expects a custom design matrix; --ages only supports "
-                "the standard (1, age1, age2, age1*age2) design"
-            )
-        return mdl.initial_vectors(dataio.standard_design(scaled[:1], scaled[1:]))[0]
+        return mdl.initial_vectors(_couple_design(mdl, _couple_ages(ages_arg)[None]))[0]
     if mdl.fixed_pi is not None:
         if ages_arg is not None:
             _warn("model carries a fixed initial vector; --ages ignored")
@@ -122,12 +119,11 @@ def _initial_vector(mdl, ages_arg: str | None) -> np.ndarray:
 
 def _cmd_fit(args) -> int:
     obs = dataio.load_csv(args.data)
-    tolerance = None if args.fixed_iterations else args.tolerance
     config = estimation.FitConfig(
         p=args.p,
         structure=args.structure,
         max_iterations=args.iterations,
-        loglik_tolerance=tolerance,
+        loglik_tolerance=None if args.tolerance == 0 else args.tolerance,
         seed=args.seed,
         beta_init=args.beta_init,
         i_step_every=args.i_step_every,
@@ -209,32 +205,20 @@ def _cmd_simulate(args) -> int:
     if args.ages is not None:
         if args.n is None:
             raise DataValidationError("--n is required with --ages")
-        scaled = _couple_ages(args.ages)
-        n = args.n
-
-        def sampler(rng, size):
-            return dataio.standard_design(
-                np.full(size, scaled[0]), np.full(size, scaled[1])
-            )
+        # a view of the one couple; generate_synthetic refuses n < 1
+        scaled = np.broadcast_to(_couple_ages(args.ages), (max(args.n, 0), 2))
     else:
-        ages = dataio.read_columns(args.covariates, ("age1", "age2"),
-                                   nonnegative=("age1", "age2"))
-        n = ages.shape[0] if args.n is None else args.n
-        if n != ages.shape[0]:
+        scaled = dataio.read_columns(args.covariates, ("age1", "age2"),
+                                     nonnegative=("age1", "age2")) / dataio.TIME_SCALE
+        if args.n not in (None, len(scaled)):
             raise DataValidationError(
-                f"--n {n} does not match {ages.shape[0]} covariate rows"
-            )
-        scaled = ages / dataio.TIME_SCALE
-        _check_age_range(scaled.ravel())
+                f"--n {args.n} does not match {len(scaled)} covariate rows")
+        _check_age_range(scaled)
 
-        def sampler(rng, size):
-            return dataio.standard_design(scaled[:, 0], scaled[:, 1])
-
-    if _custom_design(mdl):
-        raise DataValidationError(
-            "model expects a custom design; the CLI only builds the standard one"
-        )
-    obs = dataio.generate_synthetic(mdl, sampler, args.censoring_rate, n, args.seed)
+    design = _couple_design(mdl, scaled)
+    n = len(design) if args.n is None else args.n
+    obs = dataio.generate_synthetic(mdl, lambda rng, size: design,
+                                    args.censoring_rate, n, args.seed)
     dataio.write_csv(sys.stdout if args.output is None else args.output, obs)
     if args.output is not None:
         print(f"wrote {obs.n} rows to {args.output}")
@@ -251,16 +235,15 @@ def _cmd_beran(args) -> int:
     grid = grid_years / dataio.TIME_SCALE
     ages = obs.covariates[:, 1:3]
 
-    margins = (0, 1) if args.margin == "both" else (int(args.margin) - 1,)
     cdf = np.concatenate([
         dataio.beran_cdf(obs.y[:, m], obs.delta[:, m], ages, query, bandwidth, grid)
-        for m in margins
+        for m in (0, 1)
     ])
     dataio.write_rows(sys.stdout if args.output is None else args.output,
                       ("margin", "time", "cdf", "survival"),
                       "%d,%g,%.12g,%.12g",
-                      [np.repeat(np.array(margins) + 1, grid.size),
-                       np.tile(grid_years, len(margins)), cdf, 1.0 - cdf])
+                      [np.repeat([1, 2], grid.size), np.tile(grid_years, 2),
+                       cdf, 1.0 - cdf])
     return 0
 
 
@@ -280,9 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--structure", choices=("coxian", "general"), default="coxian")
     p_fit.add_argument("--iterations", type=int, default=1000)
     p_fit.add_argument("--tolerance", type=float, default=1e-7,
-                       help="per-observation log-likelihood stopping tolerance")
-    p_fit.add_argument("--fixed-iterations", action="store_true",
-                       help="disable the tolerance rule; run --iterations exactly")
+                       help="per-observation log-likelihood stopping tolerance "
+                            "(0 = run --iterations exactly)")
     p_fit.add_argument("--beta-init", type=float, default=1.0)
     p_fit.add_argument("--i-step-every", type=int, default=1,
                        help="how often to update the transforms (0 = frozen)")
@@ -329,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_ber.add_argument("--bandwidth-unit", choices=("scaled", "years"),
                        default="scaled",
                        help="units of --bandwidth (default: internal scale)")
-    p_ber.add_argument("--margin", choices=("1", "2", "both"), default="both")
     p_ber.add_argument("--grid", default="0:40:81",
                        help="evaluation times, years start:stop:num")
     common(p_ber)

@@ -60,11 +60,11 @@ def load_csv(path) -> ObservationSet:
 
     Columns may come in any order, extra columns are ignored and blank lines
     are skipped. Raises :class:`DataValidationError` for an empty file, a
-    missing column or no data rows, and, naming the line and the column, for
-    a row whose field count differs from the header's (line only), a
-    non-numeric or non-finite cell, a negative time or age, or an indicator
-    outside {0, 1}. The earliest faulty line is named, with its first fault
-    in that order, cells in the order of the schema header.
+    missing or repeated column or no data rows, and, naming the line and the
+    column, for a row whose field count differs from the header's (line
+    only), a non-numeric or non-finite cell, a negative time or age, or an
+    indicator outside {0, 1}. The earliest faulty line is named, with its
+    first fault in that order, cells in the order of the schema header.
     """
     data = read_columns(path, _CSV_COLUMNS,
                         nonnegative=("time1", "time2", "age1", "age2"),
@@ -91,6 +91,9 @@ def read_columns(path, columns, *, nonnegative=(), indicator=()) -> np.ndarray:
         missing = [c for c in columns if c not in header]
         if missing:
             raise DataValidationError(f"{path}: missing columns {missing}")
+        repeated = [c for c in columns if header.count(c) > 1]
+        if repeated:
+            raise DataValidationError(f"{path}: columns named more than once {repeated}")
         blocks = iter(lambda: list(itertools.islice(reader, _BLOCK)), [])
         parts = [_parse_block(path, rows, 2 + b * _BLOCK, header, columns,
                               nonnegative, indicator)
@@ -265,7 +268,7 @@ def beran_cdf(times, deltas, covariates, query, bandwidth: float, t):
     covariates : (n,) or (n, q) array_like
         Kernel covariates (e.g. scaled entry ages), *not* a design matrix.
     query : scalar or (q,) array_like
-        Covariate point to condition on.
+        Finite covariate point to condition on.
     bandwidth : float
         Kernel bandwidth b > 0, in the covariates' units.
     t : scalar or array_like
@@ -287,8 +290,8 @@ def beran_cdf(times, deltas, covariates, query, bandwidth: float, t):
     if not (np.all(np.isfinite(times)) and times.min() >= 0.0 and np.all(np.isfinite(cov))):
         raise ValueError("times must be finite and >= 0, and covariates finite")
     q = np.atleast_1d(np.asarray(query, dtype=float))
-    if q.shape != (cov.shape[1],):
-        raise ValueError(f"query must have {cov.shape[1]} coordinates")
+    if q.shape != (cov.shape[1],) or not np.all(np.isfinite(q)):
+        raise ValueError(f"query must have {cov.shape[1]} finite coordinates")
     bandwidth = float(bandwidth)
     if not (np.isfinite(bandwidth) and bandwidth > 0.0):
         raise ValueError(f"bandwidth must be > 0, got {bandwidth}")

@@ -522,10 +522,6 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
     total = float(np.log(rows).sum())
     if not derivatives:
         return total, exps
-    with np.errstate(over="ignore"):
-        inv = 1.0 / rows
-    overflow = np.isinf(inv)  # rows under 2**-1024: divide by them instead
-    inv[overflow] = 0.0
     factors, first, second = zip(*parts)  # per margin: f, df/dtheta, d2f/dtheta2
 
     def weighted(replace):
@@ -534,10 +530,7 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
         w = per_obs_pi.copy()
         for l in range(d):
             w *= replace.get(l, factors[l])
-        s = w.sum(axis=1)
-        out = s * inv
-        out[overflow] = s[overflow] / rows[overflow]
-        return out
+        return w.sum(axis=1) / rows
 
     score = [weighted({i: first[i]}) for i in range(d)]
     grad = np.array([s.sum() for s in score])

@@ -13,17 +13,20 @@ import pytest
 
 import miph.phasetype
 from miph import (
+    FitConfig,
     GompertzTransform,
     Margin,
     MIPHModel,
     SubIntensity,
     beran_cdf,
+    fit,
     kendall_tau,
     load_csv,
     load_model,
     save_model,
 )
 from miph.cli import main
+from miph.dataio import write_rows
 
 from conftest import random_chain, random_pi
 
@@ -47,6 +50,15 @@ def small_model_path(tmp_path_factory):
 def spousal_model_path(tmp_path_factory, spousal_model_with_gamma):
     path = tmp_path_factory.mktemp("models") / "spousal.json"
     save_model(spousal_model_with_gamma, path)
+    return path
+
+
+@pytest.fixture(scope="module")
+def three_column_gamma_path(tmp_path_factory, spousal_model_with_gamma):
+    """A covariate-linked model whose coefficients need a 3-column design."""
+    path = tmp_path_factory.mktemp("models") / "custom_design.json"
+    save_model(MIPHModel(spousal_model_with_gamma.margins,
+                         gamma=spousal_model_with_gamma.gamma[:, :3]), path)
     return path
 
 
@@ -107,6 +119,19 @@ class TestSimulate:
                    "--covariates", str(ages)])
         assert rc == 2
         assert "does not match" in capsys.readouterr().err
+
+    def test_ages_and_covariates_give_the_same_bytes(self, spousal_model_path,
+                                                     tmp_path):
+        ages = tmp_path / "ages.csv"
+        ages.write_text("age1,age2\n" + "63,63\n" * 50, encoding="utf-8")
+        common = [str(spousal_model_path), "--censoring-rate", "0.3", "--seed", "7"]
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["simulate", *common, "--ages", "63,63", "--n", "50",
+                     "--output", str(a)]) == 0
+        assert main(["simulate", *common, "--covariates", str(ages),
+                     "--output", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+        assert load_csv(a).n == 50
 
     def test_requires_exactly_one_age_source(self, small_model_path, capsys):
         assert main(["simulate", str(small_model_path), "--n", "5"]) == 2
@@ -280,7 +305,7 @@ class TestFit:
         out = tmp_path / "fitdir"
         rc = main([
             "fit", str(data_csv), "--p", "2", "--iterations", "6",
-            "--fixed-iterations", "--i-step-every", "0",
+            "--tolerance", "0", "--i-step-every", "0",
             "--beta-init", "2.0", "--seed", "4", "--output", str(out),
         ])
         assert rc == 0
@@ -304,12 +329,29 @@ class TestFit:
         out = tmp_path / "fitdir"
         rc = main([
             "fit", str(data_csv), "--p", "2", "--structure", "general",
-            "--iterations", "4", "--fixed-iterations", "--seed", "4",
+            "--iterations", "4", "--tolerance", "0", "--seed", "4",
             "--output", str(out),
         ])
         assert rc == 0
         assert "iterations: 4" in capsys.readouterr().out
         assert load_model(out / "model.json").dim == 2
+
+    def test_tolerance_zero_runs_iterations_exactly(self, data_csv, tmp_path, capsys):
+        out = tmp_path / "fitdir"
+        assert main(["fit", str(data_csv), "--p", "2", "--iterations", "6",
+                     "--tolerance", "0", "--seed", "4", "--output", str(out)]) == 0
+        assert "iterations: 6 (converged: False)" in capsys.readouterr().out
+
+        report = fit(load_csv(data_csv),
+                     FitConfig(p=2, max_iterations=6, loglik_tolerance=None, seed=4))
+        lib = tmp_path / "library"
+        lib.mkdir()
+        save_model(report.model, lib / "model.json")
+        write_rows(lib / "loglik.csv", ("iteration", "loglik"), "%d,%.17g",
+                   [np.arange(1, 7), report.loglik_trace])
+        assert len(report.loglik_trace) == 6
+        for name in ("model.json", "loglik.csv"):
+            assert (out / name).read_bytes() == (lib / name).read_bytes()
 
     def test_fit_missing_file(self, capsys):
         assert main(["fit", "nowhere.csv", "--p", "2"]) == 2
@@ -324,7 +366,7 @@ class TestFit:
     @pytest.mark.parametrize("flag,value,message", [
         ("--tolerance", "-1", "loglik_tolerance"),
         ("--tolerance", "nan", "loglik_tolerance"),
-        ("--tolerance", "0", "loglik_tolerance"),
+        ("--tolerance", "inf", "loglik_tolerance"),
         ("--beta-init", "0", "beta_init"),
         ("--beta-init", "-2", "beta_init"),
         ("--beta-init", "inf", "beta_init"),
@@ -340,10 +382,10 @@ class TestFit:
 
 class TestBeran:
     def test_matches_library_call(self, data_csv, capsys):
-        rc = main(["beran", str(data_csv), "--ages", "63,63",
-                   "--margin", "1", "--grid", "0:40:5"])
+        rc = main(["beran", str(data_csv), "--ages", "63,63", "--grid", "0:40:5"])
         assert rc == 0
         _, rows = read_csv_text(capsys.readouterr().out)
+        rows = [r for r in rows if r[0] == "1"]
         assert len(rows) == 5
         obs = load_csv(data_csv)
         expected = beran_cdf(
@@ -364,14 +406,15 @@ class TestBeran:
         assert {r[0] for r in rows} == {"1", "2"}
 
     def test_bandwidth_units_agree(self, data_csv, capsys):
-        base = ["beran", str(data_csv), "--ages", "63,63", "--margin", "2",
-                "--grid", "0:40:9"]
+        base = ["beran", str(data_csv), "--ages", "63,63", "--grid", "0:40:9"]
         assert main(base + ["--bandwidth", "0.002"]) == 0
-        scaled_out = capsys.readouterr().out
+        _, scaled_rows = read_csv_text(capsys.readouterr().out)
         assert main(base + ["--bandwidth", "0.2",
                             "--bandwidth-unit", "years"]) == 0
-        years_out = capsys.readouterr().out
-        assert scaled_out == years_out
+        _, years_rows = read_csv_text(capsys.readouterr().out)
+        margin2 = [r for r in scaled_rows if r[0] == "2"]
+        assert len(margin2) == 9
+        assert margin2 == [r for r in years_rows if r[0] == "2"]
 
     def test_far_query_is_numerical_failure(self, data_csv, capsys):
         rc = main(["beran", str(data_csv), "--ages", "140,140",
@@ -392,6 +435,30 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as exc:
             main([command, str(small_model_path), "--ages", "63,63", "--seed", "1"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "data.csv", "--p", "2", "--fixed-iterations"],
+        ["beran", "data.csv", "--ages", "63,63", "--margin", "1"],
+    ])
+    def test_removed_options_exit_two(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("command", [
+        ["eval", "--ages", "63,63", "--points", "10,20"],
+        ["measures", "--ages", "63,63"],
+        ["simulate", "--ages", "63,63", "--n", "5"],
+    ])
+    def test_custom_design_model_is_refused_alike(self, three_column_gamma_path,
+                                                  command, capsys):
+        rc = main([command[0], str(three_column_gamma_path), *command[1:]])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: model expects a custom design; the CLI only builds the "
+            "standard (1, age1, age2, age1*age2) one\n")
 
     def test_missing_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:

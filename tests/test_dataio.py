@@ -84,6 +84,18 @@ class TestLoadCsv:
         with pytest.raises(DataValidationError, match="age2"):
             load_csv(f)
 
+    def test_repeated_column_is_named(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, [GOOD_HEADER + ",time1", "12,30,1,0,63,68,99"])
+        with pytest.raises(DataValidationError,
+                           match=r"columns named more than once \['time1'\]"):
+            load_csv(f)
+
+    def test_repeated_extra_column_is_ignored(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, [GOOD_HEADER + ",note,note", "12,30,1,0,63,68,a,b"])
+        assert load_csv(f).n == 1
+
     def test_non_numeric_cell_names_line_and_column(self, tmp_path):
         f = tmp_path / "d.csv"
         write_lines(f, [GOOD_HEADER, "12,30,1,0,63,68", "12,abc,1,0,63,68"])
@@ -405,6 +417,13 @@ class TestBeran:
         with pytest.raises(ValueError, match="finite"):
             beran_cdf(data["times"], np.array([1, 1, 1, 0]), data["cov"], 0.0, 1.0,
                       [1.5, 2.5, 5.0])
+
+    @pytest.mark.parametrize("query", [[np.nan, 0.6], [np.inf, 0.6], [0.6, -np.inf]])
+    def test_rejects_non_finite_query(self, query):
+        cov = np.array([[0.6, 0.6], [0.65, 0.6], [0.7, 0.62]])
+        with pytest.raises(ValueError, match="query must have 2 finite coordinates"):
+            beran_cdf(np.array([1.0, 2.0, 3.0]), np.array([1, 0, 1]), cov, query,
+                      0.05, [1.5, 2.5])
 
     @pytest.mark.parametrize("t", [np.nan, [1.5, np.nan]])
     def test_rejects_nan_evaluation_times(self, t):
