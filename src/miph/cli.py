@@ -128,10 +128,11 @@ def _cmd_fit(args) -> int:
         beta_init=args.beta_init,
         i_step_every=args.i_step_every,
     )
-    report = estimation.fit(obs, config)
-
+    # an output path that cannot be a directory fails before the fit, not after
     out_dir = Path(args.output if args.output is not None else ".")
     out_dir.mkdir(parents=True, exist_ok=True)
+    report = estimation.fit(obs, config)
+
     model_path = out_dir / "model.json"
     trace_path = out_dir / "loglik.csv"
     dataio.save_model(report.model, model_path)

@@ -59,7 +59,7 @@ def load_csv(path) -> ObservationSet:
     :class:`~miph.estimation.ObservationSet` on the internal scale.
 
     Columns may come in any order, extra columns are ignored and blank lines
-    are skipped. Raises :class:`DataValidationError` for an empty file, a
+    are skipped, and so is a UTF-8 byte-order mark. Raises :class:`DataValidationError` for an empty file, a
     missing or repeated column or no data rows, and, naming the line and the
     column, for a row whose field count differs from the header's (line
     only), a non-numeric or non-finite cell, a negative time or age, or an
@@ -82,7 +82,7 @@ def read_columns(path, columns, *, nonnegative=(), indicator=()) -> np.ndarray:
     ``nonnegative`` and ``indicator`` name the columns checked for negative
     values and for values other than 0 or 1; cells are checked in the order
     of ``columns``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
@@ -215,10 +215,11 @@ def save_model(model: MIPHModel, path) -> None:
 
 
 def load_model(path) -> MIPHModel:
-    """Load a model saved by :func:`save_model`. Validates the format tag,
-    and the ``time_scale``, ``p`` and ``d`` a document may declare against
-    :data:`TIME_SCALE` and the margins it holds."""
-    with open(path, encoding="utf-8") as fh:
+    """Load a model saved by :func:`save_model`, with or without a UTF-8
+    byte-order mark. Validates the format tag, and the ``time_scale``, ``p``
+    and ``d`` a document may declare against :data:`TIME_SCALE` and the
+    margins it holds."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
         except json.JSONDecodeError as err:

@@ -295,9 +295,10 @@ def e_step(x, delta, per_obs_pi, subs, exps=None) -> SufficientStats:
     like that 2p x 2p block, so large weights c lose occupancy (ROADMAP E1):
     U is 8.8e-5 off at c near 4e10 on general structures, and with one couple
     censored at 600 times the mean the EM start's margin-0 occupancies sum to
-    99.3 where the operational times sum to 304.8. Its exp(T x) is as far
-    off, 0 near c = 1e21, so the evidence and the absorption counts take the
-    exponentials of :func:`phasetype._exponentials` instead. :func:`fit`
+    99.3 where the operational times sum to 304.8. The block's exp(T x) is
+    as far off, 0 near c = 1e21, so the kernel returns U alone, and the
+    evidence and the absorption counts take the exponentials of
+    :func:`phasetype._exponentials`. :func:`fit`
     passes the pairs returned by the EM start or by the likelihood
     evaluation that accepted the current parameters, so each parameter
     point is exponentiated once per margin.
@@ -356,7 +357,7 @@ def e_step(x, delta, per_obs_pi, subs, exps=None) -> SufficientStats:
             direction = v[:, :, None] * c[:, None, :] * x_i
         _require_rows(np.isfinite(direction).all(axis=(1, 2)),
                       f"margin {i}: posterior weights overflowed")
-        _, integral = expm_frechet_batch(sub.matrix * x_i, direction)  # (n, p, p)
+        integral = expm_frechet_batch(sub.matrix * x_i, direction)  # (n, p, p)
 
         z[i] = np.einsum("mkk->k", integral)
         n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)

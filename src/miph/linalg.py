@@ -10,17 +10,16 @@ closed-form dependence measures.
 Both batched kernels are row-wise: every matrix gets its own scaling power,
 Padé solve and squarings. So each cuts its stack into row blocks of at most
 ``_BLOCK_ENTRIES`` matrix entries, whose temporaries stay in cache, and runs
-the blocks on one thread pool shared by the module (numpy releases the GIL in
-``matmul`` and the ``linalg`` gufuncs), each block writing its slice of one
-output. The pool is built at import and starts no thread until the first
-stack of more than one block; a stack of one block runs inline. The split
-changes no bit of the result.
+the blocks on a thread pool opened for that call and joined before it
+returns (numpy releases the GIL in ``matmul`` and the ``linalg`` gufuncs),
+each block writing its slice of one output. A stack of one block runs
+inline. The split changes no bit of the result.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -114,7 +113,7 @@ def _block_mul(x, y):
 # temporaries stay in cache, and the small-p stacks of a desk-scale fit stay
 # in one block, where two threads would only contend for the GIL
 _BLOCK_ENTRIES = 100_000
-# most threads the shared pool ever has
+# most threads one call's pool has
 _MAX_WORKERS = 4
 
 
@@ -127,25 +126,13 @@ def _worker_count() -> int:
     return max(1, min(cores, _MAX_WORKERS))
 
 
-def _build_pool():
-    """Build the module's pool, at import and again in a forked child, which
-    has none of its parent's threads. It starts no thread until first used."""
-    global _pool
-    _pool = ThreadPoolExecutor(_worker_count(), thread_name_prefix="miph-linalg")
-
-
-_build_pool()
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_build_pool)
-
-
 def _in_blocks(kernel, width, *stacks):
     """``kernel(*stacks)``, an (n, p, width) array, for a kernel that maps
     each row of the (n, p, p) stacks on its own. A stack of at most
     ``_BLOCK_ENTRIES`` entries runs inline; a larger one is cut into row
-    blocks of at most that many, which run on the shared pool and write
-    their slices of one output. An error raised in a block reaches the
-    caller once every block is done."""
+    blocks of at most that many, which run on a pool of this call's own and
+    write their slices of one output. An error raised in a block reaches
+    the caller once every block is done."""
     n, p = stacks[0].shape[:2]
     rows = max(1, _BLOCK_ENTRIES // (p * p))
     if n <= rows:
@@ -155,8 +142,8 @@ def _in_blocks(kernel, width, *stacks):
     def block(i):
         out[i:i + rows] = kernel(*(s[i:i + rows] for s in stacks))
 
-    futures = [_pool.submit(block, i) for i in range(0, n, rows)]
-    wait(futures)
+    with ThreadPoolExecutor(_worker_count(), thread_name_prefix="miph-linalg") as pool:
+        futures = [pool.submit(block, i) for i in range(0, n, rows)]
     for future in futures:
         future.result()
     return out
@@ -195,9 +182,9 @@ def expm_batch(a) -> np.ndarray:
     matrices that still need it. Always uses the degree-13 approximant (no
     degree switching), trading a few matmuls on easy inputs for simplicity.
     A zero matrix maps to the exact identity. The stack runs in row blocks
-    of at most ``_BLOCK_ENTRIES`` entries on the module's shared thread pool,
-    inline when it fits in one; since every matrix is exponentiated on its
-    own, the result does not depend on the blocks.
+    of at most ``_BLOCK_ENTRIES`` entries on threads of its own, inline when
+    it fits in one; since every matrix is exponentiated on its own, the
+    result does not depend on the blocks.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -231,8 +218,8 @@ def _expm_frechet_block(a, e) -> np.ndarray:
     return _square(r, s, _block_mul)
 
 
-def expm_frechet_batch(a, e) -> tuple[np.ndarray, np.ndarray]:
-    """Matrix exponential and its Fréchet derivative for a stack of matrices.
+def expm_frechet_batch(a, e) -> np.ndarray:
+    """Fréchet derivative of the matrix exponential for a stack of matrices.
 
     Parameters
     ----------
@@ -241,9 +228,9 @@ def expm_frechet_batch(a, e) -> tuple[np.ndarray, np.ndarray]:
 
     Returns
     -------
-    (..., p, p) ndarray, (..., p, p) ndarray
-        ``exp(a[i])`` and ``L(a[i], e[i]) = integral_0^1 exp(a (1 - t)) e
-        exp(a t) dt``, the upper-right block of ``exp([[a, e], [0, a]])``.
+    (..., p, p) ndarray
+        ``L(a[i], e[i]) = integral_0^1 exp(a (1 - t)) e exp(a t) dt``, the
+        upper-right block of ``exp([[a, e], [0, a]])``.
 
     Notes
     -----
@@ -253,11 +240,11 @@ def expm_frechet_batch(a, e) -> tuple[np.ndarray, np.ndarray]:
     and the squaring loop ``L <- R L + L R, R <- R R`` act on ``[R | L]``
     as on the block matrix [[R, L], [0, R]]. Each matrix is scaled by the
     1-norm of that 2p x 2p block, the column sums of ``|a| + |e|``, so every
-    matrix gets the scaling power of the block exponential. A zero pair maps
-    to the exact ``(I, 0)``. Like :func:`expm_batch`, the stack runs in row
-    blocks on the shared thread pool, inline when it fits in one block, and
-    the result does not depend on the blocks; both outputs are views of one
-    (n, p, 2p) array.
+    matrix gets the scaling power of the block exponential; ``exp(a)``, the
+    block's other half, is not returned, since a large ``e`` sets its
+    scaling too. A zero pair maps to the exact 0. Like :func:`expm_batch`,
+    the stack runs in row blocks on threads of its own, inline when it fits
+    in one block, and the result does not depend on the blocks.
     """
     a = np.asarray(a, dtype=float)
     e = np.asarray(e, dtype=float)
@@ -267,10 +254,10 @@ def expm_frechet_batch(a, e) -> tuple[np.ndarray, np.ndarray]:
     if not (np.all(np.isfinite(a)) and np.all(np.isfinite(e))):
         raise ValueError("input stacks have non-finite entries")
     if a.size == 0:
-        return np.zeros_like(a), np.zeros_like(a)
+        return np.zeros_like(a)
     p = a.shape[-1]
     r = _in_blocks(_expm_frechet_block, 2 * p, a.reshape(-1, p, p), e.reshape(-1, p, p))
-    return r[..., :p].reshape(a.shape), r[..., p:].reshape(a.shape)
+    return r[..., p:].reshape(a.shape)
 
 
 # residual bound of solve, relative to the right-hand side's largest entry

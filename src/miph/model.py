@@ -215,6 +215,8 @@ def marginal_survival(model: MIPHModel, pi, margin: int, y):
 
 
 def _check_margin(model: MIPHModel, margin: int) -> int:
+    if not isinstance(margin, (int, np.integer)):
+        raise ValueError(f"margin must be an integer, got {margin!r}")
     margin = int(margin)
     if not 0 <= margin < model.n_margins:
         raise ValueError(
@@ -287,11 +289,9 @@ def _precedence_matrix(sub: SubIntensity) -> np.ndarray:
 
 
 def _check_pair(model: MIPHModel, pair) -> tuple[int, int]:
-    k, l = (int(pair[0]), int(pair[1]))
+    k, l = (_check_margin(model, pair[0]), _check_margin(model, pair[1]))
     if k == l:
         raise ValueError("pair must name two distinct margins")
-    _check_margin(model, k)
-    _check_margin(model, l)
     return k, l
 
 
@@ -455,7 +455,7 @@ def conditional_expectation(
     margin = _check_margin(model, margin)
     start = validate_initial_vector(pi, model.dim)
     if given is not None:
-        l, y_l = int(given[0]), float(given[1])
+        l, y_l = _check_margin(model, given[0]), float(given[1])
         if l == margin:
             raise ValueError("conditioning margin must differ from the target margin")
         start = condition_on_survival(model, start, l, y_l)[1]

@@ -112,6 +112,18 @@ class TestSimulate:
         assert len(rows) == 3
         assert [r[4] for r in rows] == ["63", "70", "61"]
 
+    def test_covariates_file_with_byte_order_mark(self, spousal_model_path, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text("age1,age2\n63,68\n70,65\n", encoding="utf-8")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        outs = []
+        for ages in (plain, marked):
+            outs.append(tmp_path / f"sim-{ages.stem}.csv")
+            assert main(["simulate", str(spousal_model_path), "--covariates", str(ages),
+                         "--seed", "3", "--output", str(outs[-1])]) == 0
+        assert outs[1].read_bytes() == outs[0].read_bytes()
+        assert not outs[1].read_bytes().startswith(b"\xef\xbb\xbf")
+
     def test_n_mismatch_is_input_error(self, small_model_path, tmp_path, capsys):
         ages = tmp_path / "ages.csv"
         ages.write_text("age1,age2\n63,68\n", encoding="utf-8")
@@ -378,6 +390,18 @@ class TestFit:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_output_that_is_a_file_fails_before_the_fit(self, data_csv, tmp_path,
+                                                        capsys, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("the fit ran")
+
+        monkeypatch.setattr(miph.estimation, "fit", no_fit)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n", encoding="utf-8")
+        assert main(["fit", str(data_csv), "--p", "2", "--output", str(out)]) == 2
+        assert "File exists" in capsys.readouterr().err
+        assert out.read_text(encoding="utf-8") == "not a directory\n"
 
 
 class TestBeran:

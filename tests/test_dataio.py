@@ -78,6 +78,15 @@ class TestLoadCsv:
         write_lines(f, [GOOD_HEADER, "", "12,30,1,0,63,68", "  ,,,,,", ""])
         assert load_csv(f).n == 1
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # spreadsheets save "CSV UTF-8" with a byte-order mark before the header
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_lines(plain, [GOOD_HEADER, "12,30,1,0,63,68", "5.5,2,0,1,70,61"])
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_csv(plain), load_csv(marked)
+        for field in ("y", "delta", "covariates"):
+            np.testing.assert_array_equal(getattr(b, field), getattr(a, field))
+
     def test_missing_columns(self, tmp_path):
         f = tmp_path / "d.csv"
         write_lines(f, ["time1,time2,delta1,delta2,age1", "1,2,0,0,3"])
@@ -251,6 +260,17 @@ class TestModelJson:
         else:
             np.testing.assert_array_equal(model.fixed_pi, back.fixed_pi)
             assert back.gamma is None
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.json", tmp_path / "marked.json"
+        save_model(self._model(True), plain)
+        assert not plain.read_bytes().startswith(b"\xef\xbb\xbf")
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        a, b = load_model(plain), load_model(marked)
+        for ma, mb in zip(a.margins, b.margins):
+            np.testing.assert_array_equal(mb.sub.matrix, ma.sub.matrix)
+            assert mb.transform.beta == ma.transform.beta
+        np.testing.assert_array_equal(b.gamma, a.gamma)
 
     def test_document_shape(self, tmp_path):
         f = tmp_path / "model.json"

@@ -7,13 +7,15 @@ same exponentials. In estimation, the EM start and the likelihood return
 their exponential pairs as values, which the fit hands to the next E-step;
 the E-step takes its own only when called without them. The only other
 matrix exponential is the Fréchet derivative that gives the E-step's
-occupancy integrals. Until ROADMAP E1 the posterior weights set that
-derivative's scaling, so its exp(T x) cannot stand in: on general
-structures it is 8.8e-5 off at weights near 4e10, and with one couple
-censored at 600 times the mean a margin's occupancies sum to 99.3 where
-its operational times sum to 304.8. Both exponential kernels in `linalg`
-share one Padé-13 table, read in their per-block kernels, and `linalg` alone
-starts threads. No module imports scipy, so matrix exponentials never come
+occupancy integrals, and its kernel returns the derivative alone. Until
+ROADMAP E1 the posterior weights set that derivative's scaling, so the
+exp(T x) it carries cannot stand in: on general structures it is 8.8e-5
+off at weights near 4e10, and with one couple censored at 600 times the
+mean a margin's occupancies sum to 99.3 where its operational times sum to
+304.8. Both exponential kernels in `linalg` share one Padé-13 table, read
+in their per-block kernels, and `linalg` alone starts threads, on a pool
+that each call opens and joins; no module keeps state in a ``global`` or
+hooks ``fork``. No module imports scipy, so matrix exponentials never come
 from it.
 CSV text is read and written in `dataio` alone. Every keyword-only option
 of a package function is set by some caller outside the tests; one that no
@@ -137,10 +139,22 @@ def _importers(name):
 
 def test_only_linalg_runs_threads():
     """The row blocks of the two exponential kernels are the package's only
-    parallel work, on the one pool that `linalg` builds at import: no module
-    takes a lock or starts a thread of its own."""
+    parallel work, on a pool that `linalg` opens for one call and joins
+    before the call returns: no module takes a lock or starts a thread of
+    its own."""
     assert _importers("concurrent") == {"linalg"}
     assert _importers("threading") == set()
+
+
+def test_no_module_keeps_state_between_calls():
+    """No module rebinds a global or registers a fork hook, and `linalg`
+    keeps no pool: each split call opens its own."""
+    for module, tree in _modules():
+        for node in ast.walk(tree):
+            assert not isinstance(node, ast.Global), (module, node.lineno)
+            assert not (isinstance(node, ast.Call)
+                        and _called(node) == "register_at_fork"), (module, node.lineno)
+    assert not hasattr(importlib.import_module("miph.linalg"), "_pool")
 
 
 def test_no_module_imports_scipy():
@@ -165,7 +179,8 @@ def test_no_module_uses_scipy_linalg():
 
 def test_package_runs_without_scipy(tmp_path):
     """With scipy unimportable, the package simulates censored data, fits it
-    and runs the CLI: numpy is its only runtime dependency."""
+    and runs all five CLI subcommands: numpy is its only runtime
+    dependency."""
     model_path = ROOT / "demos" / "models" / "spousal_reference.json"
     script = textwrap.dedent(f"""
         import sys
@@ -185,8 +200,18 @@ def test_package_runs_without_scipy(tmp_path):
         assert 0 < obs.delta.sum() < obs.delta.size
         config = miph.FitConfig(p=2, max_iterations=2, loglik_tolerance=None)
         assert miph.fit(obs, config).iterations == 2
-        assert cli.main(["measures", {str(model_path)!r}, "--ages", "63,63",
-                         "--output", {str(tmp_path / "m.csv")!r}]) == 0
+        model_path, out = {str(model_path)!r}, {str(tmp_path)!r}
+        for argv in (
+            ["simulate", model_path, "--n", "300", "--ages", "63,63",
+             "--censoring-rate", "0.2", "--seed", "1", "--output", out + "/sim.csv"],
+            ["fit", out + "/sim.csv", "--p", "2", "--iterations", "2", "--tolerance", "0",
+             "--output", out + "/fit"],
+            ["measures", model_path, "--ages", "63,63", "--output", out + "/m.csv"],
+            ["eval", model_path, "--ages", "63,63", "--grid", "0:40:5",
+             "--output", out + "/e.csv"],
+            ["beran", out + "/sim.csv", "--ages", "63,63", "--output", out + "/b.csv"],
+        ):
+            assert cli.main(argv) == 0, argv
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(SRC.parent), *filter(None, [os.environ.get("PYTHONPATH")])])}
@@ -194,6 +219,8 @@ def test_package_runs_without_scipy(tmp_path):
                          text=True, timeout=300)
     assert run.returncode == 0, run.stderr
     assert (tmp_path / "m.csv").read_text(encoding="utf-8").startswith("measure,")
+    assert (tmp_path / "e.csv").read_text(encoding="utf-8").startswith("time1,")
+    assert (tmp_path / "b.csv").exists() and (tmp_path / "fit" / "model.json").exists()
 
 
 def test_only_dataio_imports_csv():

@@ -448,6 +448,32 @@ class TestRankCorrelations:
             kendall_tau(model, pi, pair=(1, 1))
 
 
+@pytest.mark.parametrize("call, bad", [
+    (lambda m, pi, y: kendall_tau(m, pi, (0, 2)), "2"),
+    (lambda m, pi, y: spearman_rho(m, pi, (-1, 0)), "-1"),
+    (lambda m, pi, y: marginal_survival(m, pi, 2, y), "2"),
+    (lambda m, pi, y: psi2(m, pi, -1, y), "-1"),
+    (lambda m, pi, y: conditional_expectation(m, pi, 0, given=(2, y)), "2"),
+    # indices that are not integers are refused, not truncated
+    (lambda m, pi, y: kendall_tau(m, pi, (0, 1.5)), "1.5"),
+    (lambda m, pi, y: spearman_rho(m, pi, (np.float64(0.0), 1)), "0.0"),
+    (lambda m, pi, y: marginal_survival(m, pi, 0.7, y), "0.7"),
+    (lambda m, pi, y: psi2(m, pi, 0.4, y), "0.4"),
+    (lambda m, pi, y: condition_on_survival(m, pi, "1", y), "'1'"),
+    (lambda m, pi, y: conditional_expectation(m, pi, 0, given=(1.9, y)), "1.9"),
+])
+def test_margin_index_out_of_range_or_not_an_integer(call, bad):
+    model, pi = random_bivariate_model(np.random.default_rng(193), p=2)
+    with pytest.raises(ValueError, match=f"margin must be .*{re.escape(bad)}"):
+        call(model, pi, 0.3)
+
+
+def test_numpy_integer_margins_are_indices():
+    model, pi = random_bivariate_model(np.random.default_rng(193), p=2)
+    assert kendall_tau(model, pi, (np.int64(1), np.int32(0))) == kendall_tau(model, pi, (1, 0))
+    assert psi2(model, pi, np.int8(1), 0.3) == psi2(model, pi, 1, 0.3)
+
+
 class TestDependenceMeasures:
     def test_psi1_from_direct_ratio(self):
         model, pi = random_bivariate_model(np.random.default_rng(199), p=3)
