@@ -11,12 +11,14 @@ Subcommands::
 Times and ages are given and reported in years; the conversion to the
 internal scale (years / 100) happens inside. All outputs are CSV/JSON text
 (written to --output or stdout), never images. Exit codes: 0 success,
+1 stdout closed before the output was written (``miph ... | head``),
 2 invalid input, 3 numerical failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from itertools import repeat
 from pathlib import Path
@@ -324,7 +326,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader gone early shows here, not at exit
+        return status
+    except BrokenPipeError:  # valid input; the exit's flush goes to the null device
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (NumericalError, np.linalg.LinAlgError) as err:
         print(f"numerical failure: {err}", file=sys.stderr)
         return 3

@@ -364,7 +364,7 @@ def e_step(x, delta, per_obs_pi, subs, exps=None) -> SufficientStats:
         if np.any(died):
             mats, index = exps[i]
             n_exit[i] = sub.exit_rates * np.einsum("mj,mjk->k", c[died], mats[index[died]])
-    # round tiny negatives from the Padé approximants up to zero
+    # round tiny negatives from the Taylor and Padé approximants up to zero
     return SufficientStats(*(np.clip(v, 0.0, None) for v in (b, z, n_trans, n_exit)))
 
 

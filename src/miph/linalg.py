@@ -1,19 +1,17 @@
 """Dense matrix kernels used throughout the package.
 
 Matrices are plain float64 ``numpy.ndarray`` objects (row-major). The
-kernels numpy lacks, a *batched* matrix exponential and its batched Fréchet
-derivative, are implemented here directly since the fitting loop
-exponentiates thousands of small matrices per iteration; both run on one
-Padé-13 scaling-and-squaring core. A residual-checked solve serves the
-closed-form dependence measures.
+kernels numpy lacks, exp(x T) for one T at many scalars x and a *batched*
+Fréchet derivative, are implemented here since the fitting loop
+exponentiates thousands of small matrices per iteration. A residual-checked
+solve serves the closed-form dependence measures.
 
-Both batched kernels are row-wise: every matrix gets its own scaling power,
-Padé solve and squarings. So each cuts its stack into row blocks of at most
-``_BLOCK_ENTRIES`` matrix entries, whose temporaries stay in cache, and runs
-the blocks on a thread pool opened for that call and joined before it
-returns (numpy releases the GIL in ``matmul`` and the ``linalg`` gufuncs),
-each block writing its slice of one output. A stack of one block runs
-inline. The split changes no bit of the result.
+The Fréchet kernel is row-wise, with a Padé solve per pair. So it cuts its
+stack into row blocks of at most ``_BLOCK_ENTRIES`` matrix entries, whose
+temporaries stay in cache, and runs them on a thread pool opened for that
+call and joined before it returns (numpy releases the GIL in ``matmul`` and
+the ``linalg`` gufuncs), each block writing its slice of one output. A stack
+of one block runs inline. The split changes no bit of the result.
 """
 
 from __future__ import annotations
@@ -51,13 +49,16 @@ _PADE13 = (
     1.0,
 )
 _THETA13 = 5.371920351148152
+# expm_batch's Taylor degree and the 1-norm up to which it meets double precision
+_TAYLOR_DEGREE = 18
+_THETA18 = 1.090863719290036
 
 
-def _scaling_power(norms) -> np.ndarray:
-    """Squarings per matrix: the least s >= 0 with ``norms / 2**s <= theta_13``."""
+def _scaling_power(norms, theta) -> np.ndarray:
+    """Squarings per matrix: the least s >= 0 with ``norms / 2**s <= theta``."""
     with np.errstate(divide="ignore"):
-        s = np.ceil(np.log2(norms / _THETA13))
-    return np.where(norms > _THETA13, s, 0.0).astype(np.int64)
+        s = np.ceil(np.log2(norms / theta))
+    return np.where(norms > theta, s, 0.0).astype(np.int64)
 
 
 def _pade13_uv(x, s, mul, eye):
@@ -149,53 +150,48 @@ def _in_blocks(kernel, width, *stacks):
     return out
 
 
-def _expm_block(a) -> np.ndarray:
-    """``exp(a[i])`` for one block (m, p, p) of ``expm_batch``."""
-    p = a.shape[-1]
-    # per-matrix 1-norm (max abs column sum) -> scaling power s
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
-    s = _scaling_power(norms)
-    u, v = _pade13_uv(a, s, np.matmul, np.eye(p))
-    r = np.linalg.solve(v - u, v + u)
-    # the Pade solve of b0*I by b0*I rounds the diagonal to 1 - eps/2
-    r[norms == 0.0] = np.eye(p)
-    return _square(r, s, np.matmul)
-
-
-def expm_batch(a) -> np.ndarray:
-    """Matrix exponential of a stack of square matrices.
+def expm_batch(t, xs) -> np.ndarray:
+    """Matrix exponential of one square matrix at many scalar multiples.
 
     Parameters
     ----------
-    a : (..., p, p) array_like
-        Batch of square matrices with finite entries.
+    t : (p, p) array_like
+        Square matrix with finite entries.
+    xs : (n,) array_like
+        Finite scalars.
 
     Returns
     -------
-    (..., p, p) ndarray
-        ``exp(a[i])`` for each matrix in the stack.
+    (n, p, p) ndarray
+        ``exp(xs[i] * t)`` for each scalar.
 
     Notes
     -----
-    Padé-13 scaling-and-squaring applied per matrix: each matrix gets its own
-    scaling power from its 1-norm, and each squaring step runs only on the
-    matrices that still need it. Always uses the degree-13 approximant (no
-    degree switching), trading a few matmuls on easy inputs for simplicity.
-    A zero matrix maps to the exact identity. The stack runs in row blocks
-    of at most ``_BLOCK_ENTRIES`` entries on threads of its own, inline when
-    it fits in one; since every matrix is exponentiated on its own, the
-    result does not depend on the blocks.
+    Taylor-18 scaling and squaring (Bader, Blanes & Casas, Mathematics 7
+    (2019) 1174) on the powers of ``T = t / |t|_1``, taken once per call.
+    Each x gets the least s >= 0 with ``|x| |t|_1 / 2**s <= theta_18``, and
+    its row is the weights ``z**k / k!`` of ``z = x |t|_1 / 2**s`` times the
+    powers, a vector-matrix product of its own (a GEMM of the stack would
+    round rows at its block edges apart), squared s times. A zero x or t
+    gives the exact identity.
     """
-    a = np.asarray(a, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a stack of square matrices, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("input stack has non-finite entries")
-    batch_shape = a.shape[:-2]
-    p = a.shape[-1]
-    if p == 0:
-        return np.zeros_like(a)
-    return _in_blocks(_expm_block, p, a.reshape(-1, p, p)).reshape(*batch_shape, p, p)
+    t = np.asarray(t, dtype=float)
+    xs = np.asarray(xs, dtype=float)
+    if t.ndim != 2 or t.shape[0] != t.shape[1] or xs.ndim != 1:
+        raise ValueError(f"expected a square matrix and 1-d scalars, got {t.shape}, {xs.shape}")
+    if not (np.all(np.isfinite(t)) and np.all(np.isfinite(xs))):
+        raise ValueError("inputs have non-finite entries")
+    p = t.shape[0]
+    norm = np.abs(t).sum(axis=0).max(initial=0.0)
+    powers = [t / norm if norm else t]
+    for _ in range(_TAYLOR_DEGREE - 1):
+        powers.append(powers[-1] @ powers[0])
+    s = _scaling_power(np.abs(xs) * norm, _THETA18)
+    # z**k / k! for k = 1..18; the identity, of weight 1, is added last
+    z = xs * norm / 2.0 ** s
+    weights = np.cumprod(np.divide.outer(z, np.arange(1.0, _TAYLOR_DEGREE + 1)), axis=1)
+    r = weights[:, None, :] @ np.reshape(powers, (_TAYLOR_DEGREE, p * p))
+    return _square(r.reshape(xs.size, p, p) + np.eye(p), s, np.matmul)
 
 
 def _expm_frechet_block(a, e) -> np.ndarray:
@@ -205,7 +201,7 @@ def _expm_frechet_block(a, e) -> np.ndarray:
     x = np.concatenate([a, e], axis=-1)
     cols = np.abs(x).sum(axis=-2)
     norms = (cols[:, :p] + cols[:, p:]).max(axis=-1)
-    s = _scaling_power(norms)
+    s = _scaling_power(norms, _THETA13)
     eye = np.eye(p, 2 * p)
     u, v = _pade13_uv(x, s, _block_mul, eye)
     # R = Q (V + U) and L = Q (Lu + Lv) + Q (Lu - Lv) R with Q = (V - U)^-1;
@@ -242,9 +238,9 @@ def expm_frechet_batch(a, e) -> np.ndarray:
     1-norm of that 2p x 2p block, the column sums of ``|a| + |e|``, so every
     matrix gets the scaling power of the block exponential; ``exp(a)``, the
     block's other half, is not returned, since a large ``e`` sets its
-    scaling too. A zero pair maps to the exact 0. Like :func:`expm_batch`,
-    the stack runs in row blocks on threads of its own, inline when it fits
-    in one block, and the result does not depend on the blocks.
+    scaling too. A zero pair maps to the exact 0. The stack runs in row
+    blocks on threads of its own, inline when it fits in one block, and the
+    result does not depend on the blocks.
     """
     a = np.asarray(a, dtype=float)
     e = np.asarray(e, dtype=float)

@@ -179,10 +179,7 @@ def _exponentials(sub: SubIntensity, x):
     ``mats``, -1 where x overflowed; such an x is never exponentiated."""
     xs, inverse = np.unique(np.asarray(x, dtype=float), return_inverse=True)
     ok = np.isfinite(xs)
-    mats = np.empty((0, sub.dim, sub.dim))
-    if np.any(ok):
-        mats = expm_batch(sub.matrix[None, :, :] * xs[ok, None, None])
-    return mats, np.where(ok, np.cumsum(ok) - 1, -1)[inverse]
+    return expm_batch(sub.matrix, xs[ok]), np.where(ok, np.cumsum(ok) - 1, -1)[inverse]
 
 
 def _exp_factors(sub: SubIntensity, exps, died, derivatives: bool = False) -> list:

@@ -94,3 +94,49 @@ def random_bivariate_model(rng, p: int, betas=(1.0, 1.5)):
         Margin(random_chain(rng, p), GompertzTransform(betas[1])),
     ))
     return model, random_pi(rng, p)
+
+
+def frozen_expm_batch(a):
+    """A stack of matrix exponentials, ``exp(a[i])`` for (..., p, p) ``a``:
+    ``linalg.expm_batch`` as it was while it ran Padé-13 scaling and
+    squaring per matrix, kept verbatim. It is the oracle for stacks of
+    unrelated matrices, such as Van Loan blocks, and the reference that the
+    Taylor kernel's unsquared rows agree with."""
+    b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+         1187353796428800.0, 129060195264000.0, 10559470521600.0,
+         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+         16380.0, 182.0, 1.0)
+    theta13 = 5.371920351148152
+    a = np.asarray(a, dtype=float)
+    batch_shape = a.shape[:-2]
+    p = a.shape[-1]
+    a = a.reshape(-1, p, p)
+    norms = np.abs(a).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore"):
+        s = np.ceil(np.log2(norms / theta13))
+    s = np.where(norms > theta13, s, 0.0).astype(np.int64)
+    scaled = a / (2.0 ** s)[:, None, None]
+    eye = np.broadcast_to(np.eye(p), scaled.shape)
+    a2 = scaled @ scaled
+    a4 = a2 @ a2
+    a6 = a2 @ a4
+    u = scaled @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+        + b[7] * a6
+        + b[5] * a4
+        + b[3] * a2
+        + b[1] * eye
+    )
+    v = (
+        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+        + b[6] * a6
+        + b[4] * a4
+        + b[2] * a2
+        + b[0] * eye
+    )
+    r = np.linalg.solve(v - u, v + u)
+    r[norms == 0.0] = np.eye(p)
+    for k in range(int(s.max()) if s.size else 0):
+        todo = s > k
+        r[todo] = r[todo] @ r[todo]
+    return r.reshape(*batch_shape, p, p)

@@ -1,12 +1,17 @@
-"""Command-line interface tests, run in-process through main(argv).
+"""Command-line interface tests, run in-process through main(argv), except
+the closed-pipe test, which needs a process of its own.
 
-Exit-code contract: 0 success, 2 invalid input (including argparse errors,
-which raise SystemExit(2)), 3 numerical failure.
+Exit-code contract: 0 success, 1 stdout closed early, 2 invalid input
+(including argparse errors, which raise SystemExit(2)), 3 numerical failure.
 """
 
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -221,6 +226,25 @@ class TestEval:
         internal = joint_density(mdl, mdl.fixed_pi, np.array([0.10, 0.20]))
         np.testing.assert_allclose(reported, internal / 100.0**2, rtol=1e-10)
 
+    def test_stdout_closed_early_exits_one_without_message(self, spousal_model_path):
+        # `miph eval ... | head -0`: the pipe's read end is closed before the
+        # command writes. (A reader that closes after one line races the
+        # command's single buffered write of these 6 kB, which may land first.)
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            [str(src), *filter(None, [os.environ.get("PYTHONPATH")])])}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            run = subprocess.run(
+                [sys.executable, "-m", "miph.cli", "eval", str(spousal_model_path),
+                 "--ages", "63,63", "--grid", "0:40:11"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120)
+        finally:
+            os.close(write_end)
+        assert run.returncode == 1
+        assert run.stderr == b""
+
     def test_gamma_model_requires_ages(self, spousal_model_path, capsys):
         rc = main(["eval", str(spousal_model_path), "--points", "12,30"])
         assert rc == 2
@@ -291,9 +315,9 @@ class TestMeasures:
         calls = []
         real = miph.phasetype.expm_batch
 
-        def counting(a):
-            calls.append(a.shape[0])
-            return real(a)
+        def counting(t, xs):
+            calls.append(len(xs))
+            return real(t, xs)
 
         monkeypatch.setattr(miph.phasetype, "expm_batch", counting)
         assert main(["measures", str(spousal_model_path), "--ages", "63,63"]) == 0

@@ -12,9 +12,10 @@ ROADMAP E1 the posterior weights set that derivative's scaling, so the
 exp(T x) it carries cannot stand in: on general structures it is 8.8e-5
 off at weights near 4e10, and with one couple censored at 600 times the
 mean a margin's occupancies sum to 99.3 where its operational times sum to
-304.8. Both exponential kernels in `linalg` share one Padé-13 table, read
-in their per-block kernels, and `linalg` alone starts threads, on a pool
-that each call opens and joins; no module keeps state in a ``global`` or
+304.8. The exponential takes the powers of one T per call and runs no row
+blocks. One Padé-13 table serves the Fréchet kernel alone, read in its
+per-block kernel, and `linalg` alone starts threads, on a pool that each
+Fréchet call opens and joins; no module keeps state in a ``global`` or
 hooks ``fork``. No module imports scipy, so matrix exponentials never come
 from it.
 CSV text is read and written in `dataio` alone. Every keyword-only option
@@ -103,7 +104,13 @@ def test_only_linalg_and_phasetype_bind_expm_batch():
     assert binders == ["linalg", "phasetype"]
 
 
-def test_one_pade_table_behind_both_exponentials():
+def test_expm_batch_runs_no_row_blocks():
+    """The exponential is one stack of products against shared powers, which
+    BLAS runs; only the per-row Fréchet kernel cuts its stack into blocks."""
+    assert _call_sites("_in_blocks") == [("linalg", "expm_frechet_batch")]
+
+
+def test_one_pade_table_behind_the_frechet_kernel_only():
     tree = dict(_modules())["linalg"]
     tables = [node for node in ast.walk(tree) if isinstance(node, ast.Assign)
               and any(getattr(t, "id", None) == "_PADE13" for t in node.targets)]
@@ -112,8 +119,7 @@ def test_one_pade_table_behind_both_exponentials():
                and any(isinstance(node, ast.Name) and node.id == "_PADE13"
                        for node in ast.walk(fn))}
     assert readers == {"_pade13_uv"}
-    assert _call_sites("_pade13_uv") == [("linalg", "_expm_block"),
-                                         ("linalg", "_expm_frechet_block")]
+    assert _call_sites("_pade13_uv") == [("linalg", "_expm_frechet_block")]
     b0 = tables[0].value.elts[0].value
     for module, tree in _modules():
         copies = [node for node in ast.walk(tree)
@@ -138,8 +144,8 @@ def _importers(name):
 
 
 def test_only_linalg_runs_threads():
-    """The row blocks of the two exponential kernels are the package's only
-    parallel work, on a pool that `linalg` opens for one call and joins
+    """The row blocks of the Fréchet kernel are the package's only parallel
+    work of its own, on a pool that `linalg` opens for one call and joins
     before the call returns: no module takes a lock or starts a thread of
     its own."""
     assert _importers("concurrent") == {"linalg"}

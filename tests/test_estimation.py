@@ -44,7 +44,7 @@ from miph import estimation, linalg, phasetype
 from miph.estimation import _age_scale_loglik
 from miph.linalg import expm_batch, solve
 
-from conftest import random_chain, random_pi
+from conftest import frozen_expm_batch, random_chain, random_pi
 
 
 def _toy_data(seed=307, n=6, d=2, p=2):
@@ -126,7 +126,7 @@ def frozen_margin_kernels(sub, x_col, delta_col):
     e_j' exp(T x_m) t (death observed) or e_j' exp(T x_m) 1 (censored), as
     the E-step computed them before it took both from
     `phasetype._exponentials`: one exponential per row, repeats included."""
-    mats = expm_batch(sub.matrix[None, :, :] * x_col[:, None, None])
+    mats = expm_batch(sub.matrix, x_col)
     a = np.where(
         delta_col[:, None].astype(bool),
         mats @ sub.exit_rates,
@@ -168,7 +168,7 @@ def block_e_step(x, delta, pi_rows, subs):
         blocks[:, p:, p:] = sub.matrix
         blocks[:, :p, p:] = v[:, :, None] * c[:, None, :]
         blocks *= x[:, i, None, None]
-        integral = expm_batch(blocks)[:, :p, p:]
+        integral = frozen_expm_batch(blocks)[:, :p, p:]
         z[i] = np.einsum("mkk->k", integral)
         n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)
         if np.any(died):
@@ -368,9 +368,9 @@ class TestEStep:
                 np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_row_blocks_change_no_bit(self, monkeypatch):
-        """At n = 2500 and p = 10 both exponential kernels split their
-        stacks into row blocks on the shared pool; every statistic is bit for
-        bit that of the same stacks in one block."""
+        """At n = 2500 and p = 10 the Fréchet kernel splits its stacks into
+        row blocks on the shared pool; every statistic is bit for bit that of
+        the same stacks in one block."""
         x, delta, pi_rows, subs = _toy_data(seed=359, n=2500, d=2, p=10)
         assert 2500 * 10 * 10 > 2 * linalg._BLOCK_ENTRIES
         split = e_step(x, delta, pi_rows, subs)
@@ -390,7 +390,7 @@ class TestEStep:
         pi_rows = np.vstack([pi_rows, pi_rows[3:8], pi_rows[:2]])
         sizes = []
         monkeypatch.setattr(phasetype, "expm_batch",
-                            lambda a: sizes.append(a.shape[0]) or expm_batch(a))
+                            lambda t, xs: sizes.append(len(xs)) or expm_batch(t, xs))
         stats = e_step(x, delta, pi_rows, subs)
         assert sizes == [np.unique(col).size for col in x.T] == [8, 8]
         (b, z, n_trans, n_exit), _ = block_e_step(x, delta, pi_rows, subs)
@@ -416,7 +416,7 @@ class TestEStep:
         want = e_step(x, delta, pi_rows, subs)
         calls = []
         monkeypatch.setattr(phasetype, "expm_batch",
-                            lambda a: calls.append(1) or expm_batch(a))
+                            lambda t, xs: calls.append(1) or expm_batch(t, xs))
         got = e_step(x, delta, pi_rows, subs, exps)
         assert calls == []
         for name in ("b", "z", "n_trans", "n_exit"):
@@ -618,7 +618,7 @@ def reference_age_scale_loglik(y, delta, per_obs_pi, subs, betas):
         ok = np.isfinite(x)
         factors = np.zeros((n, sub.dim))
         if np.any(ok):
-            mats = expm_batch(sub.matrix[None, :, :] * x[ok, None, None])
+            mats = expm_batch(sub.matrix, x[ok])
             died = delta[ok, i].astype(bool)
             factors[ok] = np.where(
                 died[:, None],
@@ -769,7 +769,7 @@ class TestIStep:
         obs, pi_rows, subs = self._age_data(seed=389, n=150)
         calls = []
         monkeypatch.setattr(phasetype, "expm_batch",
-                            lambda a: calls.append(1) or expm_batch(a))
+                            lambda t, xs: calls.append(1) or expm_batch(t, xs))
         monkeypatch.setattr(estimation, "_LOG_BETA_BOUNDS", (-5.0, 0.0))
         start = np.array([1.0, 1.0])
         got, _, _ = i_step(obs, pi_rows, subs, start)
@@ -783,7 +783,7 @@ class TestIStep:
     def test_exponential_budget(self, monkeypatch):
         calls = []
         monkeypatch.setattr(phasetype, "expm_batch",
-                            lambda a: calls.append(1) or expm_batch(a))
+                            lambda t, xs: calls.append(1) or expm_batch(t, xs))
         for seed, start in ((373, (1.0, 1.0)), (383, (3.0, 2.0))):
             obs, pi_rows, subs = self._age_data(seed=seed, n=150)
             calls.clear()
@@ -1110,7 +1110,7 @@ class TestFit:
         calls, evals, given = [], [], []
         real_loglik, real_e_step = estimation._age_scale_loglik, estimation.e_step
         monkeypatch.setattr(phasetype, "expm_batch",
-                            lambda a: calls.append(1) or expm_batch(a))
+                            lambda t, xs: calls.append(1) or expm_batch(t, xs))
         monkeypatch.setattr(estimation, "_age_scale_loglik",
                             lambda *a, **k: evals.append(1) or real_loglik(*a, **k))
         monkeypatch.setattr(estimation, "e_step",

@@ -5,10 +5,11 @@ test: extended-precision truncated series (mpmath) for the exponential,
 composite-Simpson / adaptive quadrature of the integrand (built from scipy's
 scalar expm, not the block construction) for the Van Loan integral, and
 scipy's ``expm_frechet`` and the 2p x 2p Van Loan block for the batched
-Fréchet derivative that the E-step reads that integral from. A frozen copy
-of the earlier ``expm_batch`` pins that its results have not moved, and
-both kernels split into row blocks on a call's own threads are
-bit-identical to the same kernels run in one block.
+Fréchet derivative that the E-step reads that integral from. The exponential
+of one matrix at many scalars agrees with a frozen copy of the earlier
+per-matrix Padé kernel on the rows it does not square, and with mpmath on
+those it does. The Fréchet kernel split into row blocks on a call's own
+threads is bit-identical to the same kernel run in one block.
 """
 
 import multiprocessing
@@ -26,7 +27,8 @@ from miph import SingularMatrixError, SubIntensity, e_step, linalg, transition_m
 from miph.linalg import expm_batch, expm_frechet_batch, solve
 from miph.phasetype import random_sub_intensity
 
-from conftest import DIAG_1, DIAG_2, SUPER_1, SUPER_2, chain_matrix, random_chain
+from conftest import (DIAG_1, DIAG_2, SUPER_1, SUPER_2, chain_matrix, frozen_expm_batch,
+                      random_chain)
 
 FIXED_T = np.array([[-2.0, 1.0], [0.0, -1.5]])
 
@@ -55,11 +57,30 @@ def series_expm(a: np.ndarray, terms: int = 200) -> np.ndarray:
                      for i in range(a.shape[0])])
 
 
+def mpmath_expm(t, xs):
+    """exp(x t) for each x at 40 digits, rounded to float64."""
+    mp.mp.dps = 40
+    m = mp.matrix(t.tolist())
+    return np.array([np.array(mp.expm(m * mp.mpf(x)).tolist(), dtype=float) for x in xs])
+
+
+def norm_rel_err(got, ref):
+    """Largest entry of |got - ref| per matrix over the largest of |ref|
+    (0 where both are exactly 0)."""
+    return (np.abs(got - ref).max(axis=(-2, -1))
+            / np.maximum(np.abs(ref).max(axis=(-2, -1)), np.finfo(float).tiny))
+
+
+def squarings(t, xs):
+    """The scaling power ``expm_batch`` gives each x for the matrix t."""
+    return linalg._scaling_power(np.abs(xs) * np.abs(t).sum(axis=0).max(), linalg._THETA18)
+
+
 class TestExpm:
-    """The exponential itself, through the batched kernel."""
+    """The exponential itself, through the kernel."""
 
     def test_fixed_value_against_frozen_series(self):
-        got = expm_batch(FIXED_T * 0.5)
+        (got,) = expm_batch(FIXED_T, [0.5])
         np.testing.assert_allclose(got, FIXED_EXPM_HALF, rtol=1e-13, atol=1e-15)
 
     def test_oracle_agrees_with_itself(self):
@@ -71,19 +92,19 @@ class TestExpm:
     def test_random_matrices_against_series(self):
         rng = np.random.default_rng(7)
         stack = rng.uniform(-1.0, 1.0, size=(5, 3, 3))
-        got = expm_batch(stack)
         for k in range(stack.shape[0]):
             np.testing.assert_allclose(
-                got[k], series_expm(stack[k]), rtol=1e-12, atol=1e-14
+                expm_batch(stack[k], [1.0])[0], series_expm(stack[k]), rtol=1e-12, atol=1e-14
             )
 
     def test_semigroup_property(self):
+        # x and y reach several squarings: exp(x T) exp(y T) = exp((x + y) T)
         rng = np.random.default_rng(11)
         for _ in range(10):
             p = int(rng.integers(1, 7))
             t = random_chain(rng, p).matrix
             x, y = rng.uniform(0.0, 5.0, size=2)
-            e_x, e_y, e_xy = expm_batch(t[None] * np.array([x, y, x + y])[:, None, None])
+            e_x, e_y, e_xy = expm_batch(t, [x, y, x + y])
             np.testing.assert_allclose(e_x @ e_y, e_xy, atol=1e-12)
 
     def test_substochastic_for_sub_intensities(self):
@@ -91,66 +112,94 @@ class TestExpm:
         for _ in range(10):
             p = int(rng.integers(1, 7))
             t = random_chain(rng, p).matrix
-            e = expm_batch(t * rng.uniform(0.0, 50.0))
+            (e,) = expm_batch(t, [rng.uniform(0.0, 50.0)])
             assert e.min() >= -1e-14
             assert e.sum(axis=1).max() <= 1.0 + 1e-12
 
     def test_scale_zero_is_identity(self):
-        np.testing.assert_array_equal(expm_batch(FIXED_T * 0.0), np.eye(2))
+        np.testing.assert_array_equal(expm_batch(FIXED_T, [0.0]), np.eye(2)[None])
 
     def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            expm_batch(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            expm_batch(np.ones(4))
-        with pytest.raises(ValueError):
-            expm_batch(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-        with pytest.raises(ValueError):
-            expm_batch(np.array([[np.inf, 0.0], [0.0, -1.0]]))
+        # t must be one square finite matrix, and xs a 1-d finite array
+        for t in (np.ones((2, 3)), np.ones(4), np.ones((1, 2, 2)),
+                  np.array([[np.nan, 0.0], [0.0, 1.0]]),
+                  np.array([[np.inf, 0.0], [0.0, -1.0]])):
+            with pytest.raises(ValueError):
+                expm_batch(t, [1.0])
+        for xs in (0.5, [[0.5, 1.0]], [0.5, np.nan], [np.inf], [-np.inf, 1.0]):
+            with pytest.raises(ValueError):
+                expm_batch(FIXED_T, xs)
 
 
 class TestExpmBatch:
     def test_matches_scalar_path(self):
         rng = np.random.default_rng(17)
         stack = rng.uniform(-2.0, 2.0, size=(40, 4, 4))
-        got = expm_batch(stack)
         for k in range(stack.shape[0]):
             np.testing.assert_allclose(
-                got[k], scipy.linalg.expm(stack[k]), rtol=1e-9, atol=1e-12
+                expm_batch(stack[k], [1.0])[0], scipy.linalg.expm(stack[k]),
+                rtol=1e-9, atol=1e-12
             )
 
     def test_huge_scales_stay_substochastic(self):
         rng = np.random.default_rng(19)
         t = random_chain(rng, 4).matrix
-        scales = np.array([0.0, 1.0, 1e3, 1e6, 3e4])
-        got = expm_batch(t[None, :, :] * scales[:, None, None])
+        got = expm_batch(t, [0.0, 1.0, 1e3, 1e6, 3e4])
         np.testing.assert_allclose(got[0], np.eye(4), atol=1e-15)
         assert got.min() >= -1e-14
         assert got.sum(axis=2).max() <= 1.0 + 1e-12
 
     def test_zero_matrix_is_exact_identity(self):
+        # x = 0 at any t, and any x at t = 0, give the exact identity
         rng = np.random.default_rng(29)
-        stack = np.zeros((3, 10, 10))
-        stack[1] = random_chain(rng, 10).matrix
-        got = expm_batch(stack)
+        t = random_chain(rng, 10).matrix
+        got = expm_batch(t, [0.0, 2.5, -0.0, 40.0])
         for k in (0, 2):
             np.testing.assert_array_equal(got[k], np.eye(10))
-        np.testing.assert_array_equal(got[1], expm_batch(stack[1]))
+        np.testing.assert_allclose(got[1], scipy.linalg.expm(2.5 * t), rtol=1e-12, atol=1e-15)
+        for p in (1, 3, 10):
+            np.testing.assert_array_equal(expm_batch(np.zeros((p, p)), [0.0, 1.0, -3.0, 1e300]),
+                                          np.broadcast_to(np.eye(p), (4, p, p)))
 
     def test_batch_shapes_roundtrip(self):
+        # one (p, p) matrix at n scalars gives (n, p, p); no scalars give an
+        # empty stack, and p = 0 gives n empty matrices
         rng = np.random.default_rng(23)
-        stack = rng.uniform(-1.0, 1.0, size=(3, 2, 5, 5))
-        got = expm_batch(stack)
-        assert got.shape == stack.shape
-        np.testing.assert_allclose(
-            got[1, 0], scipy.linalg.expm(stack[1, 0]), rtol=1e-12, atol=1e-13
-        )
+        t = rng.uniform(-1.0, 1.0, size=(5, 5))
+        got = expm_batch(t, [0.3, 1.0, -2.0])
+        assert got.shape == (3, 5, 5)
+        np.testing.assert_allclose(got[1], scipy.linalg.expm(t), rtol=1e-12, atol=1e-13)
+        for xs in ([], np.empty(0)):
+            assert expm_batch(t, xs).shape == (0, 5, 5)
+        assert expm_batch(np.zeros((0, 0)), [1.0, 2.0]).shape == (2, 0, 0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            expm_batch(np.ones((4, 2, 3)))
+            expm_batch(np.ones((2, 3)), [1.0, 2.0])
         with pytest.raises(ValueError):
-            expm_batch(np.full((2, 2, 2), np.inf))
+            expm_batch(np.full((2, 2), np.inf), [1.0])
+
+
+class TestTaylorKernel:
+    """The shared-powers kernel at its seams: the edge theta_18 where a row
+    starts to be squared, and the rows that are not squared at all."""
+
+    @pytest.mark.parametrize("p", [1, 3, 6, 10])
+    def test_against_mpmath_on_both_sides_of_theta(self, p):
+        rng = np.random.default_rng(131 + p)
+        for t in (random_chain(rng, p).matrix,
+                  random_sub_intensity(transition_mask("general", p), rng).matrix,
+                  rng.uniform(-1.0, 1.0, size=(p, p))):
+            edge = linalg._THETA18 / np.abs(t).sum(axis=0).max()
+            xs = np.array([1.0 - 1e-12, 1.0 + 1e-12, -(1.0 - 1e-12), -(1.0 + 1e-12)]) * edge
+            np.testing.assert_array_equal(squarings(t, xs), [0, 1, 0, 1])
+            assert norm_rel_err(expm_batch(t, xs), mpmath_expm(t, xs)).max() <= 2e-15
+
+    def test_empty_xs(self):
+        rng = np.random.default_rng(137)
+        for p in (1, 4):
+            got = expm_batch(random_chain(rng, p).matrix, [])
+            assert got.shape == (0, p, p) and got.dtype == float
 
 
 class TestExpmBatchStiffRegime:
@@ -160,8 +209,9 @@ class TestExpmBatchStiffRegime:
 
     Relative error where mpmath's value is a normal float64, absolute error
     where it underflows. The bounds hold the measured errors with some room:
-    at most 5e-14 up to x = 1e2, 5e-12 at 1e4, 4e-10 at 1e6 and 3e-8 at 2e8,
-    the last from the growth of rounding error over about 29 squarings.
+    at most 8.1e-14 up to x = 1e2, 7.6e-12 at 1e4, 1.1e-9 at 1e6 and 5.7e-8
+    at 2e8, the last from the growth of rounding error over about 31
+    squarings.
     """
 
     BOUNDS = {1e-5: 1e-13, 1e-2: 1e-13, 1.0: 1e-13, 1e2: 1e-13,
@@ -172,7 +222,7 @@ class TestExpmBatchStiffRegime:
     def test_row_sums_against_mpmath(self, diag, superdiag):
         t = chain_matrix(diag, superdiag)
         xs = np.array(sorted(self.BOUNDS))
-        got = expm_batch(t[None, :, :] * xs[:, None, None]).sum(axis=-1)
+        got = expm_batch(t, xs).sum(axis=-1)
         mp.mp.dps = 40
         tiny = np.finfo(float).tiny
         for x, row in zip(xs, got):
@@ -198,13 +248,14 @@ def simpson_van_loan(t, c, x, panels=2000):
 
 def van_loan(t, c, x):
     """exp(t x) and integral_0^x exp(t (x - s)) c exp(t s) ds from one
-    exponential of the block [[t, c], [0, t]] x, as the E-step builds it."""
+    exponential of the block [[t, c], [0, t]] x, as the E-step once built
+    it, through the frozen per-matrix Padé kernel."""
     p = t.shape[0]
     block = np.zeros((2 * p, 2 * p))
     block[:p, :p] = t
     block[:p, p:] = c
     block[p:, p:] = t
-    full = expm_batch(block * x)
+    full = frozen_expm_batch(block * x)
     return full[:p, :p], full[:p, p:]
 
 
@@ -256,49 +307,6 @@ class TestVanLoan:
                 e_step(np.array([[0.5, bad]]), delta, pi_rows, [sub, sub])
 
 
-def frozen_expm_batch(a):
-    """``expm_batch`` as it was before it shared its Padé-13 core with
-    ``expm_frechet_batch``, kept verbatim as the bit-for-bit reference."""
-    b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-         1187353796428800.0, 129060195264000.0, 10559470521600.0,
-         670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-         16380.0, 182.0, 1.0)
-    theta13 = 5.371920351148152
-    a = np.asarray(a, dtype=float)
-    batch_shape = a.shape[:-2]
-    p = a.shape[-1]
-    a = a.reshape(-1, p, p)
-    norms = np.abs(a).sum(axis=-2).max(axis=-1)
-    with np.errstate(divide="ignore"):
-        s = np.ceil(np.log2(norms / theta13))
-    s = np.where(norms > theta13, s, 0.0).astype(np.int64)
-    scaled = a / (2.0 ** s)[:, None, None]
-    eye = np.broadcast_to(np.eye(p), scaled.shape)
-    a2 = scaled @ scaled
-    a4 = a2 @ a2
-    a6 = a2 @ a4
-    u = scaled @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
-        + b[7] * a6
-        + b[5] * a4
-        + b[3] * a2
-        + b[1] * eye
-    )
-    v = (
-        a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
-        + b[6] * a6
-        + b[4] * a4
-        + b[2] * a2
-        + b[0] * eye
-    )
-    r = np.linalg.solve(v - u, v + u)
-    r[norms == 0.0] = np.eye(p)
-    for k in range(int(s.max()) if s.size else 0):
-        todo = s > k
-        r[todo] = r[todo] @ r[todo]
-    return r.reshape(*batch_shape, p, p)
-
-
 def scaling_power_stack(p, rng):
     """One general p x p matrix per scaling power 0..30, plus a zero matrix,
     shuffled so that rows of every scaling power interleave in the stack."""
@@ -311,19 +319,48 @@ def scaling_power_stack(p, rng):
     return np.stack(rows)[rng.permutation(len(rows))]
 
 
+def scaling_power_xs(t, rng):
+    """x = 0 and one x per scaling power s = 0..16 that ``expm_batch`` gives
+    with t (seven of them with s = 0), shuffled so that rows of every power
+    interleave."""
+    edge = linalg._THETA18 / np.abs(t).sum(axis=0).max()
+    xs = np.append(edge * 2.0 ** (np.arange(-6, 17) - 0.5), 0.0)
+    return xs[rng.permutation(xs.size)]
+
+
+def assert_agrees_with_the_frozen_copy_and_mpmath(t, xs):
+    """Rows of exp(x t) that are not squared are within 1e-14 normwise of
+    the frozen Padé kernel; squared rows, where the two kernels' squarings
+    round apart, are within 1e-15 * 2**s of mpmath, the rounding growth of s
+    squarings."""
+    got = expm_batch(t, xs)
+    s = squarings(t, xs)
+    plain = s == 0
+    assert plain.any() and not plain.all()
+    assert norm_rel_err(got[plain], frozen_expm_batch(t * xs[plain, None, None])).max() <= 1e-14
+    err = norm_rel_err(got[~plain], mpmath_expm(t, xs[~plain]))
+    assert np.all(err <= 1e-15 * 2.0 ** s[~plain]), (s[~plain], err)
+
+
 class TestExpmBatchUnchanged:
+    """The shared-powers Taylor kernel against the per-matrix Padé kernel it
+    replaced, kept as ``frozen_expm_batch``, and mpmath where it squares
+    (the test names are kept from when the two kernels were one)."""
+
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
     def test_bit_identical_to_the_frozen_copy(self, p):
-        stack = scaling_power_stack(p, np.random.default_rng(59 + p))
-        np.testing.assert_array_equal(expm_batch(stack), frozen_expm_batch(stack))
-        np.testing.assert_array_equal(expm_batch(stack.reshape(4, 8, p, p)),
-                                      frozen_expm_batch(stack.reshape(4, 8, p, p)))
+        # bidiagonal and general sub-intensities, at every scaling power
+        rng = np.random.default_rng(59 + p)
+        for t in (random_chain(rng, p).matrix,
+                  random_sub_intensity(transition_mask("general", p), rng).matrix):
+            assert_agrees_with_the_frozen_copy_and_mpmath(t, scaling_power_xs(t, rng))
 
     def test_bit_identical_on_general_matrices(self):
+        # a matrix with eigenvalues of both signs, at scalars of both signs
         rng = np.random.default_rng(61)
-        stack = rng.uniform(-1.0, 1.0, size=(40, 4, 4)) * 2.0 ** rng.uniform(
-            -4.0, 6.0, size=(40, 1, 1))
-        np.testing.assert_array_equal(expm_batch(stack), frozen_expm_batch(stack))
+        t = rng.uniform(-1.0, 1.0, size=(4, 4))
+        xs = rng.choice([-1.0, 1.0], size=40) * 2.0 ** rng.uniform(-4.0, 6.0, size=40)
+        assert_agrees_with_the_frozen_copy_and_mpmath(t, xs)
 
 
 def random_sub_intensities(rng, n, p):
@@ -331,13 +368,6 @@ def random_sub_intensities(rng, n, p):
     return np.stack([(random_chain(rng, p) if k % 2 else
                       random_sub_intensity(transition_mask("general", p), rng)).matrix
                      for k in range(n)])
-
-
-def norm_rel_err(got, ref):
-    """Largest entry of |got - ref| per matrix over the largest of |ref|
-    (0 where both are exactly 0)."""
-    return (np.abs(got - ref).max(axis=(-2, -1))
-            / np.maximum(np.abs(ref).max(axis=(-2, -1)), np.finfo(float).tiny))
 
 
 class TestExpmFrechetBatch:
@@ -409,24 +439,25 @@ class TestExpmFrechetBatch:
 
 @pytest.fixture
 def split_run(monkeypatch):
-    """``split_run(f, *stacks, rows=r)`` returns ``f(*stacks)`` run in row
-    blocks of r matrices on the call's pool, and run in one block inline."""
+    """``split_run(a, e, rows=r)`` returns ``expm_frechet_batch(a, e)`` run in
+    row blocks of r matrices on the call's pool, and run in one block inline."""
     threads = []
-    for name in ("_expm_block", "_expm_frechet_block"):
-        def spy(*args, kernel=getattr(linalg, name)):
-            threads.append(threading.current_thread().name)
-            return kernel(*args)
-        monkeypatch.setattr(linalg, name, spy)
 
-    def run(f, *stacks, rows):
-        n, p = np.prod(stacks[0].shape[:-2]), stacks[0].shape[-1]
+    def spy(*args, kernel=linalg._expm_frechet_block):
+        threads.append(threading.current_thread().name)
+        return kernel(*args)
+
+    monkeypatch.setattr(linalg, "_expm_frechet_block", spy)
+
+    def run(a, e, rows):
+        n, p = np.prod(a.shape[:-2]), a.shape[-1]
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 10 ** 12)
         threads.clear()
-        whole = f(*stacks)
+        whole = expm_frechet_batch(a, e)
         assert threads == [threading.current_thread().name]
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", rows * p * p)
         threads.clear()
-        split = f(*stacks)
+        split = expm_frechet_batch(a, e)
         assert len(threads) == -(-n // rows) > 1
         assert all(name.startswith("miph-linalg") for name in threads)
         return split, whole
@@ -435,17 +466,15 @@ def split_run(monkeypatch):
 
 
 def assert_blocks_change_no_bit(split_run, a, e, rows):
-    split, whole = split_run(expm_batch, a, rows=rows)
+    split, whole = split_run(a, e, rows=rows)
     np.testing.assert_array_equal(split, whole)
-    split_frechet, frechet = split_run(expm_frechet_batch, a, e, rows=rows)
-    np.testing.assert_array_equal(split_frechet, frechet)
     return split
 
 
 class TestRowBlocks:
-    """Both kernels are row-wise, so cutting a stack into row blocks that run
-    on the call's pool changes no bit: the split result is array_equal to
-    the result of one block."""
+    """The Fréchet kernel is row-wise, so cutting a stack into row blocks
+    that run on the call's pool changes no bit: the split result is
+    array_equal to the result of one block."""
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_random_stacks(self, split_run, rows):
@@ -483,8 +512,7 @@ class TestRowBlocks:
         rng = np.random.default_rng(89 + p)
         a = scaling_power_stack(p, rng)
         e = rng.uniform(0.0, 1.0, size=a.shape)
-        split = assert_blocks_change_no_bit(split_run, a, e, rows=3)
-        np.testing.assert_array_equal(split, frozen_expm_batch(a))
+        assert_blocks_change_no_bit(split_run, a, e, rows=3)
 
     def test_leading_batch_dimensions(self, split_run):
         rng = np.random.default_rng(97)
@@ -492,7 +520,6 @@ class TestRowBlocks:
         e = rng.uniform(0.0, 1.0, size=a.shape)
         split = assert_blocks_change_no_bit(split_run, a, e, rows=3)
         assert split.shape == a.shape
-        np.testing.assert_array_equal(split, frozen_expm_batch(a))
 
 
 def linalg_threads():
@@ -515,29 +542,28 @@ def built_pools(monkeypatch):
 
 
 class TestSharedPool:
-    """The pool that one call's row blocks share: opened for a stack of more
-    than one block and joined before the call returns, so no thread of it
-    outlives the call."""
+    """The pool that one Fréchet call's row blocks share: opened for a stack
+    of more than one block and joined before the call returns, so no thread
+    of it outlives the call."""
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         rng = np.random.default_rng(101)
         a = random_sub_intensities(rng, 40, 3)
         a[13, 0, 0] = -99.0  # marks the fourth block of four rows
         raised_in = []
-        for name in ("_expm_block", "_expm_frechet_block"):
-            def failing(*args, kernel=getattr(linalg, name)):
-                if np.any(args[0] == -99.0):
-                    raised_in.append(threading.current_thread().name)
-                    raise RuntimeError("block kernel failed")
-                return kernel(*args)
-            monkeypatch.setattr(linalg, name, failing)
+
+        def failing(*args, kernel=linalg._expm_frechet_block):
+            if np.any(args[0] == -99.0):
+                raised_in.append(threading.current_thread().name)
+                raise RuntimeError("block kernel failed")
+            return kernel(*args)
+
+        monkeypatch.setattr(linalg, "_expm_frechet_block", failing)
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 4 * 3 * 3)
         with pytest.raises(RuntimeError, match="block kernel failed"):
-            expm_batch(a)
-        with pytest.raises(RuntimeError, match="block kernel failed"):
             expm_frechet_batch(a, np.ones_like(a))
-        assert len(raised_in) == 2
-        assert all(name.startswith("miph-linalg") for name in raised_in)
+        assert len(raised_in) == 1
+        assert raised_in[0].startswith("miph-linalg")
         assert linalg_threads() == []
 
     def test_never_more_workers_than_the_cap(self, monkeypatch, built_pools):
@@ -547,12 +573,13 @@ class TestSharedPool:
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 3 * 3)  # one row a block
         threads = set()
 
-        def spy(*args, kernel=linalg._expm_block):
+        def spy(*args, kernel=linalg._expm_frechet_block):
             threads.add(threading.current_thread().name)
             return kernel(*args)
 
-        monkeypatch.setattr(linalg, "_expm_block", spy)
-        expm_batch(random_sub_intensities(np.random.default_rng(103), 200, 3))
+        monkeypatch.setattr(linalg, "_expm_frechet_block", spy)
+        a = random_sub_intensities(np.random.default_rng(103), 200, 3)
+        expm_frechet_batch(a, np.ones_like(a))
         assert [pool._max_workers for pool in built_pools] == [linalg._MAX_WORKERS]
         assert 1 <= len(threads) <= linalg._MAX_WORKERS
         assert linalg_threads() == []
@@ -562,32 +589,33 @@ class TestSharedPool:
             monkeypatch.setattr(os, "cpu_count", lambda cpus=cpus: cpus)
             assert linalg._worker_count() == workers
 
-    def test_concurrent_callers_match_the_frozen_copy(self, monkeypatch, built_pools):
+    def test_concurrent_callers_match_one_block(self, monkeypatch, built_pools):
         # more callers than cores, each opening a pool of its own and writing
         # blocks of its own output, with thread switches forced often
+        rng = np.random.default_rng(109)
+        pairs = [(random_sub_intensities(rng, 30, 3) * rng.uniform(0.1, 50.0),
+                  rng.uniform(0.0, 1.0, size=(30, 3, 3))) for _ in range(6)]
+        expected = [expm_frechet_batch(a, e) for a, e in pairs]  # one block each
+        assert built_pools == []
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 2 * 3 * 3)
         ran_on = set()
 
-        def spy(*args, kernel=linalg._expm_block):
+        def spy(*args, kernel=linalg._expm_frechet_block):
             ran_on.add(threading.current_thread())
             return kernel(*args)
 
-        monkeypatch.setattr(linalg, "_expm_block", spy)
-        rng = np.random.default_rng(109)
-        stacks = [random_sub_intensities(rng, 30, 3) * rng.uniform(0.1, 50.0)
-                  for _ in range(6)]
-        expected = [frozen_expm_batch(a) for a in stacks]
-        results = [None] * len(stacks)
-        start = threading.Barrier(len(stacks))
+        monkeypatch.setattr(linalg, "_expm_frechet_block", spy)
+        results = [None] * len(pairs)
+        start = threading.Barrier(len(pairs))
 
         def call(k):
             start.wait()
-            results[k] = expm_batch(stacks[k])
+            results[k] = expm_frechet_batch(*pairs[k])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            callers = [threading.Thread(target=call, args=(k,)) for k in range(len(stacks))]
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(len(pairs))]
             for caller in callers:
                 caller.start()
             for caller in callers:
@@ -595,7 +623,7 @@ class TestSharedPool:
         finally:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
-        assert len(built_pools) == len(stacks)
+        assert len(built_pools) == len(pairs)
         assert ran_on and ran_on <= {t for pool in built_pools for t in pool._threads}
         assert linalg_threads() == []
         for got, want in zip(results, expected):
@@ -608,14 +636,15 @@ class TestSharedPool:
         # inherits none and opens its own pool for its split stacks
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 3 * 3)
         a = random_sub_intensities(np.random.default_rng(113), 40, 3)
-        expected = expm_batch(a)
+        expected = expm_frechet_batch(a, np.ones_like(a))
         assert linalg_threads() == []
         with multiprocessing.get_context("fork").Pool(1) as children:
-            got = children.apply_async(expm_batch, (a,)).get(timeout=60)
+            got = children.apply_async(expm_frechet_batch, (a, np.ones_like(a))).get(timeout=60)
         np.testing.assert_array_equal(got, expected)
 
     def test_stacks_of_one_block_never_build_the_pool(self, monkeypatch):
-        # a stack of one block runs inline and opens no pool
+        # a stack of one block runs inline and opens no pool; the exponential,
+        # one GEMM, opens none at any size
         class RefusingPool:
             def __init__(self, *args, **kwargs):
                 raise AssertionError("a pool was built")
@@ -628,8 +657,9 @@ class TestSharedPool:
         for shape in ((0, 3, 3), (2, 0, 0), (rows, 10, 10), (2, rows // 2, 10, 10),
                       (2000, 3, 3)):
             a = rng.uniform(-1.0, 1.0, size=shape)
-            assert expm_batch(a).shape == shape
             assert expm_frechet_batch(a, a).shape == shape
+        t = random_chain(rng, 10).matrix
+        assert expm_batch(t, rng.uniform(0.0, 50.0, size=4 * rows)).shape == (4 * rows, 10, 10)
 
 
 class TestSolve:
