@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .linalg import expm_frechet_batch, solve
+from .linalg import expm_frechet_batch
 from .model import Margin, MIPHModel, _softmax
 from .phasetype import (
     GompertzTransform,
@@ -194,6 +194,10 @@ class FitConfig:
     i_step_every: int = 1
 
     def __post_init__(self):
+        for name in ("p", "max_iterations", "i_step_every", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         transition_mask(self.structure, self.p)
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
@@ -649,7 +653,8 @@ def _initial_sub_intensities(obs, mask, betas, rng):
         target = float((x[died, i] if np.any(died) else x[:, i]).mean())
         targets.append(target if np.isfinite(target) and target > 0.0 else 1.0)
         raw.append(random_sub_intensity(mask, rng).matrix)
-        means.append(float(solve(-raw[-1], np.ones(p))[anchor]))
+        # every exit rate is >= 0.1, so -T is strictly diagonally dominant
+        means.append(float(np.linalg.solve(-raw[-1], np.ones(p))[anchor]))
     for doubling in range(65):
         subs = [SubIntensity(matrix * (mean / (target * 2.0 ** doubling)))
                 for matrix, mean, target in zip(raw, means, targets)]

@@ -1,8 +1,6 @@
 """Exception types shared across the package."""
 
-import numpy as np
-
-__all__ = ["DataValidationError", "NumericalError", "SingularMatrixError"]
+__all__ = ["DataValidationError", "NumericalError"]
 
 
 class DataValidationError(ValueError):
@@ -12,7 +10,3 @@ class DataValidationError(ValueError):
 class NumericalError(RuntimeError):
     """A computation left the representable/meaningful range (underflow,
     non-finite likelihood, vanishing conditioning denominators)."""
-
-
-class SingularMatrixError(np.linalg.LinAlgError):
-    """Linear system is singular to working precision."""

@@ -3,8 +3,7 @@
 Matrices are plain float64 ``numpy.ndarray`` objects (row-major). The
 kernels numpy lacks, exp(x T) for one T at many scalars x and a *batched*
 Fréchet derivative, are implemented here since the fitting loop
-exponentiates thousands of small matrices per iteration. A residual-checked
-solve serves the closed-form dependence measures.
+exponentiates thousands of small matrices per iteration.
 
 The Fréchet kernel is row-wise, with a Padé solve per pair. So it cuts its
 stack into row blocks of at most ``_BLOCK_ENTRIES`` matrix entries, whose
@@ -21,12 +20,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .exceptions import SingularMatrixError
-
 __all__ = [
     "expm_batch",
     "expm_frechet_batch",
-    "solve",
 ]
 
 
@@ -254,59 +250,3 @@ def expm_frechet_batch(a, e) -> np.ndarray:
     p = a.shape[-1]
     r = _in_blocks(_expm_frechet_block, 2 * p, a.reshape(-1, p, p), e.reshape(-1, p, p))
     return r[..., p:].reshape(a.shape)
-
-
-# residual bound of solve, relative to the right-hand side's largest entry
-_SOLVE_RTOL = 1e-10
-
-
-def solve(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` with a residual guarantee.
-
-    The returned ``x`` satisfies ``max|a @ x - b| <= _SOLVE_RTOL * max|b|``.
-    One step of iterative refinement is applied if the first solve misses it.
-
-    Parameters
-    ----------
-    a : (p, p) array_like
-    b : (p,) or (p, k) array_like
-
-    Raises
-    ------
-    ValueError
-        Shape mismatch or non-finite input.
-    SingularMatrixError
-        ``a`` is singular to working precision, or the residual contract
-        cannot be met.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"a must be a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("a has non-finite entries")
-    b = np.asarray(b, dtype=float)
-    if b.ndim not in (1, 2) or b.shape[0] != a.shape[0]:
-        raise ValueError(f"incompatible shapes: a {a.shape}, b {b.shape}")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("b has non-finite entries")
-    try:
-        x = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as err:
-        raise SingularMatrixError(str(err)) from err
-
-    bound = _SOLVE_RTOL * max(np.max(np.abs(b)), np.finfo(float).tiny)
-    residual = a @ x - b
-    if np.max(np.abs(residual)) > bound:
-        try:
-            x = x - np.linalg.solve(a, residual)
-        except np.linalg.LinAlgError as err:  # pragma: no cover - same matrix
-            raise SingularMatrixError(str(err)) from err
-        residual = a @ x - b
-        if np.max(np.abs(residual)) > bound:
-            raise SingularMatrixError(
-                "system too ill-conditioned to meet the residual tolerance "
-                f"(residual {np.max(np.abs(residual)):.3e}, bound {bound:.3e})"
-            )
-    if not np.all(np.isfinite(x)):
-        raise SingularMatrixError("solution has non-finite entries")
-    return x

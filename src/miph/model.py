@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .linalg import solve
 from .phasetype import (
     GompertzTransform,
     SubIntensity,
@@ -277,14 +276,16 @@ def _precedence_matrix(sub: SubIntensity) -> np.ndarray:
 
     Solves ``-(T (+) T) u = 1 (x) t`` with the Kronecker sum
     ``T (+) T = T (x) I + I (x) T``, whose eigenvalues are the pairwise sums
-    of T's, so it is invertible. Unstacks row-major, so entry ``(a, b)``
-    sits at flat index ``a * p + b``.
+    of T's, so it is invertible once every state reaches an exit. Unstacks
+    row-major, so entry ``(a, b)`` sits at flat index ``a * p + b``.
     """
     _check_absorbing(sub)
     p = sub.dim
     t, eye = sub.matrix, np.eye(p)
     rhs = np.tile(sub.exit_rates, p)
-    u = solve(-(np.kron(t, eye) + np.kron(eye, t)), rhs)
+    u = np.linalg.solve(-(np.kron(t, eye) + np.kron(eye, t)), rhs)
+    if not np.all(np.isfinite(u)):
+        raise NumericalError("precedence matrix has non-finite entries")
     return u.reshape(p, p)
 
 

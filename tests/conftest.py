@@ -87,6 +87,18 @@ def random_pi(rng, p: int) -> np.ndarray:
     return w / w.sum()
 
 
+def stiff_chain_model(f: float) -> MIPHModel:
+    """A bivariate model whose chain leaves its first state at rate f, next
+    to an exit rate of 1e-3 there and 0.1 in the slow last state; the same
+    chain on both margins, with a fixed start vector."""
+    sub = SubIntensity(np.array([[-(f + 1e-3), f, 0.0],
+                                 [0.0, -2.0, 1.0],
+                                 [0.0, 0.0, -0.1]]))
+    return MIPHModel((Margin(sub, GompertzTransform(1.0)),
+                      Margin(sub, GompertzTransform(2.0))),
+                     fixed_pi=np.array([0.2, 0.3, 0.5]))
+
+
 def random_bivariate_model(rng, p: int, betas=(1.0, 1.5)):
     """A random bivariate model plus a matching random initial vector."""
     model = MIPHModel(margins=(

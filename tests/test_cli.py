@@ -33,7 +33,7 @@ from miph import (
 from miph.cli import main
 from miph.dataio import write_rows
 
-from conftest import random_chain, random_pi
+from conftest import random_chain, random_pi, stiff_chain_model
 
 
 @pytest.fixture(scope="module")
@@ -334,6 +334,18 @@ class TestMeasures:
         # the sampler's jump paths would never end
         assert main(["simulate", str(path), "--n", "5", "--ages", "63,63"]) == 3
         assert "never reach absorption" in capsys.readouterr().err
+
+    def test_stiff_chain_runs(self, tmp_path, capsys):
+        # a rate of 1e8 next to an exit rate of 1e-3: the precedence system is
+        # well posed, though its residual exceeds 1e-10 of the right-hand side
+        model = stiff_chain_model(1e8)
+        path = tmp_path / "stiff.json"
+        save_model(model, path)
+        assert main(["measures", str(path)]) == 0
+        _, rows = read_csv_text(capsys.readouterr().out)
+        vals = {r[0]: float(r[3]) for r in rows}
+        assert vals["kendall_tau"] == pytest.approx(kendall_tau(model, model.fixed_pi),
+                                                    rel=1e-10)
 
 
 class TestFit:

@@ -14,10 +14,11 @@ off at weights near 4e10, and with one couple censored at 600 times the
 mean a margin's occupancies sum to 99.3 where its operational times sum to
 304.8. The exponential takes the powers of one T per call and runs no row
 blocks. One Padé-13 table serves the Fréchet kernel alone, read in its
-per-block kernel, and `linalg` alone starts threads, on a pool that each
-Fréchet call opens and joins; no module keeps state in a ``global`` or
-hooks ``fork``. No module imports scipy, so matrix exponentials never come
-from it.
+per-block kernel. `linalg` exports these two exponential kernels alone,
+as the package's linear systems go to numpy's solve. `linalg` alone starts
+threads, on a pool that each Fréchet call opens and joins; no module keeps
+state in a ``global`` or hooks ``fork``. No module imports scipy, so
+matrix exponentials never come from it.
 CSV text is read and written in `dataio` alone. Every keyword-only option
 of a package function is set by some caller outside the tests; one that no
 caller sets is a module constant. A public name is listed in its own
@@ -80,6 +81,13 @@ def _call_sites(name):
         visitor.visit(tree)
         sites += visitor.sites
     return sorted(sites)
+
+
+def test_linalg_exports_the_two_exponential_kernels_alone():
+    """`linalg` holds the kernels numpy lacks; the package's linear systems
+    go to ``np.linalg.solve`` directly."""
+    assert importlib.import_module("miph.linalg").__all__ == [
+        "expm_batch", "expm_frechet_batch"]
 
 
 def test_expm_batch_call_sites():

@@ -42,7 +42,7 @@ from miph import (
 )
 from miph import estimation, linalg, phasetype
 from miph.estimation import _age_scale_loglik
-from miph.linalg import expm_batch, solve
+from miph.linalg import expm_batch
 
 from conftest import frozen_expm_batch, random_chain, random_pi
 
@@ -970,7 +970,7 @@ class TestFit:
             subs = []
             for i in range(2):
                 t = phasetype.random_sub_intensity(mask, rng).matrix
-                mean = float(solve(-t, np.ones(2))[0])  # from state 0, the middle
+                mean = float(np.linalg.solve(-t, np.ones(2))[0])  # from state 0, the middle
                 subs.append(SubIntensity(t * (mean / x[o.delta[:, i] == 1, i].mean())))
             return subs
 
@@ -1216,3 +1216,15 @@ class TestFit:
         with pytest.raises(ValueError, match=name):
             FitConfig(p=2, **kwargs)
         FitConfig(p=2, loglik_tolerance=None, beta_init=(2.0, 3.0))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"p": 2.0}, {"p": True}, {"max_iterations": 2.5}, {"max_iterations": "3"},
+        {"i_step_every": 1.5}, {"i_step_every": np.float64(2.0)}, {"seed": 1.5},
+        {"seed": None},
+    ])
+    def test_config_rejects_counts_that_are_not_integers(self, kwargs):
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            FitConfig(**{"p": 2, **kwargs})
+        FitConfig(p=np.int64(2), max_iterations=np.int32(3), i_step_every=np.uint8(0),
+                  seed=np.int64(7))

@@ -23,8 +23,8 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
-from miph import SingularMatrixError, SubIntensity, e_step, linalg, transition_mask
-from miph.linalg import expm_batch, expm_frechet_batch, solve
+from miph import SubIntensity, e_step, linalg, transition_mask
+from miph.linalg import expm_batch, expm_frechet_batch
 from miph.phasetype import random_sub_intensity
 
 from conftest import (DIAG_1, DIAG_2, SUPER_1, SUPER_2, chain_matrix, frozen_expm_batch,
@@ -660,42 +660,3 @@ class TestSharedPool:
             assert expm_frechet_batch(a, a).shape == shape
         t = random_chain(rng, 10).matrix
         assert expm_batch(t, rng.uniform(0.0, 50.0, size=4 * rows)).shape == (4 * rows, 10, 10)
-
-
-class TestSolve:
-    def test_residual_contract(self):
-        rng = np.random.default_rng(43)
-        for _ in range(10):
-            p = int(rng.integers(1, 9))
-            a = rng.normal(size=(p, p)) + p * np.eye(p)
-            b = rng.normal(size=p)
-            x = solve(a, b)
-            assert np.max(np.abs(a @ x - b)) <= 1e-10 * np.max(np.abs(b))
-
-    def test_matrix_rhs(self):
-        rng = np.random.default_rng(47)
-        a = rng.normal(size=(4, 4)) + 4 * np.eye(4)
-        b = rng.normal(size=(4, 3))
-        x = solve(a, b)
-        assert x.shape == (4, 3)
-        assert np.max(np.abs(a @ x - b)) <= 1e-10 * np.max(np.abs(b))
-
-    def test_singular_raises_dedicated_error(self):
-        a = np.array([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(SingularMatrixError):
-            solve(a, np.ones(2))
-
-    def test_shape_mismatch_raises_value_error(self):
-        with pytest.raises(ValueError):
-            solve(np.eye(3), np.ones(2))
-        with pytest.raises(ValueError):
-            solve(np.ones((2, 3)), np.ones(2))
-
-    def test_sub_intensity_system(self):
-        # the solve used by the dependence measures: -(T (+) T) is stable
-        rng = np.random.default_rng(53)
-        t = random_chain(rng, 5).matrix
-        a = -(np.kron(t, np.eye(5)) + np.kron(np.eye(5), t))
-        b = np.kron(np.ones(5), -t.sum(axis=1))
-        x = solve(a, b)
-        assert np.all(x >= -1e-12) and np.all(x <= 1.0 + 1e-12)

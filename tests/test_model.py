@@ -37,9 +37,11 @@ from miph import (
     marginal_survival,
     psi1,
     psi2,
+    random_sub_intensity,
     sample_joint_rows,
     save_model,
     spearman_rho,
+    transition_mask,
 )
 
 from conftest import (
@@ -49,6 +51,7 @@ from conftest import (
     random_bivariate_model,
     random_chain,
     random_pi,
+    stiff_chain_model,
 )
 
 
@@ -446,6 +449,39 @@ class TestRankCorrelations:
         model, pi = random_bivariate_model(np.random.default_rng(197), p=2)
         with pytest.raises(ValueError):
             kendall_tau(model, pi, pair=(1, 1))
+
+    @pytest.mark.parametrize("structure", ["coxian", "general"])
+    def test_precedence_matrix_is_a_probability_of_order(self, structure):
+        """U[a, b] = P(Y_b < Y_a) for independent copies started in a and b.
+        Two such lifetimes never tie, so U + U' = 1."""
+        rng = np.random.default_rng(53)
+        for p in range(1, 9):
+            sub = random_sub_intensity(transition_mask(structure, p), rng)
+            u = miph.model._precedence_matrix(sub)
+            assert np.all(u >= -1e-12) and np.all(u <= 1.0 + 1e-12)
+            assert np.max(np.abs(u + u.T - 1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("f", [1e2, 1e6, 1e8])
+    def test_stiff_chain_against_extended_precision(self, f):
+        """A rate f next to exit rates of 1e-3 and 0.1 leaves a residual far
+        above 1e-10 max|b| at f = 1e8, while the solve's backward error stays
+        at rounding level; the closed forms hold against a 40-digit solve of
+        the same Kronecker-sum system."""
+        model = stiff_chain_model(f)
+        pi, t = model.fixed_pi, model.margins[0].sub.matrix
+        p = t.shape[0]
+        with mp.workdps(40):
+            t = np.vectorize(mp.mpf, otypes=[object])(t)
+            eye = np.eye(p, dtype=object)
+            a = -(np.kron(t, eye) + np.kron(eye, t))
+            b = np.tile(-t.sum(axis=1), p)
+            u = mp.lu_solve(mp.matrix(a.tolist()), mp.matrix(b.tolist()))
+            u = np.array(u.tolist(), dtype=object).reshape(p, p)
+            w = np.vectorize(mp.mpf, otypes=[object])(pi)
+            tau = 4 * w @ (u * u) @ w - 1
+            rho = 12 * w @ (w @ u) ** 2 - 3
+        assert kendall_tau(model, pi) == pytest.approx(float(tau), rel=1e-13)
+        assert spearman_rho(model, pi) == pytest.approx(float(rho), rel=1e-13)
 
 
 @pytest.mark.parametrize("call, bad", [
