@@ -203,8 +203,10 @@ class FitConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.i_step_every < 0:
             raise ValueError("i_step_every must be >= 0")
-        if self.loglik_tolerance is not None and not 0.0 < self.loglik_tolerance < np.inf:
-            raise ValueError("loglik_tolerance must be None or finite and > 0")
+        tol = self.loglik_tolerance
+        if tol is not None and (np.ndim(tol) or np.asarray(tol).dtype.kind not in "iuf"
+                                or not 0.0 < tol < np.inf):
+            raise ValueError(f"loglik_tolerance must be None or finite and > 0, got {tol!r}")
         _as_betas(self.beta_init)
 
 
@@ -228,6 +230,8 @@ class FitReport:
 
 def _as_betas(beta_init, d: int | None = None) -> np.ndarray:
     """``beta_init`` as floats, finite and > 0; a scalar is repeated over ``d`` margins."""
+    if np.asarray(beta_init).dtype.kind not in "iuf":
+        raise ValueError(f"beta_init values must be integers or floats, got {beta_init!r}")
     betas = np.asarray(beta_init, dtype=float)
     if d is not None:
         if betas.ndim == 0:
@@ -294,18 +298,18 @@ def e_step(x, delta, per_obs_pi, subs, exps=None) -> SufficientStats:
     margins. U is the Fréchet derivative L(T_i x_mi, v c' x_mi) of the
     exponential, the upper-right block of exp([[T_i, v c'], [0, T_i]] x_mi)
     (Van Loan's block form); linearity in the middle factor collapses the
-    per-state integrals into one. :func:`linalg.expm_frechet_batch` computes
-    it on p x p matrices (Al-Mohy & Higham 2009, Alg. 6.4), each row scaled
-    like that 2p x 2p block, so large weights c lose occupancy (ROADMAP E1):
-    U is 8.8e-5 off at c near 4e10 on general structures, and with one couple
-    censored at 600 times the mean the EM start's margin-0 occupancies sum to
-    99.3 where the operational times sum to 304.8. The block's exp(T x) is
-    as far off, 0 near c = 1e21, so the kernel returns U alone, and the
-    evidence and the absorption counts take the exponentials of
-    :func:`phasetype._exponentials`. :func:`fit`
-    passes the pairs returned by the EM start or by the likelihood
-    evaluation that accepted the current parameters, so each parameter
-    point is exponentiated once per margin.
+    per-state integrals into one. :func:`linalg.expm_frechet_batch` takes
+    T_i, the times and the factors v, c, so no (n, p, p) stack is built
+    here, and scales each row like that 2p x 2p block, so large weights c
+    lose occupancy (ROADMAP E1): U is 8.8e-5 off at c near 4e10 on general
+    structures, and with one couple censored at 600 times the mean the EM
+    start's margin-0 occupancies sum to 99.3 where the operational times sum
+    to 304.8. The block's exp(T x) is as far off, 0 near c = 1e21, so the
+    kernel returns U alone, and the evidence and the absorption counts take
+    the exponentials of :func:`phasetype._exponentials`. :func:`fit` passes
+    the pairs returned by the EM start or by the likelihood evaluation that
+    accepted the current parameters, so each parameter point is
+    exponentiated once per margin.
 
     A row whose evidence is exactly 0 in double precision raises
     :class:`NumericalError` naming it; no row is dropped. So does a row whose
@@ -355,13 +359,12 @@ def e_step(x, delta, per_obs_pi, subs, exps=None) -> SufficientStats:
         died = delta[:, i].astype(bool)
         v = np.where(died[:, None], sub.exit_rates, np.ones(p))
 
-        x_i = x[:, i, None, None]
+        # v, c, x >= 0 and rounding is monotone, so v c' x overflows where its top entry does
         with np.errstate(over="ignore", invalid="ignore"):
             c /= denom[:, None]
-            direction = v[:, :, None] * c[:, None, :] * x_i
-        _require_rows(np.isfinite(direction).all(axis=(1, 2)),
-                      f"margin {i}: posterior weights overflowed")
-        integral = expm_frechet_batch(sub.matrix * x_i, direction)  # (n, p, p)
+            bound = v.max(axis=1) * c.max(axis=1) * x[:, i]
+        _require_rows(np.isfinite(bound), f"margin {i}: posterior weights overflowed")
+        integral = expm_frechet_batch(sub.matrix, x[:, i], v, c)  # (n, p, p)
 
         z[i] = np.einsum("mkk->k", integral)
         n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)

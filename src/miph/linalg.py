@@ -5,12 +5,12 @@ kernels numpy lacks, exp(x T) for one T at many scalars x and a *batched*
 Fréchet derivative, are implemented here since the fitting loop
 exponentiates thousands of small matrices per iteration.
 
-The Fréchet kernel is row-wise, with a Padé solve per pair. So it cuts its
-stack into row blocks of at most ``_BLOCK_ENTRIES`` matrix entries, whose
-temporaries stay in cache, and runs them on a thread pool opened for that
-call and joined before it returns (numpy releases the GIL in ``matmul`` and
-the ``linalg`` gufuncs), each block writing its slice of one output. A stack
-of one block runs inline. The split changes no bit of the result.
+The Fréchet kernel is row-wise, with a Padé solve per pair (x T, x v c').
+So it cuts its rows into blocks of at most ``_BLOCK_ENTRIES`` matrix
+entries, each building its own pairs, which stay in cache, and runs them on
+a thread pool opened for that call and joined before it returns (numpy
+releases the GIL in ``matmul`` and the ``linalg`` gufuncs). Rows of one
+block run inline. The split changes no bit of the result.
 """
 
 from __future__ import annotations
@@ -57,24 +57,25 @@ def _scaling_power(norms, theta) -> np.ndarray:
     return np.where(norms > theta, s, 0.0).astype(np.int64)
 
 
-def _pade13_uv(x, s, mul, eye):
+def _pade13_uv(x, s):
     """Odd and even parts U, V of the degree-13 Padé approximant of exp at
-    ``x / 2**s``, so that exp(x / 2**s) ~ (V - U)^-1 (V + U). ``mul``
-    multiplies two stacks and ``eye`` is their identity."""
+    ``x / 2**s`` for a stack ``x`` of ``[a | e]`` pairs read as the block
+    matrices [[a, e], [0, a]], so that exp(x / 2**s) ~ (V - U)^-1 (V + U)."""
     x = x / (2.0 ** s)[:, None, None]
+    eye = np.eye(x.shape[-2], x.shape[-1])
     b = _PADE13
-    x2 = mul(x, x)
-    x4 = mul(x2, x2)
-    x6 = mul(x2, x4)
-    u = mul(x, (
-        mul(x6, b[13] * x6 + b[11] * x4 + b[9] * x2)
+    x2 = _block_mul(x, x)
+    x4 = _block_mul(x2, x2)
+    x6 = _block_mul(x2, x4)
+    u = _block_mul(x, (
+        _block_mul(x6, b[13] * x6 + b[11] * x4 + b[9] * x2)
         + b[7] * x6
         + b[5] * x4
         + b[3] * x2
         + b[1] * eye
     ))
     v = (
-        mul(x6, b[12] * x6 + b[10] * x4 + b[8] * x2)
+        _block_mul(x6, b[12] * x6 + b[10] * x4 + b[8] * x2)
         + b[6] * x6
         + b[4] * x4
         + b[2] * x2
@@ -123,29 +124,6 @@ def _worker_count() -> int:
     return max(1, min(cores, _MAX_WORKERS))
 
 
-def _in_blocks(kernel, width, *stacks):
-    """``kernel(*stacks)``, an (n, p, width) array, for a kernel that maps
-    each row of the (n, p, p) stacks on its own. A stack of at most
-    ``_BLOCK_ENTRIES`` entries runs inline; a larger one is cut into row
-    blocks of at most that many, which run on a pool of this call's own and
-    write their slices of one output. An error raised in a block reaches
-    the caller once every block is done."""
-    n, p = stacks[0].shape[:2]
-    rows = max(1, _BLOCK_ENTRIES // (p * p))
-    if n <= rows:
-        return kernel(*stacks)
-    out = np.empty((n, p, width))
-
-    def block(i):
-        out[i:i + rows] = kernel(*(s[i:i + rows] for s in stacks))
-
-    with ThreadPoolExecutor(_worker_count(), thread_name_prefix="miph-linalg") as pool:
-        futures = [pool.submit(block, i) for i in range(0, n, rows)]
-    for future in futures:
-        future.result()
-    return out
-
-
 def expm_batch(t, xs) -> np.ndarray:
     """Matrix exponential of one square matrix at many scalar multiples.
 
@@ -190,39 +168,46 @@ def expm_batch(t, xs) -> np.ndarray:
     return _square(r.reshape(xs.size, p, p) + np.eye(p), s, np.matmul)
 
 
-def _expm_frechet_block(a, e) -> np.ndarray:
-    """``[exp(a[i]) | L(a[i], e[i])]``, (m, p, 2p), for one block (m, p, p)
-    of ``expm_frechet_batch``."""
-    p = a.shape[-1]
-    x = np.concatenate([a, e], axis=-1)
-    cols = np.abs(x).sum(axis=-2)
-    norms = (cols[:, :p] + cols[:, p:]).max(axis=-1)
+def _expm_frechet_block(t, xs, v, c) -> np.ndarray:
+    """``L(xs[i] t, xs[i] v[i] c[i]')``, (m, p, p), for one row block."""
+    p = t.shape[0]
+    x_i = xs[:, None, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.concatenate([t * x_i, v[:, :, None] * c[:, None, :] * x_i], axis=-1)
+        cols = np.abs(x).sum(axis=-2)
+        norms = (cols[:, :p] + cols[:, p:]).max(axis=-1, initial=0.0)
+    if not np.all(np.isfinite(norms)):
+        raise ValueError("a Fréchet pair's block norm is not finite")
     s = _scaling_power(norms, _THETA13)
-    eye = np.eye(p, 2 * p)
-    u, v = _pade13_uv(x, s, _block_mul, eye)
+    u, v = _pade13_uv(x, s)
     # R = Q (V + U) and L = Q (Lu + Lv) + Q (Lu - Lv) R with Q = (V - U)^-1;
     # on small stacked matrices one inverse and three matmuls beat a solve
     # with 3p right-hand sides, and V - U is well conditioned at these norms
     q = np.linalg.inv(v[..., :p] - u[..., :p])
     r = q @ (v + u)
     r[..., p:] += (q @ (u[..., p:] - v[..., p:])) @ r[..., :p]
-    r[norms == 0.0] = eye
-    return _square(r, s, _block_mul)
+    return _square(r, s, _block_mul)[..., p:]
 
 
-def expm_frechet_batch(a, e) -> np.ndarray:
-    """Fréchet derivative of the matrix exponential for a stack of matrices.
+def expm_frechet_batch(t, xs, v, c) -> np.ndarray:
+    """Fréchet derivatives of the matrix exponential of one matrix at many
+    scalar multiples, each in a rank-one direction.
 
     Parameters
     ----------
-    a, e : (..., p, p) array_like
-        Stacks of the same shape with finite entries.
+    t : (p, p) array_like
+        Square matrix.
+    xs : (n,) array_like
+        Scalars.
+    v, c : (n, p) array_like
+        Factors of the directions.
 
     Returns
     -------
-    (..., p, p) ndarray
-        ``L(a[i], e[i]) = integral_0^1 exp(a (1 - t)) e exp(a t) dt``, the
-        upper-right block of ``exp([[a, e], [0, a]])``.
+    (n, p, p) ndarray
+        ``L(xs[i] t, xs[i] v[i] c[i]')``, where ``L(a, e) = integral_0^1
+        exp(a (1 - s)) e exp(a s) ds`` is the upper-right block of
+        ``exp([[a, e], [0, a]])``.
 
     Notes
     -----
@@ -230,23 +215,31 @@ def expm_frechet_batch(a, e) -> np.ndarray:
     exponential", SIAM J. Matrix Anal. Appl. 30 (2009), Alg. 6.4, batched
     and always at degree 13. It runs on p x p matrices: the Padé polynomial
     and the squaring loop ``L <- R L + L R, R <- R R`` act on ``[R | L]``
-    as on the block matrix [[R, L], [0, R]]. Each matrix is scaled by the
-    1-norm of that 2p x 2p block, the column sums of ``|a| + |e|``, so every
-    matrix gets the scaling power of the block exponential; ``exp(a)``, the
-    block's other half, is not returned, since a large ``e`` sets its
-    scaling too. A zero pair maps to the exact 0. The stack runs in row
-    blocks on threads of its own, inline when it fits in one block, and the
-    result does not depend on the blocks.
+    as on the block matrix [[R, L], [0, R]]. Each pair is scaled by the
+    1-norm of that 2p x 2p block; ``exp(x t)``, the block's other half, is
+    not returned, since a large direction sets its scaling too. A zero pair
+    maps to the exact 0. A pair whose block norm is not finite, from a
+    non-finite input or an overflowing ``x v c'``, raises ValueError.
     """
-    a = np.asarray(a, dtype=float)
-    e = np.asarray(e, dtype=float)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2] or e.shape != a.shape:
-        raise ValueError("expected two stacks of square matrices of one shape, "
-                         f"got shapes {a.shape} and {e.shape}")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(e))):
-        raise ValueError("input stacks have non-finite entries")
-    if a.size == 0:
-        return np.zeros_like(a)
-    p = a.shape[-1]
-    r = _in_blocks(_expm_frechet_block, 2 * p, a.reshape(-1, p, p), e.reshape(-1, p, p))
-    return r[..., p:].reshape(a.shape)
+    t, xs, v, c = (np.asarray(arg, dtype=float) for arg in (t, xs, v, c))
+    if (t.ndim != 2 or t.shape[0] != t.shape[1] or xs.ndim != 1
+            or v.shape != (xs.size, t.shape[0]) or c.shape != v.shape):
+        raise ValueError("expected a square matrix, 1-d scalars and two (n, p) factors, "
+                         f"got {t.shape}, {xs.shape}, {v.shape}, {c.shape}")
+    n, p = v.shape
+    rows = max(1, _BLOCK_ENTRIES // max(1, p * p))
+    out = np.empty((n, p, p))
+
+    def block(i):
+        j = slice(i, i + rows)
+        out[j] = _expm_frechet_block(t, xs[j], v[j], c[j])
+
+    if n <= rows:
+        block(0)
+        return out
+    # an error raised in a block reaches the caller once every block is done
+    with ThreadPoolExecutor(_worker_count(), thread_name_prefix="miph-linalg") as pool:
+        futures = [pool.submit(block, i) for i in range(0, n, rows)]
+    for future in futures:
+        future.result()
+    return out

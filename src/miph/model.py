@@ -277,12 +277,15 @@ def _precedence_matrix(sub: SubIntensity) -> np.ndarray:
     Solves ``-(T (+) T) u = 1 (x) t`` with the Kronecker sum
     ``T (+) T = T (x) I + I (x) T``, whose eigenvalues are the pairwise sums
     of T's, so it is invertible once every state reaches an exit. Unstacks
-    row-major, so entry ``(a, b)`` sits at flat index ``a * p + b``.
+    row-major, so entry ``(a, b)`` sits at flat index ``a * p + b``. T and t
+    are first scaled exactly, by a power of two, to max|T| < 1, which leaves
+    U unchanged and keeps the sum from overflowing.
     """
     _check_absorbing(sub)
     p = sub.dim
-    t, eye = sub.matrix, np.eye(p)
-    rhs = np.tile(sub.exit_rates, p)
+    exponent = np.frexp(np.abs(sub.matrix).max())[1]
+    t, eye = np.ldexp(sub.matrix, -exponent), np.eye(p)
+    rhs = np.tile(np.ldexp(sub.exit_rates, -exponent), p)
     u = np.linalg.solve(-(np.kron(t, eye) + np.kron(eye, t)), rhs)
     if not np.all(np.isfinite(u)):
         raise NumericalError("precedence matrix has non-finite entries")

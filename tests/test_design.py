@@ -7,13 +7,15 @@ same exponentials. In estimation, the EM start and the likelihood return
 their exponential pairs as values, which the fit hands to the next E-step;
 the E-step takes its own only when called without them. The only other
 matrix exponential is the Fréchet derivative that gives the E-step's
-occupancy integrals, and its kernel returns the derivative alone. Until
-ROADMAP E1 the posterior weights set that derivative's scaling, so the
-exp(T x) it carries cannot stand in: on general structures it is 8.8e-5
-off at weights near 4e10, and with one couple censored at 600 times the
-mean a margin's occupancies sum to 99.3 where its operational times sum to
-304.8. The exponential takes the powers of one T per call and runs no row
-blocks. One Padé-13 table serves the Fréchet kernel alone, read in its
+occupancy integrals. Its kernel takes the E-step's shape, one T, the times
+and the factors of the rank-one directions, builds each row block's pairs
+itself, so no (n, p, p) input stack is formed, and returns the derivative
+alone. Until ROADMAP E1 the posterior weights set that derivative's
+scaling, so the exp(T x) it carries cannot stand in: on general structures
+it is 8.8e-5 off at weights near 4e10, and with one couple censored at 600
+times the mean a margin's occupancies sum to 99.3 where its operational
+times sum to 304.8. The exponential takes the powers of one T per call and
+runs no row blocks. One Padé-13 table serves the Fréchet kernel alone, read in its
 per-block kernel. `linalg` exports these two exponential kernels alone,
 as the package's linear systems go to numpy's solve. `linalg` alone starts
 threads, on a pool that each Fréchet call opens and joins; no module keeps
@@ -114,8 +116,9 @@ def test_only_linalg_and_phasetype_bind_expm_batch():
 
 def test_expm_batch_runs_no_row_blocks():
     """The exponential is one stack of products against shared powers, which
-    BLAS runs; only the per-row Fréchet kernel cuts its stack into blocks."""
-    assert _call_sites("_in_blocks") == [("linalg", "expm_frechet_batch")]
+    BLAS runs; only the per-row Fréchet kernel cuts its rows into blocks, on
+    the one pool the package opens."""
+    assert _call_sites("ThreadPoolExecutor") == [("linalg", "expm_frechet_batch")]
 
 
 def test_one_pade_table_behind_the_frechet_kernel_only():

@@ -12,6 +12,7 @@ Oracles, in increasing strength:
 * a quasi-Newton reference optimizer for the initial-vector regression.
 """
 
+import tracemalloc
 import warnings
 import weakref
 
@@ -378,6 +379,46 @@ class TestEStep:
         whole = e_step(x, delta, pi_rows, subs)
         for name in ("b", "z", "n_trans", "n_exit"):
             np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
+
+    def test_builds_no_input_stacks(self, monkeypatch):
+        """With the exponentials given and one worker, an E-step at paper
+        scale (n = 8834, p = 10, two Coxian margins) peaks below six (n, p, p)
+        stacks: the Fréchet kernel builds each block's pairs itself, so the
+        stacks x T and v c' x, two more, are never formed."""
+        x, delta, pi_rows, subs = _toy_data(seed=367, n=8834, d=2, p=10)
+        exps = [phasetype._exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
+        monkeypatch.setattr(linalg, "_worker_count", lambda: 1)
+        tracemalloc.start()
+        try:
+            e_step(x, delta, pi_rows, subs, exps)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 8834 * 10 * 10 * 8, peak / (8834 * 10 * 10 * 8)
+
+    def test_overflow_row_bound_is_the_elementwise_check(self):
+        """``v.max() * c.max() * x`` is finite exactly when every entry of
+        ``v c' x`` is, for nonnegative factors, zero exit rates included:
+        rounding is monotone, and the largest entry is that product."""
+        rng = np.random.default_rng(373)
+        n, p = 100000, 4
+        x = np.where(rng.random(n) < 0.05, 0.0, 10.0 ** rng.uniform(-3.0, 3.0, size=n))
+        v = 10.0 ** rng.uniform(-5.0, 150.0, size=(n, p))
+        v[rng.random((n, p)) < 0.2] = 0.0
+        # each row's largest weight puts v.max() c.max() x within ulps of the
+        # largest float, on either side
+        with np.errstate(divide="ignore", over="ignore"):
+            edge = np.minimum(np.finfo(float).max / (v.max(axis=1) * x), np.finfo(float).max)
+            top = edge * 2.0 ** rng.uniform(-1e-14, 1e-14, size=n)
+        c = rng.uniform(0.0, 1.0, size=(n, p))
+        c /= c.max(axis=1)[:, None]
+        c *= top[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            bound = np.isfinite(v.max(axis=1) * c.max(axis=1) * x)
+            elementwise = np.isfinite(v[:, :, None] * c[:, None, :]
+                                      * x[:, None, None]).all(axis=(1, 2))
+        assert 0.2 * n < bound.sum() < 0.8 * n
+        np.testing.assert_array_equal(bound, elementwise)
 
     def test_one_exponential_per_distinct_time(self, monkeypatch):
         """With repeated operational times, some of them censored in one row
@@ -1228,3 +1269,17 @@ class TestFit:
             FitConfig(**{"p": 2, **kwargs})
         FitConfig(p=np.int64(2), max_iterations=np.int32(3), i_step_every=np.uint8(0),
                   seed=np.int64(7))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"loglik_tolerance": True}, {"loglik_tolerance": "1e-7"},
+        {"loglik_tolerance": [1e-7]}, {"beta_init": True}, {"beta_init": "2"},
+        {"beta_init": ("1", 2.0)}, {"beta_init": (True, False)},
+    ])
+    def test_config_rejects_tolerance_and_beta_that_are_not_numbers(self, kwargs):
+        # a bool tolerance used to run as 1 per observation, and a bool or
+        # string beta_init used to construct
+        name = next(iter(kwargs))
+        with pytest.raises(ValueError, match=name):
+            FitConfig(p=2, **kwargs)
+        FitConfig(p=2, loglik_tolerance=np.float32(1e-3), beta_init=(2, np.float64(3.0)))
+        FitConfig(p=2, loglik_tolerance=1, beta_init=np.int64(45))

@@ -9,7 +9,8 @@ Fréchet derivative that the E-step reads that integral from. The exponential
 of one matrix at many scalars agrees with a frozen copy of the earlier
 per-matrix Padé kernel on the rows it does not square, and with mpmath on
 those it does. The Fréchet kernel split into row blocks on a call's own
-threads is bit-identical to the same kernel run in one block.
+threads is bit-identical to the same kernel run in one block, and to a
+frozen copy of the earlier kernel that took stacks of unrelated pairs.
 """
 
 import multiprocessing
@@ -28,7 +29,7 @@ from miph.linalg import expm_batch, expm_frechet_batch
 from miph.phasetype import random_sub_intensity
 
 from conftest import (DIAG_1, DIAG_2, SUPER_1, SUPER_2, chain_matrix, frozen_expm_batch,
-                      random_chain)
+                      frozen_expm_frechet_batch, random_chain)
 
 FIXED_T = np.array([[-2.0, 1.0], [0.0, -1.5]])
 
@@ -307,18 +308,6 @@ class TestVanLoan:
                 e_step(np.array([[0.5, bad]]), delta, pi_rows, [sub, sub])
 
 
-def scaling_power_stack(p, rng):
-    """One general p x p matrix per scaling power 0..30, plus a zero matrix,
-    shuffled so that rows of every scaling power interleave in the stack."""
-    rows = []
-    for s in range(31):
-        t = random_sub_intensity(transition_mask("general", p), rng).matrix
-        norm = np.abs(t).sum(axis=0).max()
-        rows.append(t * (5.371920351148152 * 2.0 ** (s - 0.5) / norm))
-    rows.append(np.zeros((p, p)))
-    return np.stack(rows)[rng.permutation(len(rows))]
-
-
 def scaling_power_xs(t, rng):
     """x = 0 and one x per scaling power s = 0..16 that ``expm_batch`` gives
     with t (seven of them with s = 0), shuffled so that rows of every power
@@ -370,18 +359,39 @@ def random_sub_intensities(rng, n, p):
                      for k in range(n)])
 
 
+def rank_one(t, xs, v, c):
+    """The stacks ``xs[i] t`` and ``xs[i] v[i] c[i]'`` that the Fréchet
+    kernel builds block by block, with its elementwise operations in its
+    order."""
+    x_i = xs[:, None, None]
+    return t * x_i, v[:, :, None] * c[:, None, :] * x_i
+
+
+def frechet_scaling_xs(t, v, c, powers, rng):
+    """One x per row of the factors, giving that row the scaling power
+    ``powers[k]`` in the Fréchet kernel (the 1-norm of the block
+    [[x t, x v c'], [0, x t]] is linear in x >= 0), or 0 where it is -1;
+    the rows come back shuffled, so that powers interleave."""
+    norms = (np.abs(t).sum(axis=0)[None, :] + np.abs(v).sum(axis=1)[:, None]
+             * np.abs(c)).max(axis=1)
+    xs = np.where(powers < 0, 0.0, linalg._THETA13 * 2.0 ** (powers - 0.5) / norms)
+    order = rng.permutation(len(xs))
+    return xs[order], v[order], c[order]
+
+
 class TestExpmFrechetBatch:
     @pytest.mark.parametrize("p", range(1, 7))
     def test_against_scipy(self, p):
         rng = np.random.default_rng(67 + p)
         n = 12
-        x = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
-        a = random_sub_intensities(rng, n, p) * x[:, None, None]
-        e = rng.uniform(0.0, 1.0, size=(n, p, p)) * x[:, None, None]
-        frechet = expm_frechet_batch(a, e)
-        for k in range(n):
-            _, ref_frechet = scipy.linalg.expm_frechet(a[k], e[k])
-            assert norm_rel_err(frechet[k], ref_frechet) <= 1e-12, (k, x[k])
+        for t in random_sub_intensities(rng, 2, p):
+            xs = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
+            v = rng.uniform(0.0, 1.0, size=(n, p))
+            c = rng.uniform(0.0, 1.0, size=(n, p))
+            frechet = expm_frechet_batch(t, xs, v, c)
+            for k in range(n):
+                _, ref_frechet = scipy.linalg.expm_frechet(t * xs[k], np.outer(v[k], c[k]) * xs[k])
+                assert norm_rel_err(frechet[k], ref_frechet) <= 1e-12, (k, xs[k])
 
     def test_against_the_van_loan_block(self):
         # E-step inputs on the fits' Coxian structures: v c' x with posterior
@@ -391,56 +401,100 @@ class TestExpmFrechetBatch:
         # checks those above.)
         rng = np.random.default_rng(71)
         for p in (1, 2, 3, 5, 10):
-            n = 16
-            t = np.stack([(random_chain(rng, p) if k % 2 else
-                           random_sub_intensity(transition_mask("coxian", p), rng)).matrix
-                          for k in range(n)])
-            x = rng.uniform(0.05, 30.0, size=n)
-            v = rng.uniform(0.0, 2.0, size=(n, p))
-            c = rng.uniform(0.1, 1.0, size=(n, p)) * 10.0 ** np.linspace(0, 80, n)[:, None]
-            a = t * x[:, None, None]
-            e = v[:, :, None] * c[:, None, :] * x[:, None, None]
-            frechet = expm_frechet_batch(a, e)
-            for k in range(n):
-                _, ref_frechet = van_loan(t[k], e[k] / x[k], x[k])
-                assert norm_rel_err(frechet[k], ref_frechet) <= 1e-13, (p, k)
+            for k, t in enumerate((random_chain(rng, p).matrix,
+                                   random_sub_intensity(transition_mask("coxian", p), rng).matrix)):
+                n = 16
+                xs = rng.uniform(0.05, 30.0, size=n)
+                v = rng.uniform(0.0, 2.0, size=(n, p))
+                c = rng.uniform(0.1, 1.0, size=(n, p)) * 10.0 ** np.linspace(0, 80, n)[:, None]
+                frechet = expm_frechet_batch(t, xs, v, c)
+                for m in range(n):
+                    _, ref_frechet = van_loan(t, np.outer(v[m], c[m]), xs[m])
+                    assert norm_rel_err(frechet[m], ref_frechet) <= 1e-13, (p, k, m)
 
     def test_zero_stack_is_exact(self):
-        frechet = expm_frechet_batch(np.zeros((3, 4, 4)), np.zeros((3, 4, 4)))
-        np.testing.assert_array_equal(frechet, np.zeros((3, 4, 4)))
+        rng = np.random.default_rng(72)
+        t, xs, v, c = random_chain(rng, 4).matrix, rng.uniform(0.1, 2.0, 3), np.ones((3, 4)), np.ones((3, 4))
+        for args in ((np.zeros((4, 4)), xs, np.zeros((3, 4)), c), (t, np.zeros(3), v, c)):
+            np.testing.assert_array_equal(expm_frechet_batch(*args), np.zeros((3, 4, 4)))
 
     def test_empty_stack(self):
-        for shape in ((0, 3, 3), (2, 0, 0)):
-            assert expm_frechet_batch(np.zeros(shape), np.zeros(shape)).shape == shape
-
-    def test_batch_shapes_roundtrip(self):
-        rng = np.random.default_rng(73)
-        a = random_sub_intensities(rng, 6, 3).reshape(2, 3, 3, 3)
-        e = rng.uniform(0.0, 1.0, size=a.shape)
-        frechet = expm_frechet_batch(a, e)
-        assert frechet.shape == a.shape
-        _, ref_frechet = scipy.linalg.expm_frechet(a[1, 2], e[1, 2])
-        np.testing.assert_allclose(frechet[1, 2], ref_frechet, rtol=1e-12, atol=1e-14)
+        for n, p in ((0, 3), (2, 0)):
+            got = expm_frechet_batch(np.zeros((p, p)), np.zeros(n), np.zeros((n, p)), np.zeros((n, p)))
+            assert got.shape == (n, p, p)
 
     def test_rejects_bad_input(self):
-        good = np.zeros((2, 3, 3))
-        for a, e in ((good, np.zeros((2, 3, 2))), (good, np.zeros((3, 3))),
-                     (np.zeros((2, 3, 2)), np.zeros((2, 3, 2))), (np.zeros(3), np.zeros(3))):
+        t, xs, v = np.zeros((3, 3)), np.zeros(2), np.zeros((2, 3))
+        for args in ((np.zeros((3, 2)), xs, v, v), (np.zeros(3), xs, v, v),
+                     (t, np.zeros((2, 1)), v, v), (t, xs, np.zeros((2, 2)), v),
+                     (t, xs, v, np.zeros((3, 3))), (t, np.zeros(3), v, v)):
             with pytest.raises(ValueError):
-                expm_frechet_batch(a, e)
+                expm_frechet_batch(*args)
         for bad in (np.nan, np.inf):
-            broken = good.copy()
-            broken[1, 0, 2] = bad
-            with pytest.raises(ValueError):
-                expm_frechet_batch(broken, good)
-            with pytest.raises(ValueError):
-                expm_frechet_batch(good, broken)
+            for k in range(4):
+                args = [t.copy(), xs.copy(), v.copy(), v.copy()]
+                args[k].flat[1] = bad
+                with pytest.raises(ValueError, match="not finite"):
+                    expm_frechet_batch(*args)
+
+    def test_overflowing_direction_raises(self):
+        # finite factors whose product x v c' overflows give a ValueError from
+        # the block that builds it, not a RuntimeWarning and a wrong result
+        t = random_chain(np.random.default_rng(74), 3).matrix
+        xs = np.array([1.0, 2.0, 0.5])
+        v, c = np.ones((3, 3)), np.ones((3, 3))
+        c[1] = 1e200
+        v[1, 2] = 1e200
+        with pytest.raises(ValueError, match="not finite"):
+            expm_frechet_batch(t, xs, v, c)
+        with pytest.raises(ValueError, match="not finite"):
+            expm_frechet_batch(t * 1e300, xs * 1e10, np.ones((3, 3)), np.ones((3, 3)))
+
+
+class TestFrozenKernel:
+    """The kernel that builds its pairs block by block equals the frozen
+    two-stack kernel, run as one block on the same pairs, bit for bit: on
+    Coxian, general and the stiff reference chains, at every scaling power
+    from 0 to 16, with v the exit rates and v = 1, split into blocks and
+    whole, on one worker and on several."""
+
+    @staticmethod
+    def assert_bit_identical(monkeypatch, t, xs, v, c):
+        want = frozen_expm_frechet_batch(*rank_one(t, xs, v, c))
+        p = t.shape[0]
+        for rows, workers in ((10 ** 12, 1), (3, 1), (3, 3), (1, 4)):
+            monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", rows * p * p)
+            monkeypatch.setattr(linalg, "_worker_count", lambda workers=workers: workers)
+            np.testing.assert_array_equal(expm_frechet_batch(t, xs, v, c), want)
+
+    @pytest.mark.parametrize("structure", ["coxian", "general"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
+    def test_every_scaling_power(self, monkeypatch, structure, p):
+        rng = np.random.default_rng(131 + p)
+        t = random_sub_intensity(transition_mask(structure, p), rng).matrix
+        powers = np.repeat(np.arange(-1, 17), 2)
+        c = rng.uniform(0.1, 1.0, size=(powers.size, p)) * 10.0 ** rng.uniform(
+            0.0, 12.0, size=(powers.size, 1))
+        for v in (np.ones_like(c), np.tile(-t.sum(axis=1), (powers.size, 1))):
+            xs, v_rows, c_rows = frechet_scaling_xs(t, v, c, powers, rng)
+            self.assert_bit_identical(monkeypatch, t, xs, v_rows, c_rows)
+
+    @pytest.mark.parametrize("diag, superdiag", [(DIAG_1, SUPER_1),
+                                                 (DIAG_2, SUPER_2)])
+    def test_stiff_reference_chains(self, monkeypatch, diag, superdiag):
+        t = chain_matrix(diag, superdiag)
+        rng = np.random.default_rng(137)
+        xs = np.geomspace(1e-5, 2e8, 30)
+        c = rng.uniform(0.1, 1.0, size=(30, 10)) * 10.0 ** np.linspace(0, 40, 30)[:, None]
+        for v in (np.ones_like(c), np.tile(-t.sum(axis=1), (30, 1))):
+            self.assert_bit_identical(monkeypatch, t, xs, v, c)
 
 
 @pytest.fixture
 def split_run(monkeypatch):
-    """``split_run(a, e, rows=r)`` returns ``expm_frechet_batch(a, e)`` run in
-    row blocks of r matrices on the call's pool, and run in one block inline."""
+    """``split_run(t, xs, v, c, rows=r)`` returns ``expm_frechet_batch(t, xs,
+    v, c)`` run in row blocks of r rows on the call's pool, and run in one
+    block inline."""
     threads = []
 
     def spy(*args, kernel=linalg._expm_frechet_block):
@@ -449,15 +503,15 @@ def split_run(monkeypatch):
 
     monkeypatch.setattr(linalg, "_expm_frechet_block", spy)
 
-    def run(a, e, rows):
-        n, p = np.prod(a.shape[:-2]), a.shape[-1]
+    def run(t, xs, v, c, rows):
+        n, p = v.shape
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 10 ** 12)
         threads.clear()
-        whole = expm_frechet_batch(a, e)
+        whole = expm_frechet_batch(t, xs, v, c)
         assert threads == [threading.current_thread().name]
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", rows * p * p)
         threads.clear()
-        split = expm_frechet_batch(a, e)
+        split = expm_frechet_batch(t, xs, v, c)
         assert len(threads) == -(-n // rows) > 1
         assert all(name.startswith("miph-linalg") for name in threads)
         return split, whole
@@ -465,61 +519,51 @@ def split_run(monkeypatch):
     return run
 
 
-def assert_blocks_change_no_bit(split_run, a, e, rows):
-    split, whole = split_run(a, e, rows=rows)
+def assert_blocks_change_no_bit(split_run, t, xs, v, c, rows):
+    split, whole = split_run(t, xs, v, c, rows=rows)
     np.testing.assert_array_equal(split, whole)
-    return split
 
 
 class TestRowBlocks:
-    """The Fréchet kernel is row-wise, so cutting a stack into row blocks
-    that run on the call's pool changes no bit: the split result is
-    array_equal to the result of one block."""
+    """The Fréchet kernel is row-wise, so cutting its rows into blocks that
+    run on the call's pool changes no bit: the split result is array_equal
+    to the result of one block."""
 
     @pytest.mark.parametrize("rows", [1, 3, 7])
     def test_random_stacks(self, split_run, rows):
         rng = np.random.default_rng(79)
-        a = rng.uniform(-1.0, 1.0, size=(40, 4, 4)) * 2.0 ** rng.uniform(
-            -4.0, 6.0, size=(40, 1, 1))
-        e = rng.uniform(-1.0, 1.0, size=a.shape)
-        assert_blocks_change_no_bit(split_run, a, e, rows)
+        t = rng.uniform(-1.0, 1.0, size=(4, 4))
+        xs = 2.0 ** rng.uniform(-4.0, 6.0, size=40)
+        v, c = rng.uniform(-1.0, 1.0, size=(2, 40, 4))
+        assert_blocks_change_no_bit(split_run, t, xs, v, c, rows)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
     def test_coxian_stacks(self, split_run, p):
-        # E-step inputs: A = T x and E = v c' x with weights c up to 1e40
+        # E-step inputs: T x and v c' x with weights c up to 1e40
         rng = np.random.default_rng(83 + p)
         n = 24
-        t = np.stack([random_sub_intensity(transition_mask("coxian", p), rng).matrix
-                      for _ in range(n)])
-        x = 10.0 ** rng.uniform(-3.0, 4.0, size=n)
+        t = random_sub_intensity(transition_mask("coxian", p), rng).matrix
+        xs = 10.0 ** rng.uniform(-3.0, 4.0, size=n)
         v = rng.uniform(0.0, 2.0, size=(n, p))
         c = rng.uniform(0.1, 1.0, size=(n, p)) * 10.0 ** np.linspace(0, 40, n)[:, None]
-        a = t * x[:, None, None]
-        e = v[:, :, None] * c[:, None, :] * x[:, None, None]
-        assert_blocks_change_no_bit(split_run, a, e, rows=5)
+        assert_blocks_change_no_bit(split_run, t, xs, v, c, rows=5)
 
     @pytest.mark.parametrize("diag, superdiag", [(DIAG_1, SUPER_1),
                                                  (DIAG_2, SUPER_2)])
     def test_stiff_reference_chains(self, split_run, diag, superdiag):
         t = chain_matrix(diag, superdiag)
         xs = np.geomspace(1e-5, 2e8, 30)
-        a = t[None, :, :] * xs[:, None, None]
-        e = np.ones((len(xs), t.shape[0], t.shape[0])) * xs[:, None, None]
-        assert_blocks_change_no_bit(split_run, a, e, rows=4)
+        ones = np.ones((len(xs), t.shape[0]))
+        assert_blocks_change_no_bit(split_run, t, xs, ones, ones, rows=4)
 
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
     def test_every_scaling_power(self, split_run, p):
+        # scaling powers 0..30 and a zero x, interleaved
         rng = np.random.default_rng(89 + p)
-        a = scaling_power_stack(p, rng)
-        e = rng.uniform(0.0, 1.0, size=a.shape)
-        assert_blocks_change_no_bit(split_run, a, e, rows=3)
-
-    def test_leading_batch_dimensions(self, split_run):
-        rng = np.random.default_rng(97)
-        a = scaling_power_stack(5, rng).reshape(4, 8, 5, 5)
-        e = rng.uniform(0.0, 1.0, size=a.shape)
-        split = assert_blocks_change_no_bit(split_run, a, e, rows=3)
-        assert split.shape == a.shape
+        t = random_sub_intensity(transition_mask("general", p), rng).matrix
+        v, c = rng.uniform(0.0, 1.0, size=(2, 32, p))
+        xs, v, c = frechet_scaling_xs(t, v, c, np.arange(-1, 31), rng)
+        assert_blocks_change_no_bit(split_run, t, xs, v, c, rows=3)
 
 
 def linalg_threads():
@@ -542,18 +586,19 @@ def built_pools(monkeypatch):
 
 
 class TestSharedPool:
-    """The pool that one Fréchet call's row blocks share: opened for a stack
-    of more than one block and joined before the call returns, so no thread
-    of it outlives the call."""
+    """The pool that one Fréchet call's row blocks share: opened for rows of
+    more than one block and joined before the call returns, so no thread of
+    it outlives the call."""
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         rng = np.random.default_rng(101)
-        a = random_sub_intensities(rng, 40, 3)
-        a[13, 0, 0] = -99.0  # marks the fourth block of four rows
+        t, ones = random_chain(rng, 3).matrix, np.ones((40, 3))
+        xs = rng.uniform(0.1, 5.0, size=40)
+        xs[13] = 99.0  # marks the fourth block of four rows
         raised_in = []
 
         def failing(*args, kernel=linalg._expm_frechet_block):
-            if np.any(args[0] == -99.0):
+            if np.any(args[1] == 99.0):
                 raised_in.append(threading.current_thread().name)
                 raise RuntimeError("block kernel failed")
             return kernel(*args)
@@ -561,7 +606,7 @@ class TestSharedPool:
         monkeypatch.setattr(linalg, "_expm_frechet_block", failing)
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 4 * 3 * 3)
         with pytest.raises(RuntimeError, match="block kernel failed"):
-            expm_frechet_batch(a, np.ones_like(a))
+            expm_frechet_batch(t, xs, ones, ones)
         assert len(raised_in) == 1
         assert raised_in[0].startswith("miph-linalg")
         assert linalg_threads() == []
@@ -578,8 +623,9 @@ class TestSharedPool:
             return kernel(*args)
 
         monkeypatch.setattr(linalg, "_expm_frechet_block", spy)
-        a = random_sub_intensities(np.random.default_rng(103), 200, 3)
-        expm_frechet_batch(a, np.ones_like(a))
+        rng = np.random.default_rng(103)
+        ones = np.ones((200, 3))
+        expm_frechet_batch(random_chain(rng, 3).matrix, rng.uniform(0.1, 5.0, 200), ones, ones)
         assert [pool._max_workers for pool in built_pools] == [linalg._MAX_WORKERS]
         assert 1 <= len(threads) <= linalg._MAX_WORKERS
         assert linalg_threads() == []
@@ -593,9 +639,9 @@ class TestSharedPool:
         # more callers than cores, each opening a pool of its own and writing
         # blocks of its own output, with thread switches forced often
         rng = np.random.default_rng(109)
-        pairs = [(random_sub_intensities(rng, 30, 3) * rng.uniform(0.1, 50.0),
-                  rng.uniform(0.0, 1.0, size=(30, 3, 3))) for _ in range(6)]
-        expected = [expm_frechet_batch(a, e) for a, e in pairs]  # one block each
+        calls = [(t, rng.uniform(0.1, 50.0, size=30), *rng.uniform(0.0, 1.0, size=(2, 30, 3)))
+                 for t in random_sub_intensities(rng, 6, 3)]
+        expected = [expm_frechet_batch(*args) for args in calls]  # one block each
         assert built_pools == []
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 2 * 3 * 3)
         ran_on = set()
@@ -605,17 +651,17 @@ class TestSharedPool:
             return kernel(*args)
 
         monkeypatch.setattr(linalg, "_expm_frechet_block", spy)
-        results = [None] * len(pairs)
-        start = threading.Barrier(len(pairs))
+        results = [None] * len(calls)
+        start = threading.Barrier(len(calls))
 
         def call(k):
             start.wait()
-            results[k] = expm_frechet_batch(*pairs[k])
+            results[k] = expm_frechet_batch(*calls[k])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            callers = [threading.Thread(target=call, args=(k,)) for k in range(len(pairs))]
+            callers = [threading.Thread(target=call, args=(k,)) for k in range(len(calls))]
             for caller in callers:
                 caller.start()
             for caller in callers:
@@ -623,7 +669,7 @@ class TestSharedPool:
         finally:
             sys.setswitchinterval(interval)
         assert not any(caller.is_alive() for caller in callers)
-        assert len(built_pools) == len(pairs)
+        assert len(built_pools) == len(calls)
         assert ran_on and ran_on <= {t for pool in built_pools for t in pool._threads}
         assert linalg_threads() == []
         for got, want in zip(results, expected):
@@ -633,17 +679,19 @@ class TestSharedPool:
                         reason="no fork on this platform")
     def test_a_forked_child_builds_its_own_pool(self, monkeypatch):
         # a split call leaves no pool thread behind, so a forked child
-        # inherits none and opens its own pool for its split stacks
+        # inherits none and opens its own pool for its split rows
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 3 * 3)
-        a = random_sub_intensities(np.random.default_rng(113), 40, 3)
-        expected = expm_frechet_batch(a, np.ones_like(a))
+        rng = np.random.default_rng(113)
+        ones = np.ones((40, 3))
+        args = (random_chain(rng, 3).matrix, rng.uniform(0.1, 5.0, 40), ones, ones)
+        expected = expm_frechet_batch(*args)
         assert linalg_threads() == []
         with multiprocessing.get_context("fork").Pool(1) as children:
-            got = children.apply_async(expm_frechet_batch, (a, np.ones_like(a))).get(timeout=60)
+            got = children.apply_async(expm_frechet_batch, args).get(timeout=60)
         np.testing.assert_array_equal(got, expected)
 
     def test_stacks_of_one_block_never_build_the_pool(self, monkeypatch):
-        # a stack of one block runs inline and opens no pool; the exponential,
+        # rows of one block run inline and open no pool; the exponential,
         # one GEMM, opens none at any size
         class RefusingPool:
             def __init__(self, *args, **kwargs):
@@ -652,11 +700,11 @@ class TestSharedPool:
         monkeypatch.setattr(linalg, "ThreadPoolExecutor", RefusingPool)
         rng = np.random.default_rng(107)
         rows = linalg._BLOCK_ENTRIES // 100
-        # empty stacks, one full block at p = 10, and the desk-scale fit's
+        # empty calls, one full block at p = 10, and the desk-scale fit's
         # 2000 rows at p = 3
-        for shape in ((0, 3, 3), (2, 0, 0), (rows, 10, 10), (2, rows // 2, 10, 10),
-                      (2000, 3, 3)):
-            a = rng.uniform(-1.0, 1.0, size=shape)
-            assert expm_frechet_batch(a, a).shape == shape
+        for n, p in ((0, 3), (2, 0), (rows, 10), (2000, 3)):
+            t = rng.uniform(-1.0, 1.0, size=(p, p))
+            v = rng.uniform(-1.0, 1.0, size=(n, p))
+            assert expm_frechet_batch(t, rng.uniform(0.0, 2.0, n), v, v).shape == (n, p, p)
         t = random_chain(rng, 10).matrix
         assert expm_batch(t, rng.uniform(0.0, 50.0, size=4 * rows)).shape == (4 * rows, 10, 10)

@@ -461,6 +461,17 @@ class TestRankCorrelations:
             assert np.all(u >= -1e-12) and np.all(u <= 1.0 + 1e-12)
             assert np.max(np.abs(u + u.T - 1.0)) <= 1e-12
 
+    def test_precedence_matrix_near_the_float_limit(self):
+        """Rates near 1e308 would overflow the Kronecker sum T (+) T to -inf;
+        T and t are scaled by a power of two first, which U does not see.
+        Two copies of one state tie in law, so U = 1/2; a state left at rate
+        1e308 for the one that exits is as good as that state."""
+        u = miph.model._precedence_matrix(SubIntensity([[-1e308]]))
+        np.testing.assert_array_equal(u, [[0.5]])
+        u = miph.model._precedence_matrix(SubIntensity([[-1e308, 1e308], [0.0, -1.0]]))
+        np.testing.assert_array_equal(u, np.full((2, 2), 0.5))
+        np.testing.assert_array_equal(u + u.T, np.ones((2, 2)))
+
     @pytest.mark.parametrize("f", [1e2, 1e6, 1e8])
     def test_stiff_chain_against_extended_precision(self, f):
         """A rate f next to exit rates of 1e-3 and 0.1 leaves a residual far
