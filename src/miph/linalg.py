@@ -5,6 +5,11 @@ kernels numpy lacks, exp(x T) for one T at many scalars x and a *batched*
 Fréchet derivative, are implemented here since the fitting loop
 exponentiates thousands of small matrices per iteration.
 
+The exponential returns no stack of matrices: callers need exp(x T) times a
+few vectors, or a weighted sum of its rows, and for the x it does not square
+both come from the shared powers of T and each x's Taylor weights
+(:class:`TaylorExpm`).
+
 The Fréchet kernel is row-wise, with a Padé solve per pair (x T, x v c').
 So it cuts its rows into blocks of at most ``_BLOCK_ENTRIES`` matrix
 entries, each building its own pairs, which stay in cache, and runs them on
@@ -17,6 +22,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -124,7 +130,83 @@ def _worker_count() -> int:
     return max(1, min(cores, _MAX_WORKERS))
 
 
-def expm_batch(t, xs) -> np.ndarray:
+@dataclass(frozen=True, eq=False)
+class TaylorExpm:
+    """exp(x t) at the scalars of one :func:`expm_batch` call, held as the
+    terms of its Taylor polynomials rather than as p x p matrices.
+
+    Attributes
+    ----------
+    powers : (18, p, p) ndarray
+        ``T**k`` for k = 1..18, with ``T = t / |t|_1`` (t itself when 0).
+    weights : (k, 18) ndarray
+        Row i's Taylor weights ``z**k / k!``, ``z = x_i |t|_1 / 2**s_i``.
+    scaling : (k,) ndarray of int
+        Row i's scaling power s_i.
+    squared : (m, p, p) ndarray
+        ``exp(x_i t)`` of the rows with s_i > 0, in row order: the only
+        rows held as matrices.
+    index : (n,) ndarray of int
+        The row each entry reads, -1 for an entry whose products are 0;
+        ``expm_batch`` sets 0..k-1, and a caller that exponentiates the
+        distinct values of a longer array swaps in its own.
+    """
+
+    powers: np.ndarray
+    weights: np.ndarray
+    scaling: np.ndarray
+    squared: np.ndarray
+    index: np.ndarray
+
+    def times(self, v, *picks):
+        """``exp(x t) @ v`` per entry, (n, p, q), for a (p, q) ``v``; given
+        picks, each an (n,) array of column numbers, a list with one (n, p)
+        array per pick, whose entry j is column ``pick[j]`` of entry j's
+        product, so that no more than the columns used are gathered.
+
+        A row with s = 0 is ``v + sum_k w_k T**k v``: its weights times the
+        shared ``T**k v``, a vector-matrix product of its own, as a GEMM
+        over the rows would round rows at its block edges apart. So a row's
+        bits depend on its x, t and v alone. Squared rows are their
+        matrices times v; entries with index -1 get exact zeros.
+        """
+        v = np.asarray(v, dtype=float)
+        p, q = v.shape
+        rows = np.empty((self.scaling.size + 1, p, q))
+        rows[-1] = 0.0  # read by index -1
+        plain = self.scaling == 0
+        tv = np.reshape(self.powers @ v, (_TAYLOR_DEGREE, p * q))
+        w = self.weights[plain]
+        products = w[:, None, :] @ tv
+        products += v.ravel()
+        rows[:-1][plain] = products.reshape(len(w), p, q)
+        rows[:-1][~plain] = self.squared @ v
+        if not picks:
+            return rows[self.index]
+        return [rows[self.index, :, pick] for pick in picks]
+
+    def left_sum(self, c, entries) -> np.ndarray:
+        """``sum_j c[j]' exp(x t)`` over the entries selected by ``entries``
+        (a boolean mask or indices), with one (p,) row ``c[j]`` each.
+
+        Rows with s = 0 contribute ``sum_j c[j] + sum_k Q_k' T**k`` with
+        ``Q = W' C``, one (18 x n) (n x p) contraction of their weights and
+        c-rows, by ``einsum``: OpenBLAS may run that skinny GEMM on two
+        threads, at 4-8 ms where ``einsum`` takes 1 ms (n = 8834, p = 10,
+        on a 2-vCPU VM). Squared rows contract their matrices.
+        """
+        rows = self.index[entries]
+        c = np.asarray(c, dtype=float)[rows >= 0]  # zero rows add nothing
+        rows = rows[rows >= 0]
+        plain = self.scaling[rows] == 0
+        c_plain = c[plain]
+        q = np.einsum("mk,mj->kj", self.weights[rows[plain]], c_plain)
+        total = c_plain.sum(axis=0) + np.einsum("kj,kjl->l", q, self.powers)
+        slot = np.cumsum(self.scaling > 0) - 1
+        return total + np.einsum("mj,mjl->l", c[~plain], self.squared[slot[rows[~plain]]])
+
+
+def expm_batch(t, xs) -> TaylorExpm:
     """Matrix exponential of one square matrix at many scalar multiples.
 
     Parameters
@@ -136,18 +218,23 @@ def expm_batch(t, xs) -> np.ndarray:
 
     Returns
     -------
-    (n, p, p) ndarray
-        ``exp(xs[i] * t)`` for each scalar.
+    TaylorExpm
+        ``exp(xs[i] * t)`` for each scalar, as the products
+        ``exp(xs[i] t) @ v`` (:meth:`TaylorExpm.times`; ``v`` the identity
+        gives the (n, p, p) matrices) and the sums
+        ``sum_j c[j]' exp(xs[j] t)`` (:meth:`TaylorExpm.left_sum`).
 
     Notes
     -----
     Taylor-18 scaling and squaring (Bader, Blanes & Casas, Mathematics 7
     (2019) 1174) on the powers of ``T = t / |t|_1``, taken once per call.
     Each x gets the least s >= 0 with ``|x| |t|_1 / 2**s <= theta_18``, and
-    its row is the weights ``z**k / k!`` of ``z = x |t|_1 / 2**s`` times the
-    powers, a vector-matrix product of its own (a GEMM of the stack would
-    round rows at its block edges apart), squared s times. A zero x or t
-    gives the exact identity.
+    the weights ``z**k / k!`` of ``z = x |t|_1 / 2**s``. A row with s = 0
+    stays as its weights: a product with it is its weights times the powers
+    times the vectors, never a p x p matrix (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33 (2011) 488-511, for exp(x t) times a few vectors). A row with
+    s > 0 is formed as the weights times the powers, a vector-matrix product
+    of its own, and squared s times. A zero x or t gives the exact identity.
     """
     t = np.asarray(t, dtype=float)
     xs = np.asarray(xs, dtype=float)
@@ -160,12 +247,20 @@ def expm_batch(t, xs) -> np.ndarray:
     powers = [t / norm if norm else t]
     for _ in range(_TAYLOR_DEGREE - 1):
         powers.append(powers[-1] @ powers[0])
+    powers = np.array(powers)
     s = _scaling_power(np.abs(xs) * norm, _THETA18)
-    # z**k / k! for k = 1..18; the identity, of weight 1, is added last
+    # z**k / k! for k = 1..18, a running product filled in column by column,
+    # one vector operation per degree; the identity, of weight 1, is added last
     z = xs * norm / 2.0 ** s
-    weights = np.cumprod(np.divide.outer(z, np.arange(1.0, _TAYLOR_DEGREE + 1)), axis=1)
-    r = weights[:, None, :] @ np.reshape(powers, (_TAYLOR_DEGREE, p * p))
-    return _square(r.reshape(xs.size, p, p) + np.eye(p), s, np.matmul)
+    weights = np.empty((xs.size, _TAYLOR_DEGREE))
+    weights[:, 0] = z
+    for k in range(1, _TAYLOR_DEGREE):
+        np.multiply(weights[:, k - 1], z / (k + 1), out=weights[:, k])
+    high = s > 0
+    w = weights[high]
+    r = w[:, None, :] @ powers.reshape(_TAYLOR_DEGREE, p * p)
+    squared = _square(r.reshape(len(w), p, p) + np.eye(p), s[high], np.matmul)
+    return TaylorExpm(powers, weights, s, squared, np.arange(xs.size))
 
 
 def _expm_frechet_block(t, xs, v, c) -> np.ndarray:

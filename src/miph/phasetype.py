@@ -16,12 +16,12 @@ where an IPH law is a one-margin model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .exceptions import DataValidationError, NumericalError
-from .linalg import expm_batch
+from .linalg import TaylorExpm, expm_batch
 
 __all__ = [
     "SubIntensity",
@@ -173,16 +173,18 @@ def _check_start_rows(rows, dim: int, what: str) -> None:
         raise DataValidationError(f"{what} sums to {sums[bad][0]:.12f}, expected 1")
 
 
-def _exponentials(sub: SubIntensity, x):
-    """``(mats, index)``: exp(T x) once per distinct finite x of the 1-d
-    ``x``, and for each entry of ``x`` the position of its matrix in
-    ``mats``, -1 where x overflowed; such an x is never exponentiated."""
+def _exponentials(sub: SubIntensity, x) -> TaylorExpm:
+    """exp(T x) at the entries of the 1-d ``x``: :func:`linalg.expm_batch`
+    once per distinct finite x, its index pointing each entry at the row
+    of its value, -1 where x overflowed; such an x is never exponentiated,
+    and its products are 0."""
     xs, inverse = np.unique(np.asarray(x, dtype=float), return_inverse=True)
     ok = np.isfinite(xs)
-    return expm_batch(sub.matrix, xs[ok]), np.where(ok, np.cumsum(ok) - 1, -1)[inverse]
+    return replace(expm_batch(sub.matrix, xs[ok]),
+                   index=np.where(ok, np.cumsum(ok) - 1, -1)[inverse])
 
 
-def _exp_factors(sub: SubIntensity, exps, died, derivatives: bool = False) -> list:
+def _exp_factors(sub: SubIntensity, exps: TaylorExpm, died, derivatives: bool = False) -> list:
     """Per-state factor rows ``e_j' exp(T x_m) v_m``; ``exps = _exponentials(sub, x)``.
 
     ``v_m`` is the exit-rate vector t where ``died`` (a density factor) and
@@ -190,31 +192,24 @@ def _exp_factors(sub: SubIntensity, exps, died, derivatives: bool = False) -> li
     against the index. Returns ``[u]``, or with ``derivatives`` also the
     x-derivatives ``exp(T x) T v`` and ``exp(T x) T^2 v``, which come from
     the same exponentials because T commutes with exp(T x); T 1 = -t.
-    An overflowed x gets exact zero rows, the limit of every factor.
+    Each is a column of the one product ``exp(T x) [1, t, T t, T^2 t]``
+    (:meth:`linalg.TaylorExpm.times`), so no p x p matrix is formed for a
+    row that is not squared, and the value's bits do not depend on
+    ``derivatives``. An overflowed x gets exact zero rows, the limit of
+    every factor.
     """
-    mats, index = exps
-    died = np.broadcast_to(np.asarray(died, dtype=bool), index.shape)
+    died = np.broadcast_to(np.asarray(died, dtype=bool), exps.index.shape)
     t = sub.exit_rates
-    vectors = [t]
-    if derivatives:
-        vectors += [sub.matrix @ t, sub.matrix @ (sub.matrix @ t)]
-    # per matrix: exp(T x) 1, then exp(T x) T^k t for k = 0, 1, 2; index -1
-    # picks the last row, which stays zero
-    rows = np.zeros((len(vectors) + 1, len(mats) + 1, sub.dim))
-    rows[0, :-1] = mats.sum(axis=-1)
-    for k, vec in enumerate(vectors, start=1):
-        rows[k, :-1] = mats @ vec
-    # term k of a survival row is exp(T x) T^k 1 = -exp(T x) T^(k-1) t (k > 0);
-    # rows where ``died`` are overwritten with the density version
-    dead = index[died]
-    out = []
-    for k in range(len(vectors)):
-        f = rows[k][index]
-        if k:
-            np.negative(f, out=f)
-        f[died] = rows[k + 1][dead]
-        out.append(f)
-    return out
+    tt = sub.matrix @ t
+    # term k of a survival row is column k of exp(T x) [1, t, T t, T^2 t],
+    # negated for k > 0 (exp(T x) T^k 1 = -exp(T x) T^(k-1) t); a density
+    # row's is column k + 1
+    first = died.astype(np.intp)
+    terms = exps.times(np.column_stack([np.ones(sub.dim), t, tt, sub.matrix @ tt]),
+                       *(first + k for k in range(3 if derivatives else 1)))
+    for term in terms[1:]:
+        np.negative(term, out=term, where=~died[:, None])
+    return terms
 
 
 def _operational_time(beta, y):

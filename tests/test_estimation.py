@@ -12,6 +12,7 @@ Oracles, in increasing strength:
 * a quasi-Newton reference optimizer for the initial-vector regression.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 import weakref
@@ -33,11 +34,13 @@ from miph import (
     SufficientStats,
     e_step,
     fit,
+    generate_synthetic,
     i_step,
     m_step,
     observed_loglik,
     r_step,
     sample_joint_rows,
+    standard_design,
     transform_data,
     transition_mask,
 )
@@ -122,28 +125,23 @@ def quadrature_e_step(x, delta, pi_rows, subs):
     return b, z, n_trans, n_exit
 
 
-def frozen_margin_kernels(sub, x_col, delta_col):
+def per_row_margin_kernels(sub, x_col, delta_col):
     """exp(T x) of every row of one margin, and the per-state evidence
     e_j' exp(T x_m) t (death observed) or e_j' exp(T x_m) 1 (censored), as
     the E-step computed them before it took both from
     `phasetype._exponentials`: one exponential per row, repeats included."""
-    mats = expm_batch(sub.matrix, x_col)
-    a = np.where(
-        delta_col[:, None].astype(bool),
-        mats @ sub.exit_rates,
-        mats.sum(axis=-1),
-    )
-    return mats, a
+    exps = expm_batch(sub.matrix, x_col)
+    return exps, phasetype._exp_factors(sub, exps, delta_col)[0]
 
 
 def block_e_step(x, delta, pi_rows, subs):
     """E-step statistics with each occupancy integral read off the 2p x 2p
     Van Loan block exp([[T, v c'], [0, T]] x), as the E-step once computed
     them, and the evidence and absorption counts from
-    :func:`frozen_margin_kernels`. Also returns the largest posterior weight c."""
+    :func:`per_row_margin_kernels`. Also returns the largest posterior weight c."""
     n, d = x.shape
     p = subs[0].dim
-    mats, evidence = zip(*(frozen_margin_kernels(sub, x[:, i], delta[:, i])
+    exps, evidence = zip(*(per_row_margin_kernels(sub, x[:, i], delta[:, i])
                            for i, sub in enumerate(subs)))
     w = pi_rows.copy()
     for a_i in evidence:
@@ -173,7 +171,7 @@ def block_e_step(x, delta, pi_rows, subs):
         z[i] = np.einsum("mkk->k", integral)
         n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)
         if np.any(died):
-            n_exit[i] = sub.exit_rates * np.einsum("mj,mjk->k", c[died], mats[i][died])
+            n_exit[i] = sub.exit_rates * exps[i].left_sum(c[died], died)
     stats = [np.clip(v, 0.0, None) for v in (b, z, n_trans, n_exit)]
     return stats, largest
 
@@ -648,7 +646,8 @@ class TestMStep:
 
 def reference_age_scale_loglik(y, delta, per_obs_pi, subs, betas):
     """The log-likelihood value as coded before the derivatives were added,
-    less its 1e-300 floor, which no row here reaches: the value half of
+    less its 1e-300 floor, which no row here reaches, on one exponential per
+    finite row and its product with [1, t, T t, T^2 t]: the value half of
     `_age_scale_loglik` must stay bit-equal to it."""
     n, d = y.shape
     lik = per_obs_pi.copy()
@@ -659,12 +658,14 @@ def reference_age_scale_loglik(y, delta, per_obs_pi, subs, betas):
         ok = np.isfinite(x)
         factors = np.zeros((n, sub.dim))
         if np.any(ok):
-            mats = expm_batch(sub.matrix, x[ok])
+            tt = sub.matrix @ sub.exit_rates
+            u = expm_batch(sub.matrix, x[ok]).times(np.column_stack(
+                [np.ones(sub.dim), sub.exit_rates, tt, sub.matrix @ tt]))
             died = delta[ok, i].astype(bool)
             factors[ok] = np.where(
                 died[:, None],
-                (mats @ sub.exit_rates) * np.exp(beta * y[ok, i])[:, None],
-                mats.sum(axis=-1),
+                u[..., 1] * np.exp(beta * y[ok, i])[:, None],
+                u[..., 0],
             )
         lik *= factors
     return float(np.log(lik.sum(axis=1)).sum())
@@ -767,6 +768,34 @@ class TestIStep:
             y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
             total, _, _, _ = _age_scale_loglik(y, delta, pi_rows, subs, betas)
             assert total == reference_age_scale_loglik(y, delta, pi_rows, subs, betas)
+
+    def test_likelihood_builds_no_exponential_stacks(self, spousal_model_with_gamma):
+        """At a paper-scale fitted point (8834 couples drawn from the
+        published model, p = 10, two EM iterations from beta = 45), one
+        likelihood evaluation with derivatives peaks below three (n, p, p)
+        stacks, and the exponentials it returns hold less than one: only
+        squared rows are p x p matrices."""
+        def sampler(rng, size):
+            ages = rng.uniform(0.60, 0.75, size=(size, 2))
+            return standard_design(ages[:, 0], ages[:, 1])
+
+        obs = generate_synthetic(spousal_model_with_gamma, sampler, 0.6, 8834, 8834)
+        model = fit(obs, FitConfig(p=10, i_step_every=2, beta_init=45.0,
+                                   max_iterations=2)).model
+        pi_rows = model.initial_vectors(obs.covariates)
+        subs = [m.sub for m in model.margins]
+        betas = np.array([m.transform.beta for m in model.margins])
+        stack = 8834 * 10 * 10 * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            *_, exps = _age_scale_loglik(obs.y, obs.delta, pi_rows, subs, betas)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert any(np.any(e.scaling > 0) for e in exps)
+        assert peak - before <= 3 * stack, (peak - before) / stack
+        assert held - before <= stack, (held - before) / stack
 
     def test_joint_mode_improves_and_flattens_gradient(self):
         obs, pi_rows, subs = self._age_data()
@@ -1019,10 +1048,11 @@ class TestFit:
             subs, exps = estimation._initial_sub_intensities(
                 o, mask, np.ones(2), np.random.default_rng(0))
             x = transform_data(o, np.ones(2))
-            for i, (sub, (mats, index)) in enumerate(zip(subs, exps)):
-                want_mats, want_index = phasetype._exponentials(sub, x[:, i])
-                np.testing.assert_array_equal(mats, want_mats)
-                np.testing.assert_array_equal(index, want_index)
+            for i, (sub, got) in enumerate(zip(subs, exps)):
+                want = phasetype._exponentials(sub, x[:, i])
+                for field in dataclasses.fields(want):
+                    np.testing.assert_array_equal(getattr(got, field.name),
+                                                  getattr(want, field.name))
             return subs
 
         def evidence(o, subs):
@@ -1145,8 +1175,9 @@ class TestFit:
     @pytest.mark.parametrize("i_step_every", [0, 1, 2])
     def test_one_exponential_per_parameter_point(self, monkeypatch, i_step_every):
         """Each likelihood evaluation exponentiates once per margin, and no
-        E-step exponentiates: the first takes the pairs of the start, every
-        later one those of the evaluation that accepted its parameters."""
+        E-step exponentiates: the first takes the exponentials of the start,
+        every later one those of the evaluation that accepted its
+        parameters."""
         obs = self._synthetic(433, n=250)
         calls, evals, given = [], [], []
         real_loglik, real_e_step = estimation._age_scale_loglik, estimation.e_step
@@ -1190,18 +1221,19 @@ class TestFit:
         assert report.model.margins[0].transform.beta == 1.0
 
     def test_one_parameter_point_alive_at_a_time(self, monkeypatch):
-        """Whenever the fit exponentiates, at most the other margin's matrices
-        of the same point are still alive, and none outlive the fit. On the
-        far-censored data the start doubles its means once, and the previous
-        doubling's matrices are gone before the next are taken."""
+        """Whenever the fit exponentiates, at most the other margin's
+        exponentials of the same point are still alive, and none outlive the
+        fit. On the far-censored data the start doubles its means once, and
+        the previous doubling's exponentials are gone before the next are
+        taken."""
         refs, alive = [], []
         real = estimation._exponentials
 
         def tracked(sub, x):
             alive.append(sum(ref() is not None for ref in refs))
-            mats, index = real(sub, x)
-            refs.append(weakref.ref(mats))
-            return mats, index
+            exps = real(sub, x)
+            refs.append(weakref.ref(exps))
+            return exps
 
         monkeypatch.setattr(estimation, "_exponentials", tracked)
         for obs in (self._synthetic(433, n=250),
@@ -1274,10 +1306,11 @@ class TestFit:
         {"loglik_tolerance": True}, {"loglik_tolerance": "1e-7"},
         {"loglik_tolerance": [1e-7]}, {"beta_init": True}, {"beta_init": "2"},
         {"beta_init": ("1", 2.0)}, {"beta_init": (True, False)},
+        {"beta_init": [True, 1.0]}, {"beta_init": (2.0, np.True_)},
     ])
     def test_config_rejects_tolerance_and_beta_that_are_not_numbers(self, kwargs):
         # a bool tolerance used to run as 1 per observation, and a bool or
-        # string beta_init used to construct
+        # string beta_init used to construct, a bool among floats as 1.0
         name = next(iter(kwargs))
         with pytest.raises(ValueError, match=name):
             FitConfig(p=2, **kwargs)

@@ -13,6 +13,7 @@ threads is bit-identical to the same kernel run in one block, and to a
 frozen copy of the earlier kernel that took stacks of unrelated pairs.
 """
 
+import dataclasses
 import multiprocessing
 import os
 import sys
@@ -72,6 +73,12 @@ def norm_rel_err(got, ref):
             / np.maximum(np.abs(ref).max(axis=(-2, -1)), np.finfo(float).tiny))
 
 
+def expm_stack(t, xs):
+    """``expm_batch(t, xs)`` as the (n, p, p) stack of its exponentials: its
+    products with the identity, which are the matrices bit for bit."""
+    return expm_batch(t, xs).times(np.eye(np.shape(t)[0]))
+
+
 def squarings(t, xs):
     """The scaling power ``expm_batch`` gives each x for the matrix t."""
     return linalg._scaling_power(np.abs(xs) * np.abs(t).sum(axis=0).max(), linalg._THETA18)
@@ -81,7 +88,7 @@ class TestExpm:
     """The exponential itself, through the kernel."""
 
     def test_fixed_value_against_frozen_series(self):
-        (got,) = expm_batch(FIXED_T, [0.5])
+        (got,) = expm_stack(FIXED_T, [0.5])
         np.testing.assert_allclose(got, FIXED_EXPM_HALF, rtol=1e-13, atol=1e-15)
 
     def test_oracle_agrees_with_itself(self):
@@ -95,7 +102,7 @@ class TestExpm:
         stack = rng.uniform(-1.0, 1.0, size=(5, 3, 3))
         for k in range(stack.shape[0]):
             np.testing.assert_allclose(
-                expm_batch(stack[k], [1.0])[0], series_expm(stack[k]), rtol=1e-12, atol=1e-14
+                expm_stack(stack[k], [1.0])[0], series_expm(stack[k]), rtol=1e-12, atol=1e-14
             )
 
     def test_semigroup_property(self):
@@ -105,7 +112,7 @@ class TestExpm:
             p = int(rng.integers(1, 7))
             t = random_chain(rng, p).matrix
             x, y = rng.uniform(0.0, 5.0, size=2)
-            e_x, e_y, e_xy = expm_batch(t, [x, y, x + y])
+            e_x, e_y, e_xy = expm_stack(t, [x, y, x + y])
             np.testing.assert_allclose(e_x @ e_y, e_xy, atol=1e-12)
 
     def test_substochastic_for_sub_intensities(self):
@@ -113,12 +120,12 @@ class TestExpm:
         for _ in range(10):
             p = int(rng.integers(1, 7))
             t = random_chain(rng, p).matrix
-            (e,) = expm_batch(t, [rng.uniform(0.0, 50.0)])
+            (e,) = expm_stack(t, [rng.uniform(0.0, 50.0)])
             assert e.min() >= -1e-14
             assert e.sum(axis=1).max() <= 1.0 + 1e-12
 
     def test_scale_zero_is_identity(self):
-        np.testing.assert_array_equal(expm_batch(FIXED_T, [0.0]), np.eye(2)[None])
+        np.testing.assert_array_equal(expm_stack(FIXED_T, [0.0]), np.eye(2)[None])
 
     def test_rejects_bad_input(self):
         # t must be one square finite matrix, and xs a 1-d finite array
@@ -126,10 +133,10 @@ class TestExpm:
                   np.array([[np.nan, 0.0], [0.0, 1.0]]),
                   np.array([[np.inf, 0.0], [0.0, -1.0]])):
             with pytest.raises(ValueError):
-                expm_batch(t, [1.0])
+                expm_stack(t, [1.0])
         for xs in (0.5, [[0.5, 1.0]], [0.5, np.nan], [np.inf], [-np.inf, 1.0]):
             with pytest.raises(ValueError):
-                expm_batch(FIXED_T, xs)
+                expm_stack(FIXED_T, xs)
 
 
 class TestExpmBatch:
@@ -138,14 +145,14 @@ class TestExpmBatch:
         stack = rng.uniform(-2.0, 2.0, size=(40, 4, 4))
         for k in range(stack.shape[0]):
             np.testing.assert_allclose(
-                expm_batch(stack[k], [1.0])[0], scipy.linalg.expm(stack[k]),
+                expm_stack(stack[k], [1.0])[0], scipy.linalg.expm(stack[k]),
                 rtol=1e-9, atol=1e-12
             )
 
     def test_huge_scales_stay_substochastic(self):
         rng = np.random.default_rng(19)
         t = random_chain(rng, 4).matrix
-        got = expm_batch(t, [0.0, 1.0, 1e3, 1e6, 3e4])
+        got = expm_stack(t, [0.0, 1.0, 1e3, 1e6, 3e4])
         np.testing.assert_allclose(got[0], np.eye(4), atol=1e-15)
         assert got.min() >= -1e-14
         assert got.sum(axis=2).max() <= 1.0 + 1e-12
@@ -154,12 +161,12 @@ class TestExpmBatch:
         # x = 0 at any t, and any x at t = 0, give the exact identity
         rng = np.random.default_rng(29)
         t = random_chain(rng, 10).matrix
-        got = expm_batch(t, [0.0, 2.5, -0.0, 40.0])
+        got = expm_stack(t, [0.0, 2.5, -0.0, 40.0])
         for k in (0, 2):
             np.testing.assert_array_equal(got[k], np.eye(10))
         np.testing.assert_allclose(got[1], scipy.linalg.expm(2.5 * t), rtol=1e-12, atol=1e-15)
         for p in (1, 3, 10):
-            np.testing.assert_array_equal(expm_batch(np.zeros((p, p)), [0.0, 1.0, -3.0, 1e300]),
+            np.testing.assert_array_equal(expm_stack(np.zeros((p, p)), [0.0, 1.0, -3.0, 1e300]),
                                           np.broadcast_to(np.eye(p), (4, p, p)))
 
     def test_batch_shapes_roundtrip(self):
@@ -167,18 +174,18 @@ class TestExpmBatch:
         # empty stack, and p = 0 gives n empty matrices
         rng = np.random.default_rng(23)
         t = rng.uniform(-1.0, 1.0, size=(5, 5))
-        got = expm_batch(t, [0.3, 1.0, -2.0])
+        got = expm_stack(t, [0.3, 1.0, -2.0])
         assert got.shape == (3, 5, 5)
         np.testing.assert_allclose(got[1], scipy.linalg.expm(t), rtol=1e-12, atol=1e-13)
         for xs in ([], np.empty(0)):
-            assert expm_batch(t, xs).shape == (0, 5, 5)
-        assert expm_batch(np.zeros((0, 0)), [1.0, 2.0]).shape == (2, 0, 0)
+            assert expm_stack(t, xs).shape == (0, 5, 5)
+        assert expm_stack(np.zeros((0, 0)), [1.0, 2.0]).shape == (2, 0, 0)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
-            expm_batch(np.ones((2, 3)), [1.0, 2.0])
+            expm_stack(np.ones((2, 3)), [1.0, 2.0])
         with pytest.raises(ValueError):
-            expm_batch(np.full((2, 2), np.inf), [1.0])
+            expm_stack(np.full((2, 2), np.inf), [1.0])
 
 
 class TestTaylorKernel:
@@ -194,12 +201,12 @@ class TestTaylorKernel:
             edge = linalg._THETA18 / np.abs(t).sum(axis=0).max()
             xs = np.array([1.0 - 1e-12, 1.0 + 1e-12, -(1.0 - 1e-12), -(1.0 + 1e-12)]) * edge
             np.testing.assert_array_equal(squarings(t, xs), [0, 1, 0, 1])
-            assert norm_rel_err(expm_batch(t, xs), mpmath_expm(t, xs)).max() <= 2e-15
+            assert norm_rel_err(expm_stack(t, xs), mpmath_expm(t, xs)).max() <= 2e-15
 
     def test_empty_xs(self):
         rng = np.random.default_rng(137)
         for p in (1, 4):
-            got = expm_batch(random_chain(rng, p).matrix, [])
+            got = expm_stack(random_chain(rng, p).matrix, [])
             assert got.shape == (0, p, p) and got.dtype == float
 
 
@@ -223,7 +230,7 @@ class TestExpmBatchStiffRegime:
     def test_row_sums_against_mpmath(self, diag, superdiag):
         t = chain_matrix(diag, superdiag)
         xs = np.array(sorted(self.BOUNDS))
-        got = expm_batch(t, xs).sum(axis=-1)
+        got = expm_stack(t, xs).sum(axis=-1)
         mp.mp.dps = 40
         tiny = np.finfo(float).tiny
         for x, row in zip(xs, got):
@@ -235,6 +242,27 @@ class TestExpmBatchStiffRegime:
                     assert err / ref <= self.BOUNDS[x], (x, i, float(err / ref))
                 else:
                     assert err <= tiny, (x, i, float(err))
+
+    @pytest.mark.parametrize("diag, superdiag", [(DIAG_1, SUPER_1),
+                                                 (DIAG_2, SUPER_2)])
+    def test_factor_rows_against_mpmath(self, diag, superdiag):
+        """The survival and density rows exp(x T) [1, t] that the likelihood
+        takes from ``expm_batch``'s products, by the same rule and bounds."""
+        t = chain_matrix(diag, superdiag)
+        v = factor_columns(t)[:, :2]
+        xs = np.array(sorted(self.BOUNDS))
+        got = expm_batch(t, xs).times(v)
+        mp.mp.dps = 40
+        tiny = np.finfo(float).tiny
+        for x, rows in zip(xs, got):
+            exact = mp.expm(mp.matrix(t.tolist()) * mp.mpf(x)) * mp.matrix(v.tolist())
+            for (i, k), value in np.ndenumerate(rows):
+                ref = exact[i, k]
+                err = abs(mp.mpf(value) - ref)
+                if ref >= tiny:
+                    assert err / ref <= self.BOUNDS[x], (x, i, k, float(err / ref))
+                else:
+                    assert err <= tiny, (x, i, k, float(err))
 
 
 def simpson_van_loan(t, c, x, panels=2000):
@@ -322,7 +350,7 @@ def assert_agrees_with_the_frozen_copy_and_mpmath(t, xs):
     the frozen Padé kernel; squared rows, where the two kernels' squarings
     round apart, are within 1e-15 * 2**s of mpmath, the rounding growth of s
     squarings."""
-    got = expm_batch(t, xs)
+    got = expm_stack(t, xs)
     s = squarings(t, xs)
     plain = s == 0
     assert plain.any() and not plain.all()
@@ -350,6 +378,75 @@ class TestExpmBatchUnchanged:
         t = rng.uniform(-1.0, 1.0, size=(4, 4))
         xs = rng.choice([-1.0, 1.0], size=40) * 2.0 ** rng.uniform(-4.0, 6.0, size=40)
         assert_agrees_with_the_frozen_copy_and_mpmath(t, xs)
+
+
+def factor_columns(t):
+    """The columns [1, t, T t, T^2 t] that the likelihood multiplies
+    exp(x T) by, with t = -T 1 the exit rates."""
+    exits = -t.sum(axis=1)
+    return np.column_stack([np.ones(len(t)), exits, t @ exits, t @ (t @ exits)])
+
+
+def column_rel_err(got, ref):
+    """:func:`norm_rel_err` of each column of the (n, p, q) products,
+    the largest per row."""
+    return np.max([norm_rel_err(got[..., k:k + 1], ref[..., k:k + 1])
+                   for k in range(got.shape[-1])], axis=0)
+
+
+class TestTaylorProducts:
+    """What ``expm_batch`` returns instead of matrices: the products
+    exp(x t) V of rows it does not square, formed from its weights and the
+    shared T^k V, and the sums c' exp(x t) of the E-step's absorption
+    counts."""
+
+    @pytest.mark.parametrize("p", [1, 3, 10])
+    def test_unsquared_rows_against_the_frozen_copy(self, p):
+        rng = np.random.default_rng(139 + p)
+        for t in (random_chain(rng, p).matrix,
+                  random_sub_intensity(transition_mask("general", p), rng).matrix):
+            xs = scaling_power_xs(t, rng)
+            plain = squarings(t, xs) == 0
+            v = factor_columns(t)
+            got = expm_batch(t, xs).times(v)[plain]
+            want = frozen_expm_batch(t * xs[plain, None, None]) @ v
+            assert column_rel_err(got, want).max() <= 1e-14
+
+    @pytest.mark.parametrize("p", [1, 3, 6, 10])
+    def test_products_against_mpmath_on_both_sides_of_theta(self, p):
+        rng = np.random.default_rng(149 + p)
+        mp.mp.dps = 40
+        for t in (random_chain(rng, p).matrix,
+                  random_sub_intensity(transition_mask("general", p), rng).matrix,
+                  rng.uniform(-1.0, 1.0, size=(p, p))):
+            edge = linalg._THETA18 / np.abs(t).sum(axis=0).max()
+            xs = np.array([1.0 - 1e-12, 1.0 + 1e-12, -(1.0 - 1e-12), -(1.0 + 1e-12)]) * edge
+            np.testing.assert_array_equal(squarings(t, xs), [0, 1, 0, 1])
+            v = factor_columns(t)
+            exact = [mp.expm(mp.matrix(t.tolist()) * mp.mpf(x)) * mp.matrix(v.tolist())
+                     for x in xs]
+            want = np.array([np.array(e.tolist(), dtype=float) for e in exact])
+            assert column_rel_err(expm_batch(t, xs).times(v), want).max() <= 2e-15
+
+    @pytest.mark.parametrize("p", [1, 3, 10])
+    def test_left_sum_against_full_matrices(self, p):
+        # squared and unsquared rows, weights over six decades, entries
+        # left out, and entries reading no row (index -1), which add nothing
+        rng = np.random.default_rng(157 + p)
+        for t in (random_chain(rng, p).matrix,
+                  random_sub_intensity(transition_mask("general", p), rng).matrix):
+            xs = scaling_power_xs(t, rng)
+            exps = expm_batch(t, xs)
+            full = exps.times(np.eye(p))
+            index = rng.integers(-1, xs.size, size=60)
+            entries = rng.random(60) < 0.7
+            c = rng.uniform(0.0, 1.0, size=(60, p)) * 10.0 ** rng.uniform(-3.0, 3.0, (60, 1))
+            got = dataclasses.replace(exps, index=index).left_sum(c[entries], entries)
+            use = entries & (index >= 0)
+            want = np.einsum("mj,mjk->k", c[use], full[index[use]])
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+            np.testing.assert_array_equal(exps.left_sum(c[:0], np.zeros(xs.size, bool)),
+                                          np.zeros(p))
 
 
 def random_sub_intensities(rng, n, p):
@@ -707,4 +804,4 @@ class TestSharedPool:
             v = rng.uniform(-1.0, 1.0, size=(n, p))
             assert expm_frechet_batch(t, rng.uniform(0.0, 2.0, n), v, v).shape == (n, p, p)
         t = random_chain(rng, 10).matrix
-        assert expm_batch(t, rng.uniform(0.0, 50.0, size=4 * rows)).shape == (4 * rows, 10, 10)
+        assert expm_stack(t, rng.uniform(0.0, 50.0, size=4 * rows)).shape == (4 * rows, 10, 10)

@@ -255,6 +255,55 @@ class TestDensities:
             _iph_density(model, np.array([1.0]), -0.5)
 
 
+class TestExpFactors:
+    """The factor kernel on the products of ``_exponentials``: no row's bits
+    depend on the other x of the call, and an overflowed x gives exact
+    zeros."""
+
+    @staticmethod
+    def _operational_times(rng, n=300):
+        # operational times over 1e-3..1e4 on the reference chain: unsquared
+        # rows and rows squared up to 17 times, with repeats
+        x = 10.0 ** rng.uniform(-3.0, 4.0, size=n)
+        x[::7] = x[1::7][: x[::7].size]
+        return x
+
+    @pytest.mark.parametrize("diag, superdiag", [(DIAG_1, SUPER_1), (DIAG_2, SUPER_2)])
+    def test_row_subset_bit_equal_to_the_full_call(self, diag, superdiag):
+        rng = np.random.default_rng(401)
+        sub = SubIntensity(chain_matrix(diag, superdiag))
+        x = self._operational_times(rng)
+        died = rng.random(x.size) < 0.4
+        exps = _exponentials(sub, x)
+        assert 0 < np.count_nonzero(exps.scaling == 0) < exps.scaling.size
+        full = _exp_factors(sub, exps, died, derivatives=True)
+        for rows in (rng.permutation(x.size)[:40], np.arange(x.size)[::-1], [5], [0, 0, 3]):
+            part = _exp_factors(sub, _exponentials(sub, x[rows]), died[rows],
+                                derivatives=True)
+            for got, want in zip(part, full):
+                np.testing.assert_array_equal(got, want[rows])
+        # the value's products are taken apart from the derivatives'
+        np.testing.assert_array_equal(_exp_factors(sub, exps, died)[0], full[0])
+
+    def test_overflowed_time_gives_exact_zero_rows(self):
+        rng = np.random.default_rng(409)
+        sub = SubIntensity(chain_matrix(DIAG_1, SUPER_1))
+        x = self._operational_times(rng, n=40)
+        x[[3, 17, 18]] = np.inf
+        died = rng.random(x.size) < 0.5
+        exps = _exponentials(sub, x)
+        np.testing.assert_array_equal(exps.index[[3, 17, 18]], -1)
+        assert exps.weights.shape[0] == np.unique(x[np.isfinite(x)]).size
+        finite = np.isfinite(x)
+        kept = _exp_factors(sub, _exponentials(sub, x[finite]), died[finite], True)
+        for got, want in zip(_exp_factors(sub, exps, died, derivatives=True), kept):
+            np.testing.assert_array_equal(got[~finite], 0.0)
+            np.testing.assert_array_equal(got[finite], want)
+        c = rng.uniform(0.0, 1.0, size=(x.size, sub.dim))
+        np.testing.assert_array_equal(exps.left_sum(c, np.arange(x.size)),
+                                      exps.left_sum(c[finite], finite))
+
+
 class TestMoments:
     def test_mean_matches_survival_integral(self):
         rng = np.random.default_rng(89)
