@@ -19,6 +19,8 @@ import contextlib
 import csv
 import itertools
 import json
+import re
+import warnings
 
 import numpy as np
 
@@ -41,9 +43,12 @@ __all__ = [
 TIME_SCALE = 100.0
 _CSV_COLUMNS = ("time1", "time2", "delta1", "delta2", "age1", "age2")
 _FORMAT = "miph-v1"
-# rows per CSV parse and format block: bounds the memory of the Python
-# lists a block makes; 4096-row blocks parsed faster than 65536-row ones
+# rows per block of the line-by-line CSV check and of the CSV writer's
+# per-row formatting: bounds the memory of the Python lists a block makes;
+# 4096-row blocks parsed faster than 65536-row ones
 _BLOCK = 1 << 12
+# one printf-style conversion of a row format; "%%" and the like take no field
+_CONVERSION = re.compile(r"%[#0 +-]*(?:\*|\d+)?(?:\.(?:\*|\d*))?[hlL]?[diouxXeEfFgGcrsa%]")
 
 
 def standard_design(age1, age2) -> np.ndarray:
@@ -81,7 +86,12 @@ def read_columns(path, columns, *, nonnegative=(), indicator=()) -> np.ndarray:
     array, under the rules and with the errors of :func:`load_csv`.
     ``nonnegative`` and ``indicator`` name the columns checked for negative
     values and for values other than 0 or 1; cells are checked in the order
-    of ``columns``."""
+    of ``columns``.
+
+    A clean file is parsed in one call to numpy's C reader. Text it refuses,
+    and a file with a fault, are read again block by block, which names the
+    earliest fault or accepts what only Python's ``float`` or the blank-line
+    rule accepts."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
@@ -94,6 +104,12 @@ def read_columns(path, columns, *, nonnegative=(), indicator=()) -> np.ndarray:
         repeated = [c for c in columns if header.count(c) > 1]
         if repeated:
             raise DataValidationError(f"{path}: columns named more than once {repeated}")
+        if fh.seekable():  # a pipe cannot be read twice: check it line by line
+            values = _parse_clean(fh, header, columns, nonnegative, indicator)
+            if values is not None:
+                return values
+            fh.seek(0)
+            next(reader)
         blocks = iter(lambda: list(itertools.islice(reader, _BLOCK)), [])
         parts = [_parse_block(path, rows, 2 + b * _BLOCK, header, columns,
                               nonnegative, indicator)
@@ -101,6 +117,32 @@ def read_columns(path, columns, *, nonnegative=(), indicator=()) -> np.ndarray:
     if not any(len(v) for v in parts):
         raise DataValidationError(f"{path}: no data rows")
     return np.concatenate(parts)
+
+
+def _parse_clean(fh, header, columns, nonnegative, indicator):
+    """The data lines after the header as the named columns, in one C-level
+    parse; None when the parse fails or a check finds a fault."""
+    try:
+        with warnings.catch_warnings():  # a file without data rows
+            warnings.simplefilter("ignore", UserWarning)
+            table = np.loadtxt(fh, delimiter=",", comments=None, quotechar=None,
+                               ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != len(header) or not len(table):
+        return None
+    index = [header.index(c) for c in columns]
+    values = table if index == list(range(len(header))) else table[:, index]
+    if not np.isfinite(values).all():
+        return None
+    for c in nonnegative:
+        if (values[:, columns.index(c)] < 0.0).any():
+            return None
+    for c in indicator:
+        v = values[:, columns.index(c)]
+        if ((v != 0.0) & (v != 1.0)).any():
+            return None
+    return values
 
 
 def _parse_block(path, rows, first_line, header, columns, nonnegative, indicator):
@@ -179,17 +221,50 @@ def write_rows(dest, header, fmt: str, columns) -> None:
     """Write CSV text: the ``header`` names, then one ``fmt % row`` line for
     each row of ``columns`` (equal-length 1-d arrays, one per field).
 
-    ``dest`` is a file name or an open text stream (left open). Rows are
-    formatted ``_BLOCK`` at a time.
+    ``dest`` is a file name or an open text stream (left open). A column
+    that holds one value on every row is formatted once, into the line's
+    format; the other columns are formatted ``_BLOCK`` rows at a time.
     """
     columns = [np.asarray(c) for c in columns]
-    line = fmt + "\n"
+    n = len(columns[0])
+    line, columns = _fold_constants(fmt + "\n", columns)
     with (contextlib.nullcontext(dest) if hasattr(dest, "write")
           else open(dest, "w", newline="", encoding="utf-8")) as fh:
         fh.write(",".join(header) + "\n")
-        for start in range(0, len(columns[0]), _BLOCK):
+        for start in range(0, n, _BLOCK):
             block = [c[start:start + _BLOCK].tolist() for c in columns]
-            fh.writelines(line % row for row in zip(*block))
+            rows = zip(*block) if block else itertools.repeat((), min(_BLOCK, n - start))
+            fh.writelines(line % row for row in rows)
+
+
+def _fold_constants(line, columns):
+    """``line`` with the field of each column that holds one value on every
+    row formatted in place (its ``%`` escaped), and the columns left to
+    format per row. Returns the arguments unchanged when the conversions do
+    not map one to one onto equal-length columns."""
+    specs = _CONVERSION.findall(line)
+    pieces = _CONVERSION.split(line)
+    fields = [k for k, s in enumerate(specs) if not s.endswith("%")]
+    n = len(columns[0])
+    if (not n or len(fields) != len(columns) or any(len(c) != n for c in columns)
+            or any("*" in s for s in specs) or any("%" in p for p in pieces)):
+        return line, columns
+    varying = []
+    for k, c in zip(fields, columns):
+        if _constant(c):
+            specs[k] = (specs[k] % c[:1].tolist()[0]).replace("%", "%%")
+        else:
+            varying.append(c)
+    return "".join(itertools.chain(*zip(pieces, specs), pieces[-1:])), varying
+
+
+def _constant(c) -> bool:
+    """Whether every entry of a non-empty column formats as its first one:
+    equal values of a numeric or text dtype, with the sign of a float zero
+    agreeing too."""
+    if c.dtype.kind not in "biufSU" or c[0] != c[-1] or not (c == c[0]).all():
+        return False
+    return c.dtype.kind != "f" or c[0] != 0.0 or (np.signbit(c) == np.signbit(c[0])).all()
 
 
 def save_model(model: MIPHModel, path) -> None:
@@ -310,8 +385,8 @@ def beran_cdf(times, deltas, covariates, query, bandwidth: float, t):
         )
 
     # event order: time ascending, uncensored before censored at ties,
-    # original order as the final tiebreak
-    order = np.lexsort((np.arange(n), 1 - deltas.astype(np.int64), times))
+    # original order as the final tiebreak (lexsort is stable)
+    order = np.lexsort((1 - deltas.astype(np.int64), times))
     ts = times[order]
     ws = weights[order]
     ds = deltas[order].astype(bool)

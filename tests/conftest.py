@@ -1,10 +1,14 @@
 """Shared fixtures: the published spousal-mortality reference model and
 small random-model helpers used by the property tests."""
 
+import csv
+import itertools
+
 import numpy as np
 import pytest
 
-from miph import GompertzTransform, Margin, MIPHModel, SubIntensity
+from miph import DataValidationError, GompertzTransform, Margin, MIPHModel, SubIntensity
+from miph.dataio import _BLOCK
 
 # 10-state feed-forward sub-intensity fitted to male excess lifetimes
 DIAG_1 = [-0.049, -3.662, -1.8e-7, -1.9e-4, -0.611, -0.002, -9.778, -0.36,
@@ -212,3 +216,79 @@ def frozen_expm_frechet_batch(a, e):
             t[:m] = mul(t[:m], t[:m])
         r[order] = t
     return r[..., p:]
+
+
+def frozen_read_columns(path, columns, *, nonnegative=(), indicator=()) -> np.ndarray:
+    """The named columns of a CSV file as an (n, len(columns)) float array:
+    ``dataio.read_columns`` as it was while it parsed every file line by line
+    in blocks of ``_BLOCK`` rows, kept verbatim. The reader that parses a
+    clean file in one numpy call must return its array bit for bit, or raise
+    the same exception with the same message."""
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise DataValidationError(f"{path}: file is empty") from None
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise DataValidationError(f"{path}: missing columns {missing}")
+        repeated = [c for c in columns if header.count(c) > 1]
+        if repeated:
+            raise DataValidationError(f"{path}: columns named more than once {repeated}")
+        blocks = iter(lambda: list(itertools.islice(reader, _BLOCK)), [])
+        parts = [_frozen_parse_block(path, rows, 2 + b * _BLOCK, header, columns,
+                                      nonnegative, indicator)
+                 for b, rows in enumerate(blocks)]
+    if not any(len(v) for v in parts):
+        raise DataValidationError(f"{path}: no data rows")
+    return np.concatenate(parts)
+
+
+def _frozen_parse_block(path, rows, first_line, header, columns, nonnegative, indicator):
+    """One block of CSV rows as floats, each column in one numpy conversion
+    and checked with array masks; raises naming the block's first fault."""
+    keep = [bool("".join(r).strip()) for r in rows]  # blank lines are skipped
+    rows = list(itertools.compress(rows, keep))
+    lines = np.flatnonzero(keep) + first_line
+    # each check runs, in message order, on the rows before the earliest
+    # fault found so far, so the last fault it records is the one to report
+    cut, fault = len(rows), None
+
+    def check(mask, text):
+        nonlocal cut, fault
+        hits = np.flatnonzero(mask[:cut])
+        if hits.size:
+            cut = int(hits[0])
+            fault = f"line {lines[cut]}{text(cut)}"
+
+    check(np.fromiter(map(len, rows), np.intp, len(rows)) != len(header),
+          lambda k: f": expected {len(header)} fields, got {len(rows[k])}")
+    parsed = []
+    for c in columns:
+        j = header.index(c)
+        cells = [r[j] for r in rows[:cut]]
+        try:
+            v = np.array(cells, dtype=float)
+        except ValueError:  # the block raises: find its first bad cell
+            for k, cell in enumerate(cells):
+                try:
+                    float(cell)
+                except ValueError:
+                    break
+            cut, fault = k, (f"line {lines[k]}, column {c}: "
+                             f"non-numeric value {cell.strip()!r}")
+            v = np.array(cells[:k], dtype=float)
+        check(~np.isfinite(v), lambda k, c=c: f", column {c}: non-finite value")
+        parsed.append(v)
+    values = np.column_stack([v[:cut] for v in parsed])
+    for c in nonnegative:
+        check(values[:, columns.index(c)] < 0.0,
+              lambda k, c=c: f", column {c}: negative value")
+    for c in indicator:
+        v = values[:, columns.index(c)]
+        check((v != 0.0) & (v != 1.0), lambda k, c=c, v=v:
+              f", column {c}: indicator must be 0 or 1, got {float(v[k])!r}")
+    if fault is not None:
+        raise DataValidationError(f"{path}, {fault}")
+    return values

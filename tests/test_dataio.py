@@ -6,11 +6,16 @@ the per-subject cumulative-product implementation.
 """
 
 import io
+import itertools
 import json
+import os
+import threading
+import warnings
 
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from miph import dataio
 from miph import (
@@ -31,7 +36,7 @@ from miph import (
     write_csv,
 )
 
-from conftest import random_chain, random_pi
+from conftest import frozen_read_columns, random_chain, random_pi
 
 
 def write_lines(path, lines):
@@ -138,6 +143,29 @@ class TestLoadCsv:
         with pytest.raises(DataValidationError, match="no data rows"):
             load_csv(f)
 
+    def test_header_only_file_warns_nothing(self, tmp_path):
+        f = tmp_path / "d.csv"
+        write_lines(f, [GOOD_HEADER, "", "  "])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DataValidationError, match="no data rows$"):
+                load_csv(f)
+        assert caught == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fault_in_a_pipe_is_named(self, tmp_path):
+        # a pipe cannot be read a second time to find the fault
+        fifo = tmp_path / "d.csv"
+        os.mkfifo(fifo)
+        text = GOOD_HEADER + "\n12,30,1,0,63,68\n12,x,1,0,63,68\n"
+        writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+        writer.start()
+        with pytest.raises(DataValidationError,
+                           match="line 3, column time2: non-numeric value 'x'$"):
+            load_csv(fifo)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_csv(tmp_path / "nope.csv")
@@ -181,6 +209,121 @@ class TestLoadCsv:
                                    np.arange(dataio._BLOCK + 4), rtol=1e-15)
 
 
+SCHEMA_CHECKS = {"nonnegative": ("time1", "time2", "age1", "age2"),
+                 "indicator": ("delta1", "delta2")}
+
+
+def reader_outcome(reader, path):
+    """What a reader makes of a data file: its array, or the type and message
+    of what it raises; and the messages of the warnings it emits."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = reader(path, dataio._CSV_COLUMNS, **SCHEMA_CHECKS)
+        except Exception as err:
+            out = (type(err), str(err))
+    return out, [str(w.message) for w in caught]
+
+
+def assert_reads_like_the_line_by_line_reader(path):
+    (got, got_warnings), (want, _) = (reader_outcome(dataio.read_columns, path),
+                                      reader_outcome(frozen_read_columns, path))
+    assert got_warnings == []
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert isinstance(got, np.ndarray)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
+# cells both readers accept; the C-level parse refuses some of them
+TOLERATED = {"number": ['"12"', "1_000", " 7 ", "\u0661", "3\x85", "+4", ".5", "5."],
+             "flag": ['"0"', '"1"', " 1 "],
+             "extra": ["hello", "a#b", '"x,y"', ""]}
+# cells that Python's float, the csv module or a later check may refuse
+FAULTS = ["-1.5", "-0", "inf", "-inf", "nan", "Infinity", "1e999", "0x10",
+          '"1,2"', "1#2", "#", "", " ", "abc", "2", "0.5", "3\u3000x", "4\x0c"]
+
+
+@st.composite
+def data_files(draw):
+    """The bytes of a data file: the schema's columns in any order among
+    extra ones, under a byte-order mark or not, with LF, CRLF or CR line
+    ends. Its rows are clean, tolerated (quoted or odd numbers, text in
+    extra columns, whitespace-only and comma-only lines) or faulty (bad
+    cells, ragged rows), optionally after ``_BLOCK`` clean rows."""
+    extras = draw(st.lists(st.sampled_from(["id", "note"]), max_size=2, unique=True))
+    header = draw(st.permutations(list(dataio._CSV_COLUMNS) + extras))
+    kind = draw(st.sampled_from(["clean", "tolerated", "faulty"]))
+    base = {"number": st.one_of(st.integers(0, 10**6).map(str),
+                                st.floats(0.0, 1e6).map(repr),
+                                st.floats(0.0, 1e6).map(lambda x: "%.17g" % x)),
+            "flag": st.sampled_from(["0", "1", "0.0", "1.0", "1e0", "-0"]),
+            "extra": st.integers(-9, 9).map(str)}
+
+    def cell(name):
+        role = ("flag" if name.startswith("delta") else
+                "number" if name in dataio._CSV_COLUMNS else "extra")
+        odd = {"clean": [], "tolerated": TOLERATED[role], "faulty": FAULTS}[kind]
+        return st.one_of(base[role], base[role], st.sampled_from(odd)) if odd else base[role]
+
+    row = st.tuples(*map(cell, header)).map(",".join)
+    blank = st.sampled_from(["", "  ", "\t", ",,", ",,,,,"][:1 if kind == "clean" else 5])
+    ragged = st.lists(base["number"], min_size=1, max_size=len(header) + 2).filter(
+        lambda cells: len(cells) != len(header)).map(",".join)
+    line = st.one_of(row, row, row, blank, *[ragged] * (kind == "faulty"))
+    lines = draw(st.lists(line, max_size=8))
+    if draw(st.booleans()):
+        lines = [",".join("1" for _ in header)] * dataio._BLOCK + lines
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join([",".join(header)] + lines) + end * draw(st.booleans())
+    return ("\ufeff" * draw(st.booleans()) + text).encode("utf-8")
+
+
+class TestReaderMatchesLineByLine:
+    """The reader returns the line-by-line reader's array bit for bit, or
+    raises the same exception with the same message, and warns nothing."""
+
+    @pytest.mark.parametrize("lines", [
+        [GOOD_HEADER, '"12",30,1,0,63,68'],
+        [GOOD_HEADER, '12,30,1,0,63,68', '"1,2",30,1,0,63,68'],
+        [GOOD_HEADER, "12#,30,1,0,63,68"],
+        [GOOD_HEADER, "# a comment"],
+        [GOOD_HEADER, "1_000,30,1,0,63,68"],
+        [GOOD_HEADER, "0x10,30,1,0,63,68"],
+        [GOOD_HEADER, "nan,30,1,0,63,68"],
+        [GOOD_HEADER, "12,Infinity,1,0,63,68"],
+        [GOOD_HEADER, "12,1e999,1,0,63,68"],
+        [GOOD_HEADER, "12,30,2,0,63,68"],
+        [GOOD_HEADER, "12,30,1,-0,63,68"],
+        [GOOD_HEADER, "12,30,1,0,-63,68"],
+        [GOOD_HEADER, "12,30,1,0,63"],
+        [GOOD_HEADER, "12,30,1,0,63,68,"],
+        [GOOD_HEADER, "", "   ", ",,,,,", "12,30,1,0,63,68", ""],
+        [GOOD_HEADER, " 12 ,\t30,1,0,63,68\x85"],
+        [GOOD_HEADER, "\u0661\u0662,30,1,0,63,68"],
+        [GOOD_HEADER + ",note", "12,30,1,0,63,68,hello"],
+        [GOOD_HEADER + ",note", "12,30,1,0,63,68"],
+        [GOOD_HEADER],
+        [GOOD_HEADER, ""],
+        ["age1,age2", "63,68"],
+    ])
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_edge_cases(self, tmp_path, lines, end):
+        f = tmp_path / "d.csv"
+        f.write_bytes(b"\xef\xbb\xbf" + end.join(lines).encode("utf-8") + end.encode())
+        assert_reads_like_the_line_by_line_reader(f)
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(content=data_files())
+    def test_generated_files(self, tmp_path, content):
+        f = tmp_path / "d.csv"
+        f.write_bytes(content)
+        assert_reads_like_the_line_by_line_reader(f)
+
+
 class TestWriteCsv:
     def test_round_trip_full_precision(self, tmp_path):
         rng = np.random.default_rng(443)
@@ -216,6 +359,24 @@ class TestWriteCsv:
             "12,30,1,0,63,68\n"
             "5.5,33.333333333333329,0,1,70.5,61\n"
         )
+
+    @pytest.mark.parametrize("fmt,columns", [
+        ("%.17g,%.17g,%d,%d,%.17g,%.17g",  # an ages file: two constant columns
+         [[1 / 3, 2.5, 7.0], [1.0, 2.0, 3.0], [1, 0, 1], [1, 1, 1],
+          [63.0, 63.0, 63.0], [68.5, 68.5, 68.5]]),
+        ("%s,%g%%,%s", [["a%d", "a%d"], [0.5, 1.5], ["%%", "%%"]]),
+        ("%g,%g", [[0.0, -0.0, 0.0], [2.0, 2.0, 2.0]]),  # signed zeros differ
+        ("%d,%s,%.3f", [[4, 4, 4, 4], ["x", "x", "x", "x"], [0.25] * 4]),
+        ("%d,%s,%.3f", [[4], ["x"], [0.125]]),
+        ("%d,%s", [np.array([], dtype=int), np.array([], dtype=str)]),
+    ])
+    def test_write_rows_matches_per_row_formatting(self, fmt, columns):
+        header = "abcdef"[:len(columns)]
+        out = io.StringIO()
+        dataio.write_rows(out, header, fmt, columns)
+        rows = zip(*(np.asarray(c).tolist() for c in columns))
+        assert out.getvalue() == "".join(
+            itertools.chain([",".join(header) + "\n"], ((fmt + "\n") % row for row in rows)))
 
     def test_rejects_non_standard_design(self, tmp_path):
         obs = ObservationSet(
@@ -393,6 +554,26 @@ class TestBeran:
         deltas = np.array([0, 1, 1])
         got = beran_cdf(times, deltas, np.zeros(3), 0.0, 1.0, [1.0, 2.0])
         np.testing.assert_allclose(got, [1.0 - 2.0 / 3.0, 1.0], atol=1e-15)
+
+    def test_heavy_ties_match_the_three_key_order(self):
+        # the reference breaks ties on original position with a third key;
+        # lexsort is stable, so beran_cdf's two keys must give every bit
+        rng = np.random.default_rng(503)
+        n = 20_000
+        times = np.round(rng.exponential(1.0, size=n), 2)
+        deltas = (rng.random(n) < 0.6).astype(int)
+        cov = rng.uniform(0.6, 0.75, size=(n, 2))
+        query, bandwidth = np.array([0.63, 0.68]), 0.03
+        grid = np.unique(times)[::7]
+        weights = np.exp(-0.5 * (((cov - query) / bandwidth) ** 2).sum(axis=1))
+        order = np.lexsort((np.arange(n), 1 - deltas, times))
+        ws, ds = weights[order], deltas[order].astype(bool)
+        at_risk = np.cumsum(ws[::-1])[::-1]
+        surv = np.cumprod(np.where(ds & (at_risk > 0.0), 1.0 - ws / at_risk, 1.0))
+        want = 1.0 - np.concatenate([[1.0], surv])[
+            np.searchsorted(times[order], grid, side="right")]
+        got = beran_cdf(times, deltas, cov, query, bandwidth, grid)
+        assert got.tobytes() == want.tobytes()
 
     def test_step_function_shape(self):
         times, deltas = self._censored_sample(seed=479)
