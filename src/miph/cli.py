@@ -9,7 +9,8 @@ Subcommands::
     miph beran     DATA.csv  --ages 63,63 [--bandwidth 0.001]
 
 Times and ages are given and reported in years; the conversion to the
-internal scale (years / 100) happens inside. All outputs are CSV/JSON text
+internal scale (years / 100) happens inside; ``eval --grid`` goes through
+:func:`miph.model.joint_grid`. All outputs are CSV/JSON text
 (written to --output or stdout), never images. Exit codes: 0 success,
 1 stdout closed before the output was written (``miph ... | head``),
 2 invalid input, 3 numerical failure.
@@ -158,19 +159,20 @@ def _cmd_eval(args) -> int:
         raise DataValidationError("pass exactly one of --points or --grid")
     if args.points is not None:
         pts_years = _parse_points(args.points)
+        pts = pts_years / dataio.TIME_SCALE
+        dens, surv, cdf = (f(mdl, pi, pts) for f in (
+            model_ops.joint_density, model_ops.joint_survival, model_ops.joint_cdf))
+        times, fmt = [pts_years[:, 0], pts_years[:, 1]], "%g,%g"
     else:
         axis = _parse_grid(args.grid, "--grid")
-        g1, g2 = np.meshgrid(axis, axis, indexing="ij")
-        pts_years = np.column_stack([g1.ravel(), g2.ravel()])
-    pts = pts_years / dataio.TIME_SCALE
-
-    dens = model_ops.joint_density(mdl, pi, pts) / dataio.TIME_SCALE**2
-    surv = model_ops.joint_survival(mdl, pi, pts)
-    cdf = model_ops.joint_cdf(mdl, pi, pts)
+        dens, surv, cdf = (v.ravel() for v in model_ops.joint_grid(
+            mdl, pi, [axis / dataio.TIME_SCALE] * 2))
+        text = np.array([format(t, "g") for t in axis])  # %g, once per axis value
+        times, fmt = [np.repeat(text, axis.size), np.tile(text, axis.size)], "%s,%s"
     dataio.write_rows(sys.stdout if args.output is None else args.output,
                       ("time1", "time2", "density", "survival", "cdf"),
-                      "%g,%g,%.12g,%.12g,%.12g",
-                      [pts_years[:, 0], pts_years[:, 1], dens, surv, cdf])
+                      fmt + ",%.12g,%.12g,%.12g",
+                      [*times, dens / dataio.TIME_SCALE**2, surv, cdf])
     return 0
 
 

@@ -69,7 +69,8 @@ def load_csv(path) -> ObservationSet:
     column, for a row whose field count differs from the header's (line
     only), a non-numeric or non-finite cell, a negative time or age, or an
     indicator outside {0, 1}. The earliest faulty line is named, with its
-    first fault in that order, cells in the order of the schema header.
+    first fault in that order, cells in the order of the schema header, or
+    the line of a field past the csv module's size limit.
     """
     data = read_columns(path, _CSV_COLUMNS,
                         nonnegative=("time1", "time2", "age1", "age2"),
@@ -98,6 +99,8 @@ def read_columns(path, columns, *, nonnegative=(), indicator=()) -> np.ndarray:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise DataValidationError(f"{path}: file is empty") from None
+        except csv.Error as err:  # a field past the csv module's size limit
+            raise DataValidationError(f"{path}, line {reader.line_num}: {err}") from None
         missing = [c for c in columns if c not in header]
         if missing:
             raise DataValidationError(f"{path}: missing columns {missing}")
@@ -109,11 +112,15 @@ def read_columns(path, columns, *, nonnegative=(), indicator=()) -> np.ndarray:
             if values is not None:
                 return values
             fh.seek(0)
+            reader = csv.reader(fh)  # its line_num counts from the top again
             next(reader)
         blocks = iter(lambda: list(itertools.islice(reader, _BLOCK)), [])
-        parts = [_parse_block(path, rows, 2 + b * _BLOCK, header, columns,
-                              nonnegative, indicator)
-                 for b, rows in enumerate(blocks)]
+        try:
+            parts = [_parse_block(path, rows, 2 + b * _BLOCK, header, columns,
+                                  nonnegative, indicator)
+                     for b, rows in enumerate(blocks)]
+        except csv.Error as err:
+            raise DataValidationError(f"{path}, line {reader.line_num}: {err}") from None
     if not any(len(v) for v in parts):
         raise DataValidationError(f"{path}: no data rows")
     return np.concatenate(parts)

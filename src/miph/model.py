@@ -37,6 +37,7 @@ __all__ = [
     "joint_density",
     "joint_survival",
     "joint_cdf",
+    "joint_grid",
     "marginal_survival",
     "condition_on_value",
     "condition_on_survival",
@@ -200,6 +201,37 @@ def _over_margins(model: MIPHModel, pi, y, factor):
         factors *= factor(margin, pts[:, i])
     vals = factors @ pi
     return float(vals[0]) if scalar else vals
+
+
+def joint_grid(model: MIPHModel, pi, axes):
+    """Joint density, survival and distribution function, each shaped
+    ``(k_1, ..., k_d)``, on the tensor grid of ``axes``, one 1-d array of ages
+    per margin. One factor pass per margin over its axis serves all three;
+    as a factor row's bits depend on its age alone, the values are bit for
+    bit those of the ``joint_*`` functions on the grid's points in row-major
+    order."""
+    pi = validate_initial_vector(pi, model.dim)
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    if [a.ndim for a in axes] != [1] * model.n_margins:
+        raise ValueError(f"expected {model.n_margins} 1-d axes, got shapes "
+                         f"{[a.shape for a in axes]}")
+    for a in axes:  # the points (a, ..., a) have the axis's faults
+        _check_points(model, np.repeat(a[:, None], model.n_margins, axis=1))
+    shape = tuple(a.size for a in axes)
+    rows = []  # each margin's density, survival and cdf rows, on its grid axis
+    for i, (margin, a) in enumerate(zip(model.margins, axes)):
+        dens, surv = np.split(_margin_factors(margin, np.tile(a, 2),
+                                              np.repeat([True, False], a.size)), 2)
+        at = (1,) * i + (a.size,) + (1,) * (len(axes) - i - 1) + (model.dim,)
+        rows.append([r.reshape(at) for r in (dens, surv, 1.0 - surv)])
+    factors = np.empty(shape + (model.dim,))
+    out = []
+    for q in range(3):
+        factors[...] = rows[0][q]  # as exact as ones times the first rows
+        for r in rows[1:]:
+            factors *= r[q]
+        out.append((factors.reshape(-1, model.dim) @ pi).reshape(shape))
+    return tuple(out)
 
 
 def marginal_survival(model: MIPHModel, pi, margin: int, y):

@@ -275,6 +275,28 @@ class TestEval:
                          "--grid", "0:30:4", "--output", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("path, ages, grid", [
+        ("spousal", "63,63", "0:40:41"),
+        ("spousal", "73,63", "0:40:41"),
+        ("small", None, "0:20:7"),
+        ("small", None, "0:0:1"),
+        # margin 2's operational time overflows from 1500 years, margin 1's from 1750
+        ("spousal", "63,63", "0:2000:9"),
+    ])
+    def test_grid_text_equals_points_text(self, request, capsys, path, ages, grid):
+        """The grid path's factor rows and time text give the bytes of the
+        pointwise path over the same pairs, in the same row order."""
+        base = ["eval", str(request.getfixturevalue(f"{path}_model_path"))]
+        base += [] if ages is None else ["--ages", ages]
+        start, stop, num = grid.split(":")
+        axis = np.linspace(float(start), float(stop), int(num)).tolist()
+        points = ";".join(f"{a!r},{b!r}" for a in axis for b in axis)
+        assert main(base + ["--grid", grid]) == 0
+        grid_text = capsys.readouterr().out
+        assert main(base + ["--points", points]) == 0
+        assert grid_text == capsys.readouterr().out
+        assert grid_text.count("\n") == 1 + len(axis) ** 2
+
 
 class TestMeasures:
     def test_values_match_library(self, small_model_path, capsys):
@@ -475,6 +497,22 @@ class TestBeran:
         margin2 = [r for r in scaled_rows if r[0] == "2"]
         assert len(margin2) == 9
         assert margin2 == [r for r in years_rows if r[0] == "2"]
+
+    @pytest.mark.parametrize("header, rows", [
+        # a 140,001-digit time, then a non-numeric cell the line-by-line read reports
+        ("time1,time2,delta1,delta2,age1,age2",
+         ["0" * 140_000 + "5,10,1,1,63,63", "5,x,1,1,63,63"]),
+        # clean cells, and a long text field that only the line-by-line read takes
+        ("time1,time2,delta1,delta2,age1,age2,note",
+         ["5,10,1,1,63,63," + "a" * 140_001, "6,11,0,1,63,63,"]),
+    ])
+    def test_field_past_the_csv_size_limit_exits_two(self, tmp_path, capsys,
+                                                      header, rows):
+        path = tmp_path / "long_field.csv"
+        path.write_text("\n".join([header, *rows]) + "\n", encoding="utf-8")
+        assert main(["beran", str(path), "--ages", "63,63"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}, line 2: field larger than field limit")
 
     def test_far_query_is_numerical_failure(self, data_csv, capsys):
         rc = main(["beran", str(data_csv), "--ages", "140,140",

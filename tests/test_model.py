@@ -31,6 +31,7 @@ from miph import (
     cross_ratio,
     joint_cdf,
     joint_density,
+    joint_grid,
     joint_survival,
     kendall_tau,
     load_model,
@@ -294,6 +295,57 @@ class TestJointEvaluation:
         joint_survival(spousal_model, pi, pts)
         finite = [np.unique(col[col < 25.0]).size for col in pts.T]
         assert sizes == finite
+
+
+class TestJointGrid:
+    """``joint_grid`` is the pointwise functions on a tensor grid, bit for bit."""
+
+    def _pointwise(self, model, pi, axes):
+        pts = np.column_stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")])
+        return [fn(model, pi, pts) for fn in (joint_density, joint_survival, joint_cdf)]
+
+    def test_non_square_grid_of_a_general_structure_model(self):
+        rng = np.random.default_rng(433)
+        model = MIPHModel(tuple(
+            Margin(random_sub_intensity(transition_mask("general", 4), rng),
+                   GompertzTransform(beta)) for beta in (1.0, 2.5)))
+        pi = random_pi(rng, 4)
+        # a repeated age, and ages whose operational time overflows (beta y > 709)
+        axes = [np.array([0.0, 0.3, 1.2, 0.3, 800.0, 0.05]),
+                np.array([0.7, 300.0, 0.0, 2.0])]
+        grids = joint_grid(model, pi, axes)
+        for grid, points in zip(grids, self._pointwise(model, pi, axes)):
+            assert grid.shape == (6, 4)
+            assert np.array_equal(grid.ravel(), points)
+        assert np.all(grids[0][4] == 0.0) and np.all(grids[1][4] == 0.0)
+        assert grids[2][4, 1] == pytest.approx(1.0, abs=1e-15)  # pi sums to 1
+
+    def test_trivariate_grid(self):
+        model, pi = _trivariate_model()
+        axes = [np.array([0.2, 0.9]), np.array([0.5]), np.array([0.0, 0.4, 1.5])]
+        grids = joint_grid(model, pi, axes)
+        for grid, points in zip(grids, self._pointwise(model, pi, axes)):
+            assert grid.shape == (2, 1, 3)
+            assert np.array_equal(grid.ravel(), points)
+
+    def test_errors_are_those_of_the_pointwise_functions(self):
+        model, pi = random_bivariate_model(np.random.default_rng(439), p=2)
+        good = np.array([0.1, 0.5])
+        for bad in (np.array([0.2, -0.1]), np.array([np.nan]), np.array([0.3, np.inf])):
+            with pytest.raises(ValueError) as grid_err:
+                joint_grid(model, pi, [good, bad])
+            with pytest.raises(ValueError) as point_err:
+                joint_density(model, pi, np.column_stack([np.resize(good, bad.size), bad]))
+            assert str(grid_err.value) == str(point_err.value)
+        for axes in ([good], [good] * 3, [good, good[:, None]], [good, 0.5]):
+            with pytest.raises(ValueError, match="expected 2 1-d axes"):
+                joint_grid(model, pi, axes)
+        for bad_pi in (np.array([0.5, 0.6]), np.ones(3) / 3, np.array([np.nan, 1.0])):
+            with pytest.raises(DataValidationError) as grid_err:
+                joint_grid(model, bad_pi, [good, good])
+            with pytest.raises(DataValidationError) as point_err:
+                joint_density(model, bad_pi, good)
+            assert str(grid_err.value) == str(point_err.value)
 
 
 class TestIndependenceDegeneracy:
