@@ -140,7 +140,7 @@ def _cmd_fit(args) -> int:
     trace_path = out_dir / "loglik.csv"
     dataio.save_model(report.model, model_path)
     trace = report.loglik_trace
-    dataio.write_rows(trace_path, ("iteration", "loglik"), "%d,%.17g",
+    dataio.write_rows(trace_path, ("iteration", "loglik"), ("%d", "%.17g"),
                       [np.arange(1, len(trace) + 1), trace])
 
     betas = ", ".join(f"{m.transform.beta:.6g}" for m in report.model.margins)
@@ -162,16 +162,16 @@ def _cmd_eval(args) -> int:
         pts = pts_years / dataio.TIME_SCALE
         dens, surv, cdf = (f(mdl, pi, pts) for f in (
             model_ops.joint_density, model_ops.joint_survival, model_ops.joint_cdf))
-        times, fmt = [pts_years[:, 0], pts_years[:, 1]], "%g,%g"
+        times, spec = [pts_years[:, 0], pts_years[:, 1]], "%g"
     else:
         axis = _parse_grid(args.grid, "--grid")
         dens, surv, cdf = (v.ravel() for v in model_ops.joint_grid(
             mdl, pi, [axis / dataio.TIME_SCALE] * 2))
         text = np.array([format(t, "g") for t in axis])  # %g, once per axis value
-        times, fmt = [np.repeat(text, axis.size), np.tile(text, axis.size)], "%s,%s"
+        times, spec = [np.repeat(text, axis.size), np.tile(text, axis.size)], "%s"
     dataio.write_rows(sys.stdout if args.output is None else args.output,
                       ("time1", "time2", "density", "survival", "cdf"),
-                      fmt + ",%.12g,%.12g,%.12g",
+                      (spec, spec, "%.12g", "%.12g", "%.12g"),
                       [*times, dens / dataio.TIME_SCALE**2, surv, cdf])
     return 0
 
@@ -198,7 +198,7 @@ def _cmd_measures(args) -> int:
 
     dataio.write_rows(sys.stdout if args.output is None else args.output,
                       ("measure", "time1", "time2", "value"),
-                      "%s,%s,%s,%.12g", list(zip(*rows)))
+                      ("%s", "%s", "%s", "%.12g"), list(zip(*rows)))
     return 0
 
 
@@ -213,8 +213,7 @@ def _cmd_simulate(args) -> int:
         # a view of the one couple; generate_synthetic refuses n < 1
         scaled = np.broadcast_to(_couple_ages(args.ages), (max(args.n, 0), 2))
     else:
-        scaled = dataio.read_columns(args.covariates, ("age1", "age2"),
-                                     nonnegative=("age1", "age2")) / dataio.TIME_SCALE
+        scaled = dataio.read_columns(args.covariates, ("age1", "age2")) / dataio.TIME_SCALE
         if args.n not in (None, len(scaled)):
             raise DataValidationError(
                 f"--n {args.n} does not match {len(scaled)} covariate rows")
@@ -246,7 +245,7 @@ def _cmd_beran(args) -> int:
     ])
     dataio.write_rows(sys.stdout if args.output is None else args.output,
                       ("margin", "time", "cdf", "survival"),
-                      "%d,%g,%.12g,%.12g",
+                      ("%d", "%g", "%.12g", "%.12g"),
                       [np.repeat([1, 2], grid.size), np.tile(grid_years, 2),
                        cdf, 1.0 - cdf])
     return 0

@@ -2,11 +2,12 @@
 
 CSV data files are bivariate with the fixed header
 ``time1,time2,delta1,delta2,age1,age2``: observed times and entry ages in
-years, censoring indicators in {0, 1}. On load, times and ages are divided by
-100 (the internal scale keeps matrix exponentials well-conditioned) and the
-regression design ``(1, age1, age2, age1 * age2)`` is assembled from the
-scaled ages. All CSV text of the package is read by :func:`read_columns` and
-written by :func:`write_rows`.
+years, and censoring indicators. In every CSV file read, ``delta`` columns
+are 0 or 1 and all other columns are >= 0. On load, times and ages are
+divided by 100 (the internal scale keeps matrix exponentials
+well-conditioned) and the regression design ``(1, age1, age2, age1 * age2)``
+is assembled from the scaled ages. All CSV text of the package is read by
+:func:`read_columns` and written by :func:`write_rows`.
 
 Models travel as JSON documents with ``"format": "miph-v1"`` carrying the
 sub-intensity matrices, transform parameters, and either regression
@@ -19,7 +20,6 @@ import contextlib
 import csv
 import itertools
 import json
-import re
 import warnings
 
 import numpy as np
@@ -42,13 +42,13 @@ __all__ = [
 
 TIME_SCALE = 100.0
 _CSV_COLUMNS = ("time1", "time2", "delta1", "delta2", "age1", "age2")
+# the columns that hold 0 or 1; every other column read must be >= 0
+_INDICATORS = ("delta1", "delta2")
 _FORMAT = "miph-v1"
 # rows per block of the line-by-line CSV check and of the CSV writer's
 # per-row formatting: bounds the memory of the Python lists a block makes;
 # 4096-row blocks parsed faster than 65536-row ones
 _BLOCK = 1 << 12
-# one printf-style conversion of a row format; "%%" and the like take no field
-_CONVERSION = re.compile(r"%[#0 +-]*(?:\*|\d+)?(?:\.(?:\*|\d*))?[hlL]?[diouxXeEfFgGcrsa%]")
 
 
 def standard_design(age1, age2) -> np.ndarray:
@@ -72,9 +72,7 @@ def load_csv(path) -> ObservationSet:
     first fault in that order, cells in the order of the schema header, or
     the line of a field past the csv module's size limit.
     """
-    data = read_columns(path, _CSV_COLUMNS,
-                        nonnegative=("time1", "time2", "age1", "age2"),
-                        indicator=("delta1", "delta2"))
+    data = read_columns(path, _CSV_COLUMNS)
     y = data[:, 0:2] / TIME_SCALE
     delta = data[:, 2:4].astype(np.int8)
     ages = data[:, 4:6] / TIME_SCALE
@@ -82,12 +80,12 @@ def load_csv(path) -> ObservationSet:
                           covariates=standard_design(ages[:, 0], ages[:, 1]))
 
 
-def read_columns(path, columns, *, nonnegative=(), indicator=()) -> np.ndarray:
+def read_columns(path, columns) -> np.ndarray:
     """Read the named columns of a CSV file as an (n, len(columns)) float
-    array, under the rules and with the errors of :func:`load_csv`.
-    ``nonnegative`` and ``indicator`` name the columns checked for negative
-    values and for values other than 0 or 1; cells are checked in the order
-    of ``columns``.
+    array, under the rules and with the errors of :func:`load_csv`: the
+    ``delta`` columns (``_INDICATORS``) must be 0 or 1, and all other columns
+    >= 0. Cells are checked in the order of ``columns``, for negative values
+    before indicators.
 
     A clean file is parsed in one call to numpy's C reader. Text it refuses,
     and a file with a fault, are read again block by block, which names the
@@ -108,25 +106,29 @@ def read_columns(path, columns, *, nonnegative=(), indicator=()) -> np.ndarray:
         if repeated:
             raise DataValidationError(f"{path}: columns named more than once {repeated}")
         if fh.seekable():  # a pipe cannot be read twice: check it line by line
-            values = _parse_clean(fh, header, columns, nonnegative, indicator)
+            values = _parse_clean(fh, header, columns)
             if values is not None:
                 return values
             fh.seek(0)
             reader = csv.reader(fh)  # its line_num counts from the top again
             next(reader)
-        blocks = iter(lambda: list(itertools.islice(reader, _BLOCK)), [])
-        try:
-            parts = [_parse_block(path, rows, 2 + b * _BLOCK, header, columns,
-                                  nonnegative, indicator)
-                     for b, rows in enumerate(blocks)]
-        except csv.Error as err:
-            raise DataValidationError(f"{path}, line {reader.line_num}: {err}") from None
+        parts = []
+        for first in itertools.count(2, _BLOCK):
+            rows = []
+            try:
+                rows.extend(itertools.islice(reader, _BLOCK))
+            except csv.Error as err:  # the rows read before it may hold an earlier fault
+                _parse_block(path, rows, first, header, columns)
+                raise DataValidationError(f"{path}, line {reader.line_num}: {err}") from None
+            if not rows:
+                break
+            parts.append(_parse_block(path, rows, first, header, columns))
     if not any(len(v) for v in parts):
         raise DataValidationError(f"{path}: no data rows")
     return np.concatenate(parts)
 
 
-def _parse_clean(fh, header, columns, nonnegative, indicator):
+def _parse_clean(fh, header, columns):
     """The data lines after the header as the named columns, in one C-level
     parse; None when the parse fails or a check finds a fault."""
     try:
@@ -142,17 +144,13 @@ def _parse_clean(fh, header, columns, nonnegative, indicator):
     values = table if index == list(range(len(header))) else table[:, index]
     if not np.isfinite(values).all():
         return None
-    for c in nonnegative:
-        if (values[:, columns.index(c)] < 0.0).any():
-            return None
-    for c in indicator:
-        v = values[:, columns.index(c)]
-        if ((v != 0.0) & (v != 1.0)).any():
+    for c, v in zip(columns, values.T):
+        if ((v != 0.0) & (v != 1.0) if c in _INDICATORS else v < 0.0).any():
             return None
     return values
 
 
-def _parse_block(path, rows, first_line, header, columns, nonnegative, indicator):
+def _parse_block(path, rows, first_line, header, columns):
     """One block of CSV rows as floats, each column in one numpy conversion
     and checked with array masks; raises naming the block's first fault."""
     keep = [bool("".join(r).strip()) for r in rows]  # blank lines are skipped
@@ -189,13 +187,13 @@ def _parse_block(path, rows, first_line, header, columns, nonnegative, indicator
         check(~np.isfinite(v), lambda k, c=c: f", column {c}: non-finite value")
         parsed.append(v)
     values = np.column_stack([v[:cut] for v in parsed])
-    for c in nonnegative:
-        check(values[:, columns.index(c)] < 0.0,
-              lambda k, c=c: f", column {c}: negative value")
-    for c in indicator:
-        v = values[:, columns.index(c)]
-        check((v != 0.0) & (v != 1.0), lambda k, c=c, v=v:
-              f", column {c}: indicator must be 0 or 1, got {float(v[k])!r}")
+    for c, v in zip(columns, values.T):
+        if c not in _INDICATORS:
+            check(v < 0.0, lambda k, c=c: f", column {c}: negative value")
+    for c, v in zip(columns, values.T):
+        if c in _INDICATORS:
+            check((v != 0.0) & (v != 1.0), lambda k, c=c, v=v:
+                  f", column {c}: indicator must be 0 or 1, got {float(v[k])!r}")
     if fault is not None:
         raise DataValidationError(f"{path}, {fault}")
     return values
@@ -219,50 +217,39 @@ def write_csv(path, obs: ObservationSet) -> None:
         )
     y = obs.y * TIME_SCALE
     ages = a[:, 1:3] * TIME_SCALE
-    write_rows(path, _CSV_COLUMNS, "%.17g,%.17g,%d,%d,%.17g,%.17g",
+    write_rows(path, _CSV_COLUMNS,
+               ["%d" if c in _INDICATORS else "%.17g" for c in _CSV_COLUMNS],
                [y[:, 0], y[:, 1], obs.delta[:, 0], obs.delta[:, 1],
                 ages[:, 0], ages[:, 1]])
 
 
-def write_rows(dest, header, fmt: str, columns) -> None:
-    """Write CSV text: the ``header`` names, then one ``fmt % row`` line for
-    each row of ``columns`` (equal-length 1-d arrays, one per field).
+def write_rows(dest, header, specs, columns) -> None:
+    """Write CSV text: the ``header`` names, then one line for each row of
+    ``columns`` (equal-length 1-d arrays, one per field), each field written
+    by its printf conversion in ``specs``, such as ``"%.17g"``; a spec for
+    each column, or ValueError.
 
     ``dest`` is a file name or an open text stream (left open). A column
-    that holds one value on every row is formatted once, into the line's
-    format; the other columns are formatted ``_BLOCK`` rows at a time.
+    that holds one value on every row is formatted once, into the line; the
+    other columns are formatted ``_BLOCK`` rows at a time.
     """
     columns = [np.asarray(c) for c in columns]
     n = len(columns[0])
-    line, columns = _fold_constants(fmt + "\n", columns)
+    fields, varying = [], []
+    for spec, c in zip(specs, columns, strict=True):
+        if n and _constant(c):
+            spec = (spec % c[:1].tolist()[0]).replace("%", "%%")
+        else:
+            varying.append(c)
+        fields.append(spec)
+    line = ",".join(fields) + "\n"
     with (contextlib.nullcontext(dest) if hasattr(dest, "write")
           else open(dest, "w", newline="", encoding="utf-8")) as fh:
         fh.write(",".join(header) + "\n")
         for start in range(0, n, _BLOCK):
-            block = [c[start:start + _BLOCK].tolist() for c in columns]
+            block = [c[start:start + _BLOCK].tolist() for c in varying]
             rows = zip(*block) if block else itertools.repeat((), min(_BLOCK, n - start))
             fh.writelines(line % row for row in rows)
-
-
-def _fold_constants(line, columns):
-    """``line`` with the field of each column that holds one value on every
-    row formatted in place (its ``%`` escaped), and the columns left to
-    format per row. Returns the arguments unchanged when the conversions do
-    not map one to one onto equal-length columns."""
-    specs = _CONVERSION.findall(line)
-    pieces = _CONVERSION.split(line)
-    fields = [k for k, s in enumerate(specs) if not s.endswith("%")]
-    n = len(columns[0])
-    if (not n or len(fields) != len(columns) or any(len(c) != n for c in columns)
-            or any("*" in s for s in specs) or any("%" in p for p in pieces)):
-        return line, columns
-    varying = []
-    for k, c in zip(fields, columns):
-        if _constant(c):
-            specs[k] = (specs[k] % c[:1].tolist()[0]).replace("%", "%%")
-        else:
-            varying.append(c)
-    return "".join(itertools.chain(*zip(pieces, specs), pieces[-1:])), varying
 
 
 def _constant(c) -> bool:
@@ -418,9 +405,8 @@ def generate_synthetic(model: MIPHModel, covariate_sampler, censoring_rate: floa
     Newton's method so the expected censored fraction over all margins equals
     ``censoring_rate``. Deterministic given ``seed``.
     """
-    n = int(n)
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     censoring_rate = float(censoring_rate)
     if not (0.0 <= censoring_rate < 1.0):
         raise ValueError(f"censoring_rate must be in [0, 1), got {censoring_rate}")

@@ -246,7 +246,7 @@ def marginal_survival(model: MIPHModel, pi, margin: int, y):
 
 
 def _check_margin(model: MIPHModel, margin: int) -> int:
-    if not isinstance(margin, (int, np.integer)):
+    if isinstance(margin, bool) or not isinstance(margin, (int, np.integer)):
         raise ValueError(f"margin must be an integer, got {margin!r}")
     margin = int(margin)
     if not 0 <= margin < model.n_margins:

@@ -417,7 +417,7 @@ class TestFit:
         lib = tmp_path / "library"
         lib.mkdir()
         save_model(report.model, lib / "model.json")
-        write_rows(lib / "loglik.csv", ("iteration", "loglik"), "%d,%.17g",
+        write_rows(lib / "loglik.csv", ("iteration", "loglik"), ("%d", "%.17g"),
                    [np.arange(1, 7), report.loglik_trace])
         assert len(report.loglik_trace) == 6
         for name in ("model.json", "loglik.csv"):

@@ -178,13 +178,27 @@ class TestLoadCsv:
                            match="line 3, column time2: negative value$"):
             load_csv(f)
         # within a line: cells are parsed (in schema order) before the range
-        # checks, and the times before the indicators
+        # checks, and negative values are found before indicators
         write_lines(f, [GOOD_HEADER, "-1,30,1,0,63,x", "5,-1,2,0,63,68"])
         with pytest.raises(DataValidationError,
                            match="line 2, column age2: non-numeric value 'x'$"):
             load_csv(f)
         write_lines(f, [GOOD_HEADER, "5,-1,2,0,63,68"])
         with pytest.raises(DataValidationError, match="line 2, column time2"):
+            load_csv(f)
+        write_lines(f, [GOOD_HEADER, "5,30,2,0,-63,68"])
+        with pytest.raises(DataValidationError,
+                           match="line 2, column age1: negative value$"):
+            load_csv(f)
+
+    def test_fault_before_a_field_past_the_csv_size_limit(self, tmp_path):
+        # the rows of the block read before the csv module refuses a field
+        # are checked first, so the earlier fault is named
+        f = tmp_path / "d.csv"
+        write_lines(f, [GOOD_HEADER, "12,30,1,0,63,68", "12,x,1,0,63,68",
+                        "12,30,1,0,63,68", "1" * 140_001 + ",30,1,0,63,68"])
+        with pytest.raises(DataValidationError,
+                           match="line 3, column time2: non-numeric value 'x'$"):
             load_csv(f)
 
     def test_fault_past_the_first_block(self, tmp_path):
@@ -209,8 +223,11 @@ class TestLoadCsv:
                                    np.arange(dataio._BLOCK + 4), rtol=1e-15)
 
 
-SCHEMA_CHECKS = {"nonnegative": ("time1", "time2", "age1", "age2"),
-                 "indicator": ("delta1", "delta2")}
+def frozen_schema_reader(path, columns):
+    """The line-by-line reader under the schema's checks."""
+    return frozen_read_columns(path, columns,
+                               nonnegative=("time1", "time2", "age1", "age2"),
+                               indicator=("delta1", "delta2"))
 
 
 def reader_outcome(reader, path):
@@ -219,7 +236,7 @@ def reader_outcome(reader, path):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            out = reader(path, dataio._CSV_COLUMNS, **SCHEMA_CHECKS)
+            out = reader(path, dataio._CSV_COLUMNS)
         except Exception as err:
             out = (type(err), str(err))
     return out, [str(w.message) for w in caught]
@@ -227,7 +244,7 @@ def reader_outcome(reader, path):
 
 def assert_reads_like_the_line_by_line_reader(path):
     (got, got_warnings), (want, _) = (reader_outcome(dataio.read_columns, path),
-                                      reader_outcome(frozen_read_columns, path))
+                                      reader_outcome(frozen_schema_reader, path))
     assert got_warnings == []
     if isinstance(want, tuple):
         assert got == want
@@ -308,6 +325,7 @@ class TestReaderMatchesLineByLine:
         [GOOD_HEADER],
         [GOOD_HEADER, ""],
         ["age1,age2", "63,68"],
+        [GOOD_HEADER, "12,30,2,0,-63,68"],
     ])
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
     def test_edge_cases(self, tmp_path, lines, end):
@@ -371,12 +389,18 @@ class TestWriteCsv:
         ("%d,%s", [np.array([], dtype=int), np.array([], dtype=str)]),
     ])
     def test_write_rows_matches_per_row_formatting(self, fmt, columns):
+        # the writer takes the row format's conversions one per column
         header = "abcdef"[:len(columns)]
         out = io.StringIO()
-        dataio.write_rows(out, header, fmt, columns)
+        dataio.write_rows(out, header, fmt.split(","), columns)
         rows = zip(*(np.asarray(c).tolist() for c in columns))
         assert out.getvalue() == "".join(
             itertools.chain([",".join(header) + "\n"], ((fmt + "\n") % row for row in rows)))
+
+    @pytest.mark.parametrize("specs", [("%d",), ("%d", "%g", "%g")])
+    def test_write_rows_needs_one_spec_per_column(self, specs):
+        with pytest.raises(ValueError):
+            dataio.write_rows(io.StringIO(), "ab", specs, [[1, 2], [0.5, 0.5]])
 
     def test_rejects_non_standard_design(self, tmp_path):
         obs = ObservationSet(
@@ -694,6 +718,9 @@ class TestGenerateSynthetic:
             generate_synthetic(model, self._sampler, 1.0, 10, seed=1)
         with pytest.raises(ValueError):
             generate_synthetic(model, self._sampler, 0.1, 0, seed=1)
+        for n in (2.7, 3.0, True):
+            with pytest.raises(ValueError, match="n must be an integer >= 1"):
+                generate_synthetic(model, self._sampler, 0.1, n, seed=1)
         with pytest.raises(ValueError):
             generate_synthetic(
                 model, lambda rng, n: np.ones(n), 0.1, 10, seed=1

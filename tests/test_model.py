@@ -560,6 +560,9 @@ class TestRankCorrelations:
     (lambda m, pi, y: psi2(m, pi, 0.4, y), "0.4"),
     (lambda m, pi, y: condition_on_survival(m, pi, "1", y), "'1'"),
     (lambda m, pi, y: conditional_expectation(m, pi, 0, given=(1.9, y)), "1.9"),
+    # a bool is an int to Python, but not a margin index
+    (lambda m, pi, y: marginal_survival(m, pi, True, y), "True"),
+    (lambda m, pi, y: psi2(m, pi, False, y), "False"),
 ])
 def test_margin_index_out_of_range_or_not_an_integer(call, bad):
     model, pi = random_bivariate_model(np.random.default_rng(193), p=2)
