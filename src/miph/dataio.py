@@ -287,7 +287,8 @@ def load_model(path) -> MIPHModel:
     """Load a model saved by :func:`save_model`, with or without a UTF-8
     byte-order mark. Validates the format tag, and the ``time_scale``, ``p``
     and ``d`` a document may declare against :data:`TIME_SCALE` and the
-    margins it holds."""
+    margins it holds. A string or a boolean where a number belongs is
+    refused, naming its key, though numpy would read it as one."""
     with open(path, encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
@@ -302,13 +303,14 @@ def load_model(path) -> MIPHModel:
     try:
         margins = tuple(
             Margin(
-                sub=SubIntensity(np.asarray(m["sub_intensity"], dtype=float)),
-                transform=GompertzTransform(float(m["beta"])),
+                sub=SubIntensity(np.asarray(
+                    _numbers(m["sub_intensity"], f"margin {i} sub_intensity"), dtype=float)),
+                transform=GompertzTransform(float(_numbers(m["beta"], f"margin {i} beta"))),
             )
-            for m in doc["margins"]
+            for i, m in enumerate(doc["margins"])
         )
-        gamma = doc.get("gamma")
-        pi = doc.get("pi")
+        gamma = _numbers(doc.get("gamma"), "gamma")
+        pi = _numbers(doc.get("pi"), "pi")
         model = MIPHModel(
             margins=margins,
             gamma=None if gamma is None else np.asarray(gamma, dtype=float),
@@ -317,9 +319,20 @@ def load_model(path) -> MIPHModel:
     except (KeyError, TypeError, ValueError) as err:
         raise DataValidationError(f"{path}: malformed model document: {err}") from None
     for key, value in (("time_scale", TIME_SCALE), ("p", model.dim), ("d", model.n_margins)):
-        if key in doc and doc[key] != value:
+        if key in doc and (isinstance(doc[key], bool) or doc[key] != value):
             raise DataValidationError(f"{path}: {key} is {doc[key]!r}, expected {value!r}")
     return model
+
+
+def _numbers(value, key: str):
+    """``value``, a JSON number or nested list, as given; TypeError naming
+    ``key`` where it holds a string or a boolean."""
+    if isinstance(value, (str, bool)):
+        raise TypeError(f"{key} holds {value!r}, not a number")
+    if isinstance(value, list):
+        for v in value:
+            _numbers(v, key)
+    return value
 
 
 def beran_cdf(times, deltas, covariates, query, bandwidth: float, t):
@@ -407,6 +420,8 @@ def generate_synthetic(model: MIPHModel, covariate_sampler, censoring_rate: floa
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     censoring_rate = float(censoring_rate)
     if not (0.0 <= censoring_rate < 1.0):
         raise ValueError(f"censoring_rate must be in [0, 1), got {censoring_rate}")

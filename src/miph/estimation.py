@@ -19,11 +19,10 @@ covariates. One EM iteration runs four steps:
 * I: guarded Newton ascent of the observed log-likelihood over
   theta = log(beta), on its analytic gradient and exact d x d Hessian.
 
-Each parameter point is exponentiated once per margin: the EM start and
-each likelihood evaluation return their exponentials with their values, and
-:func:`fit` hands those of the point it accepts to the next E-step instead of
-exponentiating the same T x again. The exponentials are
-:class:`linalg.TaylorExpm` carriers: the likelihood, the I-step and the
+Each E-step and each likelihood evaluation exponentiates its own point:
+both take x from :func:`phasetype._operational_time`, so x is shared bit for
+bit, while the exponentials are not handed from one step to the next. They
+are :class:`linalg.TaylorExpm` carriers: the likelihood, the I-step and the
 E-step read their factor rows and absorption counts as products with a few
 vectors, and only rows that need squaring are held as p x p matrices.
 
@@ -206,6 +205,8 @@ class FitConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.i_step_every < 0:
             raise ValueError("i_step_every must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         tol = self.loglik_tolerance
         if tol is not None and (np.ndim(tol) or np.asarray(tol).dtype.kind not in "iuf"
                                 or not 0.0 < tol < np.inf):
@@ -274,7 +275,7 @@ def _require_rows(ok, what: str) -> None:
                              f"{' ...' if bad.size > 10 else ''}")
 
 
-def e_step(x, delta, per_obs_pi, subs, exps=None) -> SufficientStats:
+def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     """Posterior expectations of the complete-data statistics.
 
     Parameters
@@ -287,9 +288,6 @@ def e_step(x, delta, per_obs_pi, subs, exps=None) -> SufficientStats:
         Initial vector for each observation (rows sum to 1).
     subs : sequence of SubIntensity
         One per margin.
-    exps : sequence of linalg.TaylorExpm, optional
-        Margin i's ``phasetype._exponentials(subs[i], x[:, i])``, taken as
-        given; computed here when None.
 
     Notes
     -----
@@ -316,9 +314,7 @@ def e_step(x, delta, per_obs_pi, subs, exps=None) -> SufficientStats:
     over the deaths as :meth:`linalg.TaylorExpm.left_sum`, one contraction
     of the unsquared rows' Taylor weights with their c-rows against the
     shared powers, plus the squared rows' matrices; no (n, p, p) stack of
-    exponentials is built. :func:`fit` passes the exponentials returned by
-    the EM start or by the likelihood evaluation that accepted the current
-    parameters, so each parameter point is exponentiated once per margin.
+    exponentials is built.
 
     A row whose evidence is exactly 0 in double precision raises
     :class:`NumericalError` naming it; no row is dropped. So does a row whose
@@ -339,14 +335,7 @@ def e_step(x, delta, per_obs_pi, subs, exps=None) -> SufficientStats:
         raise ValueError(f"per_obs_pi must be (n, p) = {(n, p)}")
     if not np.all(np.isfinite(x)) or (x.size and x.min() < 0.0):
         raise ValueError("x must be finite and >= 0")
-    if exps is None:
-        exps = [_exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
-    if len(exps) != d:
-        raise ValueError(f"expected {d} margins' exponentials, got {len(exps)}")
-    for i, e in enumerate(exps):
-        if e.index.shape != (n,) or e.powers.shape[1:] != (p, p):
-            raise ValueError(f"margin {i}: exponentials must be (k, {p}, {p}) "
-                             f"matrices with {n} indices")
+    exps = [_exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
     evidence = [_exp_factors(sub, exps[i], delta[:, i])[0] for i, sub in enumerate(subs)]
     w = per_obs_pi.copy()
     for a_i in evidence:
@@ -514,10 +503,8 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
     """Observed log-likelihood with the transform Jacobians included, and its
     gradient and Hessian in theta = log(beta).
 
-    Returns ``(total, grad, hess, exps)`` with the (d,) gradient and the
-    (d, d) Hessian, or ``(total, exps)`` without ``derivatives``. ``exps``
-    holds margin i's :func:`phasetype._exponentials` in position i, the
-    exponentials :func:`e_step` needs at these parameters. Every row keeps
+    Returns ``(total, grad, hess)`` with the (d,) gradient and the (d, d)
+    Hessian, or ``total`` alone without ``derivatives``. Every row keeps
     its exact log, however small; a row whose likelihood is 0 in double
     precision raises :class:`NumericalError` naming it.
     Margin i's factor and its theta-derivatives come from
@@ -526,14 +513,12 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
     ``exp(T x) [1, t, T t, T^2 t]`` per distinct x. The exponentials hold
     each x's Taylor weights and p x p matrices for the squared rows alone:
     at a paper-scale fitted point (n = 8834, p = 10) they take about 0.65
-    (n, p, p) stacks for both margins, and the evaluation peaks near 2.1.
+    (n, p, p) stacks for both margins. Each margin's are dropped once its
+    factor rows are taken, and the evaluation peaks near 1.9.
     """
     d = y.shape[1]
-    exps, parts = [], []
-    for i, sub in enumerate(subs):
-        exps.append(_exponentials(sub, _operational_time(betas[i], y[:, i])))
-        parts.append(_age_factors(sub, betas[i], y[:, i], delta[:, i].astype(bool),
-                                  derivatives, exps[i]))
+    parts = [_age_factors(sub, betas[i], y[:, i], delta[:, i].astype(bool), derivatives)
+             for i, sub in enumerate(subs)]
     lik = per_obs_pi.copy()
     for f, *_ in parts:
         lik *= f
@@ -541,7 +526,7 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
     _require_rows(rows > 0.0, "likelihood underflowed to 0")
     total = float(np.log(rows).sum())
     if not derivatives:
-        return total, exps
+        return total
     factors, first, second = zip(*parts)  # per margin: f, df/dtheta, d2f/dtheta2
 
     def weighted(replace):
@@ -561,7 +546,7 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
             hess[i, k] = hess[k, i] = (
                 weighted({i: first[i], k: first[k]}) - score[i] * score[k]
             ).sum()
-    return total, grad, hess, exps
+    return total, grad, hess
 
 
 def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
@@ -579,7 +564,7 @@ def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
     subs = [m.sub for m in model.margins]
     betas = np.array([m.transform.beta for m in model.margins])
     return _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
-                             derivatives=False)[0]
+                             derivatives=False)
 
 
 def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init):
@@ -595,13 +580,8 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init):
     counts as -inf and is rejected; at the incumbent such a row raises
     :class:`NumericalError`. The step never lowers the likelihood.
 
-    Returns ``(betas, loglik, exps)``: ``betas = exp(theta)`` at the last
-    accepted point (the incumbent if none was), the log-likelihood evaluated
-    there, and that evaluation's per-margin exponentials (see
-    :func:`_age_scale_loglik`), or None when a rejected trial came after it.
-    Each point is exponentiated once per margin, and the incumbent's
-    exponentials are dropped before each trial is evaluated, so at most one
-    point's exponentials are alive at a time.
+    Returns ``(betas, loglik)``: ``betas = exp(theta)`` at the last accepted
+    point (the incumbent if none was) and the log-likelihood evaluated there.
     """
     betas_init = _as_betas(betas_init, obs.n_margins)
     per_obs_pi = np.asarray(per_obs_pi, dtype=float)
@@ -611,7 +591,7 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init):
         return _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, np.exp(theta))
 
     theta = np.log(betas_init)
-    cur, grad, hess, exps = evaluate(theta)
+    cur, grad, hess = evaluate(theta)
     if not np.isfinite(cur):
         raise NumericalError("transform objective is non-finite at the incumbent")
     evals = 1
@@ -632,9 +612,8 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init):
             trial = np.clip(theta + step * direction, lo, hi)
             if np.array_equal(trial, theta):
                 break
-            exps = None  # free the incumbent's before the trial takes its own
             try:
-                new, new_grad, new_hess, exps = evaluate(trial)
+                new, new_grad, new_hess = evaluate(trial)
             except NumericalError:  # a row of zero likelihood
                 new = -np.inf
             evals += 1
@@ -642,11 +621,10 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init):
                 theta, cur, grad, hess = trial, new, new_grad, new_hess
                 accepted = True
                 break
-            exps = None  # a rejected point's exponentials serve no E-step
             step *= 0.5
         if not accepted:
             break
-    return np.exp(theta), cur, exps
+    return np.exp(theta), cur
 
 
 def _initial_sub_intensities(obs, mask, betas, rng):
@@ -656,9 +634,7 @@ def _initial_sub_intensities(obs, mask, betas, rng):
     Keeps iteration 1 on a sane numeric scale. A couple censored far past
     that mean can have evidence 0 or nearly so at this start; then every
     margin's mean is doubled, at most 64 times, until no couple's evidence
-    under equal start weights is below _START_EVIDENCE. Returns ``(subs, exps)``
-    with each margin's :func:`phasetype._exponentials` at ``subs``, which
-    the first :func:`e_step` takes."""
+    under equal start weights is below _START_EVIDENCE."""
     x = transform_data(obs, betas)
     p = mask.shape[0]
     anchor = (p + 1) // 2 - 1  # middle state, 0-based
@@ -673,13 +649,12 @@ def _initial_sub_intensities(obs, mask, betas, rng):
     for doubling in range(65):
         subs = [SubIntensity(matrix * (mean / (target * 2.0 ** doubling)))
                 for matrix, mean, target in zip(raw, means, targets)]
-        exps, w = [], np.full((obs.n, p), 1.0 / p)  # frees the last doubling's
+        w = np.full((obs.n, p), 1.0 / p)
         for i, sub in enumerate(subs):
-            exps.append(_exponentials(sub, x[:, i]))
-            w *= _exp_factors(sub, exps[i], obs.delta[:, i])[0]
+            w *= _exp_factors(sub, _exponentials(sub, x[:, i]), obs.delta[:, i])[0]
         if np.all(w.sum(axis=1) >= _START_EVIDENCE):
             break
-    return subs, exps
+    return subs
 
 
 def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
@@ -688,9 +663,7 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     Deterministic given ``(obs, config)``: the only randomness is the
     rate initialization, seeded by ``config.seed``. Trace entry k is the
     observed log-likelihood at the end of iteration k: the I-step's own value
-    where one ran, else one value pass. The next E-step reuses that
-    evaluation's exponentials, unless a rejected I-step trial came after it;
-    the first takes those of the start.
+    where one ran, else one value pass.
     A couple whose evidence or likelihood is 0 in double precision stops the
     fit with a :class:`NumericalError` naming its row; no row is dropped.
     """
@@ -698,7 +671,7 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     mask = transition_mask(config.structure, config.p)
     rng = np.random.default_rng(config.seed)
     betas = _as_betas(config.beta_init, d)
-    subs, exps = _initial_sub_intensities(obs, mask, betas, rng)
+    subs = _initial_sub_intensities(obs, mask, betas, rng)
     gamma = np.zeros((config.p, obs.covariates.shape[1]))
     per_obs_pi = np.full((n, config.p), 1.0 / config.p)
 
@@ -707,15 +680,14 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     prev = None
     for it in range(1, config.max_iterations + 1):
         try:
-            stats = e_step(transform_data(obs, betas), obs.delta, per_obs_pi, subs, exps)
-            exps = None  # free them through the R-, M- and I-steps
+            stats = e_step(transform_data(obs, betas), obs.delta, per_obs_pi, subs)
             gamma, per_obs_pi = r_step(stats.b, obs.covariates, gamma)
             subs = m_step(stats, mask)
             if config.i_step_every and it % config.i_step_every == 0:
-                betas, ll, exps = i_step(obs, per_obs_pi, subs, betas)
+                betas, ll = i_step(obs, per_obs_pi, subs, betas)
             else:
-                ll, exps = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
-                                             derivatives=False)
+                ll = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
+                                       derivatives=False)
         except NumericalError as err:
             raise NumericalError(f"EM iteration {it}: {err}") from err
         trace.append(ll)

@@ -215,19 +215,19 @@ def _exp_factors(sub: SubIntensity, exps: TaylorExpm, died, derivatives: bool = 
 def _operational_time(beta, y):
     """``expm1(beta y) / beta``, inf where it overflows; ``beta`` broadcasts
     against ``y``. The likelihood, the E-step and :meth:`GompertzTransform.inverse`
-    take x from here, so exponentials taken for one serve the other bit for bit."""
+    take x from here, so they share x bit for bit; each takes its own
+    exponentials of it."""
     with np.errstate(over="ignore"):
         return np.expm1(beta * y) / beta
 
 
 def _age_factors(sub: SubIntensity, beta: float, y, died,
-                 derivatives: bool = False, exps=None) -> list:
+                 derivatives: bool = False) -> list:
     """Per-state factor rows at ages y under the Gompertz clock ``beta``.
 
     Row m is ``e_j' exp(T x_m) 1`` (survival) or, where ``died``,
     ``e_j' exp(T x_m) t exp(beta y_m)`` (density with the Jacobian), at
-    ``x = _operational_time(beta, y)``; ``exps``, if given, is
-    ``_exponentials(sub, x)``, taken as is. Ages whose operational time
+    ``x = _operational_time(beta, y)``. Ages whose operational time
     overflows get exact zero rows. With ``derivatives`` the list also holds
     the first and second derivatives in theta = log(beta), from the chain
     rule ``x_beta = (y e^{beta y} - x) / beta`` and
@@ -238,9 +238,7 @@ def _age_factors(sub: SubIntensity, beta: float, y, died,
     x = _operational_time(beta, y)
     with np.errstate(over="ignore"):
         jac = np.exp(beta * y)
-    if exps is None:
-        exps = _exponentials(sub, x)
-    terms = _exp_factors(sub, exps, died, derivatives)
+    terms = _exp_factors(sub, _exponentials(sub, x), died, derivatives)
     ok = np.isfinite(x)[:, None]
     died = np.broadcast_to(np.asarray(died, dtype=bool), y.shape)[:, None]
     # an observed death carries the Jacobian exp(beta y); overflowed rows stay 0

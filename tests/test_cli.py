@@ -589,3 +589,25 @@ class TestArgumentErrors:
         f.write_text("{", encoding="utf-8")
         assert main(["eval", str(f), "--points", "1,1"]) == 2
         capsys.readouterr()
+
+    def test_string_beta_in_the_model_exits_two(self, spousal_model_path, tmp_path,
+                                                capsys):
+        doc = json.loads(spousal_model_path.read_text())
+        doc["margins"][0]["beta"] = "43.101"
+        f = tmp_path / "string_beta.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["eval", str(f), "--ages", "63,63", "--points", "1,1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "margin 0 beta holds '43.101', not a number" in captured.err
+
+    def test_negative_seed_exits_two_naming_the_seed(self, small_model_path, data_csv,
+                                                      tmp_path, capsys):
+        assert main(["simulate", str(small_model_path), "--n", "5", "--ages", "63,63",
+                     "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+        out = tmp_path / "fitdir"
+        assert main(["fit", str(data_csv), "--p", "2", "--seed", "-1",
+                     "--output", str(out)]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not out.exists()

@@ -499,6 +499,51 @@ class TestModelJson:
         f.write_text(json.dumps(doc), encoding="utf-8")
         assert load_model(f).dim == 3
 
+    @pytest.mark.parametrize("where,value,key", [
+        (("margins", 0, "sub_intensity", 0, 0), "-1.5", "margin 0 sub_intensity"),
+        (("margins", 1, "sub_intensity", 2, 1), False, "margin 1 sub_intensity"),
+        (("margins", 0, "beta"), "43.101", "margin 0 beta"),
+        (("margins", 1, "beta"), True, "margin 1 beta"),
+        (("gamma", 1, 0), False, "gamma"),
+        (("gamma", 2, 3), "0.5", "gamma"),
+        (("pi", 0), "0.2", "pi"),
+        (("pi", 2), True, "pi"),
+        (("p",), "3", "p"),
+        (("d",), True, "d"),
+        (("time_scale",), "100", "time_scale"),
+    ])
+    def test_rejects_strings_and_booleans_where_numbers_belong(self, tmp_path, where,
+                                                                value, key):
+        """numpy reads "43.101" as 43.101 and true as 1.0; the loader refuses
+        both and names the key."""
+        f = tmp_path / "model.json"
+        save_model(self._model(with_gamma=where[0] != "pi"), f)
+        doc = json.loads(f.read_text())
+        parent = doc
+        for step in where[:-1]:
+            parent = parent[step]
+        parent[where[-1]] = value
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataValidationError, match=f"{key} (holds|is) {value!r}"):
+            load_model(f)
+
+    def test_integers_load_as_numbers(self, tmp_path):
+        f = tmp_path / "model.json"
+        f.write_text(json.dumps({
+            "format": "miph-v1", "time_scale": 100, "p": 1, "d": 2,
+            "margins": [{"sub_intensity": [[-2]], "beta": 43},
+                        {"sub_intensity": [[-1]], "beta": 40}],
+            "gamma": [[0, 0, 0, 0]], "pi": None}), encoding="utf-8")
+        model = load_model(f)
+        assert [m.transform.beta for m in model.margins] == [43.0, 40.0]
+        assert model.margins[0].sub.matrix.tolist() == [[-2.0]]
+        # at one state a boolean p would compare equal to 1
+        doc = json.loads(f.read_text())
+        doc["p"] = True
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        with pytest.raises(DataValidationError, match="p is True"):
+            load_model(f)
+
     def test_rejects_malformed_document(self, tmp_path):
         f = tmp_path / "model.json"
         f.write_text(json.dumps({"format": "miph-v1", "margins": [{}]}),
@@ -721,6 +766,10 @@ class TestGenerateSynthetic:
         for n in (2.7, 3.0, True):
             with pytest.raises(ValueError, match="n must be an integer >= 1"):
                 generate_synthetic(model, self._sampler, 0.1, n, seed=1)
+        # a negative seed used to fail in numpy's generator, naming no argument
+        for seed in (-1, np.int64(-3), 1.5, True):
+            with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+                generate_synthetic(model, self._sampler, 0.1, 10, seed=seed)
         with pytest.raises(ValueError):
             generate_synthetic(
                 model, lambda rng, n: np.ones(n), 0.1, 10, seed=1

@@ -4,10 +4,9 @@ Every exp(T x) is taken in `phasetype._exponentials`, once per distinct x,
 and every factor ``e_j' exp(T x) v`` comes from `phasetype._exp_factors`,
 the E-step's evidence included; the E-step's absorption counts contract the
 same exponentials, carriers of shared Taylor powers and per-x weights that
-hold p x p matrices for squared rows alone. In estimation, the EM start and
-the likelihood return their exponentials as values, which the fit hands to
-the next E-step; the E-step takes its own only when called without them.
-The only other
+hold p x p matrices for squared rows alone. Each E-step and each
+likelihood evaluation takes its own: they share x bit for bit, but no
+exponentials pass from one step to the next. The only other
 matrix exponential is the Fréchet derivative that gives the E-step's
 occupancy integrals. Its kernel takes the E-step's shape, one T, the times
 and the factors of the rank-one directions, builds each row block's pairs
@@ -100,13 +99,12 @@ def test_expm_batch_call_sites():
 
 
 def test_exponentials_call_sites():
-    """Estimation exponentiates at the EM start, in the likelihood and in an
-    E-step called without exponentials; `phasetype` in its age-scale factor
-    kernel, which every density and survival of the model layer goes
-    through."""
+    """Estimation exponentiates at the EM start and in each E-step;
+    `phasetype` in its age-scale factor kernel, which the likelihood and
+    every density and survival of the model layer go through."""
     assert _call_sites("_exponentials") == [
-        ("estimation", "_age_scale_loglik"), ("estimation", "_initial_sub_intensities"),
-        ("estimation", "e_step"), ("phasetype", "_age_factors")]
+        ("estimation", "_initial_sub_intensities"), ("estimation", "e_step"),
+        ("phasetype", "_age_factors")]
 
 
 def test_only_linalg_and_phasetype_bind_expm_batch():

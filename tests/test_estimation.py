@@ -12,7 +12,6 @@ Oracles, in increasing strength:
 * a quasi-Newton reference optimizer for the initial-vector regression.
 """
 
-import dataclasses
 import tracemalloc
 import warnings
 import weakref
@@ -379,16 +378,17 @@ class TestEStep:
             np.testing.assert_array_equal(getattr(split, name), getattr(whole, name))
 
     def test_builds_no_input_stacks(self, monkeypatch):
-        """With the exponentials given and one worker, an E-step at paper
-        scale (n = 8834, p = 10, two Coxian margins) peaks below six (n, p, p)
-        stacks: the Fréchet kernel builds each block's pairs itself, so the
-        stacks x T and v c' x, two more, are never formed."""
+        """With its exponentials taken beforehand and one worker, an E-step at
+        paper scale (n = 8834, p = 10, two Coxian margins) peaks below six
+        (n, p, p) stacks: the Fréchet kernel builds each block's pairs itself,
+        so the stacks x T and v c' x, two more, are never formed."""
         x, delta, pi_rows, subs = _toy_data(seed=367, n=8834, d=2, p=10)
-        exps = [phasetype._exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
+        taken = {id(sub): phasetype._exponentials(sub, x[:, i]) for i, sub in enumerate(subs)}
+        monkeypatch.setattr(estimation, "_exponentials", lambda sub, _: taken[id(sub)])
         monkeypatch.setattr(linalg, "_worker_count", lambda: 1)
         tracemalloc.start()
         try:
-            e_step(x, delta, pi_rows, subs, exps)
+            e_step(x, delta, pi_rows, subs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -446,35 +446,6 @@ class TestEStep:
             e_step(x, delta, pi_rows[:, :1], subs)
         with pytest.raises(ValueError):
             e_step(x, delta, pi_rows, subs[:1])
-
-    def test_supplied_exponentials_are_used_as_given(self, monkeypatch):
-        """Given each margin's ``_exponentials`` pair, the E-step takes no
-        exponential of its own and its statistics are bit for bit the same."""
-        x, delta, pi_rows, subs = _toy_data(seed=359, n=8, d=2, p=3)
-        exps = [phasetype._exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
-        want = e_step(x, delta, pi_rows, subs)
-        calls = []
-        monkeypatch.setattr(phasetype, "expm_batch",
-                            lambda t, xs: calls.append(1) or expm_batch(t, xs))
-        got = e_step(x, delta, pi_rows, subs, exps)
-        assert calls == []
-        for name in ("b", "z", "n_trans", "n_exit"):
-            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-
-    def test_rejects_exponentials_with_the_wrong_index_length(self):
-        x, delta, pi_rows, subs = _toy_data(seed=359, n=8, d=2, p=3)
-        exps = [phasetype._exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
-        exps[1] = phasetype._exponentials(subs[1], x[:-1, 1])
-        with pytest.raises(ValueError, match="margin 1: .* 8 indices"):
-            e_step(x, delta, pi_rows, subs, exps)
-
-    def test_rejects_exponentials_of_the_wrong_size(self):
-        x, delta, pi_rows, subs = _toy_data(seed=359, n=8, d=2, p=3)
-        exps = [phasetype._exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
-        exps[0] = phasetype._exponentials(random_chain(np.random.default_rng(1), 2),
-                                          x[:, 0])
-        with pytest.raises(ValueError, match=r"margin 0: .* \(k, 3, 3\)"):
-            e_step(x, delta, pi_rows, subs, exps)
 
 
 class TestSufficientStats:
@@ -685,7 +656,7 @@ class TestIStep:
 
     def _loglik(self, obs, pi_rows, subs, betas):
         return _age_scale_loglik(obs.y, obs.delta, pi_rows, subs,
-                                 np.asarray(betas, dtype=float), derivatives=False)[0]
+                                 np.asarray(betas, dtype=float), derivatives=False)
 
     def _mixed_case(self, rng, p, n=60):
         """Two margins with their own rates, censored and observed rows."""
@@ -717,8 +688,8 @@ class TestIStep:
         pi_rows = np.full((2, 2), 0.5)
         exact = np.logaddexp.reduce(np.log(0.5) - x.sum(axis=1)[:, None] * [1.0, 2.0],
                                     axis=1).sum()
-        total, _ = _age_scale_loglik(y, np.zeros((2, 2), dtype=int), pi_rows, subs,
-                                     np.ones(2), derivatives=False)
+        total = _age_scale_loglik(y, np.zeros((2, 2), dtype=int), pi_rows, subs,
+                                  np.ones(2), derivatives=False)
         assert total < np.log(0.5 * 1e-300)
         np.testing.assert_allclose(total, exact, rtol=1e-12)
 
@@ -729,7 +700,7 @@ class TestIStep:
         y = np.log1p([[0.5, 0.4], [356.5, 356.5]])  # operational times at beta = 1
         delta = np.zeros((2, 2), dtype=int)
         pi_rows = np.full((2, 2), 0.5)
-        total, grad, hess, _ = _age_scale_loglik(y, delta, pi_rows, subs, np.ones(2))
+        total, grad, hess = _age_scale_loglik(y, delta, pi_rows, subs, np.ones(2))
         assert total < np.log(2.0 ** -1024)
         h = 1e-6
         for i in range(2):
@@ -746,7 +717,7 @@ class TestIStep:
         h = 1e-5
         for p in (1, 2, 3, 4, 3, 2):
             y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
-            total, grad, hess, _ = _age_scale_loglik(y, delta, pi_rows, subs, betas)
+            total, grad, hess = _age_scale_loglik(y, delta, pi_rows, subs, betas)
             assert np.isfinite(total)
             theta = np.log(betas)
             num_grad = np.zeros(2)
@@ -766,15 +737,15 @@ class TestIStep:
         rng = np.random.default_rng(373)
         for p in (1, 2, 3, 5):
             y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
-            total, _, _, _ = _age_scale_loglik(y, delta, pi_rows, subs, betas)
+            total, _, _ = _age_scale_loglik(y, delta, pi_rows, subs, betas)
             assert total == reference_age_scale_loglik(y, delta, pi_rows, subs, betas)
 
     def test_likelihood_builds_no_exponential_stacks(self, spousal_model_with_gamma):
         """At a paper-scale fitted point (8834 couples drawn from the
-        published model, p = 10, two EM iterations from beta = 45), one
-        likelihood evaluation with derivatives peaks below three (n, p, p)
-        stacks, and the exponentials it returns hold less than one: only
-        squared rows are p x p matrices."""
+        published model, p = 10, two EM iterations from beta = 45), where
+        some rows' exponentials are squared, one likelihood evaluation with
+        derivatives peaks below three (n, p, p) stacks and holds less than
+        one after it returns: only squared rows are p x p matrices."""
         def sampler(rng, size):
             ages = rng.uniform(0.60, 0.75, size=(size, 2))
             return standard_design(ages[:, 0], ages[:, 1])
@@ -789,18 +760,19 @@ class TestIStep:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            *_, exps = _age_scale_loglik(obs.y, obs.delta, pi_rows, subs, betas)
+            _age_scale_loglik(obs.y, obs.delta, pi_rows, subs, betas)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert any(np.any(e.scaling > 0) for e in exps)
+        assert any(np.any(phasetype._exponentials(sub, x).scaling > 0)
+                   for sub, x in zip(subs, transform_data(obs, betas).T))
         assert peak - before <= 3 * stack, (peak - before) / stack
         assert held - before <= stack, (held - before) / stack
 
     def test_joint_mode_improves_and_flattens_gradient(self):
         obs, pi_rows, subs = self._age_data()
         start = np.array([1.0, 1.0])
-        got, ll, _ = i_step(obs, pi_rows, subs, start)
+        got, ll = i_step(obs, pi_rows, subs, start)
         before = self._loglik(obs, pi_rows, subs, start)
         after = self._loglik(obs, pi_rows, subs, got)
         assert after > before
@@ -823,14 +795,14 @@ class TestIStep:
     def test_improves_from_bad_start(self):
         obs, pi_rows, subs = self._age_data(seed=379)
         start = np.array([1.0, 1.0])
-        got, _, _ = i_step(obs, pi_rows, subs, start)
+        got, _ = i_step(obs, pi_rows, subs, start)
         assert (self._loglik(obs, pi_rows, subs, got)
                 > self._loglik(obs, pi_rows, subs, start))
 
     def test_never_returns_worse_than_incumbent(self):
         obs, pi_rows, subs = self._age_data(seed=383, n=150)
-        first, ll_first, _ = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
-        second, ll_second, _ = i_step(obs, pi_rows, subs, first)
+        first, ll_first = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
+        second, ll_second = i_step(obs, pi_rows, subs, first)
         assert ll_second >= ll_first
         assert ll_second == self._loglik(obs, pi_rows, subs, second)
 
@@ -842,10 +814,10 @@ class TestIStep:
                             lambda t, xs: calls.append(1) or expm_batch(t, xs))
         monkeypatch.setattr(estimation, "_LOG_BETA_BOUNDS", (-5.0, 0.0))
         start = np.array([1.0, 1.0])
-        got, _, _ = i_step(obs, pi_rows, subs, start)
+        got, _ = i_step(obs, pi_rows, subs, start)
         np.testing.assert_array_equal(got, start)
         assert len(calls) == 2  # one evaluation: the incumbent
-        got, _, _ = i_step(obs, pi_rows, subs, np.array([0.5, 0.5]))
+        got, _ = i_step(obs, pi_rows, subs, np.array([0.5, 0.5]))
         assert np.all(got <= 1.0)
         assert (self._loglik(obs, pi_rows, subs, got)
                 > self._loglik(obs, pi_rows, subs, [0.5, 0.5]))
@@ -881,7 +853,7 @@ class TestIStep:
             return real(y, delta, per_obs_pi, subs, betas, derivatives)
 
         monkeypatch.setattr(estimation, "_age_scale_loglik", zero_at_first_trial)
-        got, ll, _ = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
+        got, ll = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
         assert len(trials) >= 3
         assert not np.array_equal(got, trials[1])
         assert ll > self._loglik(obs, pi_rows, subs, [1.0, 1.0])
@@ -1030,8 +1002,7 @@ class TestFit:
         """Row 0 is censored at 600 times the uncensored mean, so at the
         start scaled to that mean its evidence is below _START_EVIDENCE; the
         means are doubled until it is not, and the fit runs. Without such a
-        row the start is the plain rescale, bit for bit. Either way the start
-        returns each margin's exponentials at the rates it returns."""
+        row the start is the plain rescale, bit for bit."""
         mask = transition_mask("coxian", 2)
 
         def plain_start(o):
@@ -1045,15 +1016,8 @@ class TestFit:
             return subs
 
         def start(o):
-            subs, exps = estimation._initial_sub_intensities(
-                o, mask, np.ones(2), np.random.default_rng(0))
-            x = transform_data(o, np.ones(2))
-            for i, (sub, got) in enumerate(zip(subs, exps)):
-                want = phasetype._exponentials(sub, x[:, i])
-                for field in dataclasses.fields(want):
-                    np.testing.assert_array_equal(getattr(got, field.name),
-                                                  getattr(want, field.name))
-            return subs
+            return estimation._initial_sub_intensities(o, mask, np.ones(2),
+                                                       np.random.default_rng(0))
 
         def evidence(o, subs):
             x = transform_data(o, np.ones(2))
@@ -1102,7 +1066,7 @@ class TestFit:
         mean uncensored operational time; at p = 1 that is 1 / rate."""
         obs = self._synthetic(409, n=120)
         x = transform_data(obs, np.ones(2))
-        subs, _ = estimation._initial_sub_intensities(
+        subs = estimation._initial_sub_intensities(
             obs, transition_mask(structure, p), np.ones(2), np.random.default_rng(3))
         middle = (p + 1) // 2 - 1
         for i, sub in enumerate(subs):
@@ -1142,16 +1106,16 @@ class TestFit:
         assert outside == ([] if i_step_every else [False] * 4)
 
     @pytest.mark.parametrize("i_step_every", [0, 1, 2])
-    def test_matches_the_steps_run_without_reuse(self, i_step_every):
-        """`fit` reuses exponentials across steps; a loop of the public steps
-        that takes every exponential afresh gives the same fit bit for bit."""
+    def test_matches_the_steps_run_one_by_one(self, i_step_every):
+        """A loop of the public steps, run one by one from the start, gives
+        the fit's trace, coefficients, rates and transforms bit for bit."""
         obs = self._synthetic(433, n=250)
         config = FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=5,
                            i_step_every=i_step_every, beta_init=1.0)
         mask = transition_mask("coxian", 2)
         betas = np.ones(2)
-        subs, _ = estimation._initial_sub_intensities(obs, mask, betas,
-                                                      np.random.default_rng(5))
+        subs = estimation._initial_sub_intensities(obs, mask, betas,
+                                                   np.random.default_rng(5))
         gamma, pi_rows = np.zeros((2, 2)), np.full((obs.n, 2), 0.5)
         trace = []
         for it in range(1, 5):
@@ -1159,10 +1123,10 @@ class TestFit:
             gamma, pi_rows = r_step(stats.b, obs.covariates, gamma)
             subs = m_step(stats, mask)
             if i_step_every and it % i_step_every == 0:
-                betas, ll, _ = i_step(obs, pi_rows, subs, betas)
+                betas, ll = i_step(obs, pi_rows, subs, betas)
             else:
-                ll, _ = _age_scale_loglik(obs.y, obs.delta, pi_rows, subs, betas,
-                                          derivatives=False)
+                ll = _age_scale_loglik(obs.y, obs.delta, pi_rows, subs, betas,
+                                       derivatives=False)
             trace.append(ll)
 
         report = fit(obs, config)
@@ -1173,52 +1137,23 @@ class TestFit:
             assert margin.transform.beta == beta
 
     @pytest.mark.parametrize("i_step_every", [0, 1, 2])
-    def test_one_exponential_per_parameter_point(self, monkeypatch, i_step_every):
-        """Each likelihood evaluation exponentiates once per margin, and no
-        E-step exponentiates: the first takes the exponentials of the start,
-        every later one those of the evaluation that accepted its
-        parameters."""
+    def test_each_step_exponentiates_its_own_point(self, monkeypatch, i_step_every):
+        """The start exponentiates once per margin, and so does every E-step
+        and every likelihood evaluation: nothing is handed from one to the
+        next."""
         obs = self._synthetic(433, n=250)
-        calls, evals, given = [], [], []
+        calls, steps, evals = [], [], []
         real_loglik, real_e_step = estimation._age_scale_loglik, estimation.e_step
         monkeypatch.setattr(phasetype, "expm_batch",
                             lambda t, xs: calls.append(1) or expm_batch(t, xs))
         monkeypatch.setattr(estimation, "_age_scale_loglik",
                             lambda *a, **k: evals.append(1) or real_loglik(*a, **k))
         monkeypatch.setattr(estimation, "e_step",
-                            lambda *a: given.append(a[4] is not None) or real_e_step(*a))
+                            lambda *a: steps.append(1) or real_e_step(*a))
         fit(obs, FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=5,
                            i_step_every=i_step_every, beta_init=1.0))
-        assert given == [True] * 4
-        assert len(calls) == 2 + 2 * len(evals)
-
-    def test_rejected_last_trial_leaves_the_e_step_to_exponentiate(self, monkeypatch):
-        """Every I-step trial here has a row of zero likelihood and is
-        rejected, so no pair at the incumbent is left: the next E-step takes
-        its own exponentials."""
-        obs = self._synthetic(433, n=250)
-        incumbent, given = [], []
-        real_loglik, real_i_step = estimation._age_scale_loglik, estimation.i_step
-        real_e_step = estimation.e_step
-
-        def zero_at_trials(y, delta, per_obs_pi, subs, betas, derivatives=True):
-            if incumbent and not np.array_equal(betas, incumbent[-1]):
-                per_obs_pi = per_obs_pi.copy()
-                per_obs_pi[7] = 0.0
-            return real_loglik(y, delta, per_obs_pi, subs, betas, derivatives)
-
-        def recorded(*args, **kwargs):
-            incumbent.append(args[3])
-            return real_i_step(*args, **kwargs)
-
-        monkeypatch.setattr(estimation, "_age_scale_loglik", zero_at_trials)
-        monkeypatch.setattr(estimation, "i_step", recorded)
-        monkeypatch.setattr(estimation, "e_step",
-                            lambda *a: given.append(a[4] is not None) or real_e_step(*a))
-        report = fit(obs, FitConfig(p=2, max_iterations=4, loglik_tolerance=None,
-                                    seed=5, i_step_every=2, beta_init=1.0))
-        assert given == [True, True, False, True]
-        assert report.model.margins[0].transform.beta == 1.0
+        assert len(steps) == 4 and evals
+        assert len(calls) == 2 + 2 * len(steps) + 2 * len(evals)
 
     def test_one_parameter_point_alive_at_a_time(self, monkeypatch):
         """Whenever the fit exponentiates, at most the other margin's
@@ -1227,7 +1162,7 @@ class TestFit:
         the previous doubling's exponentials are gone before the next are
         taken."""
         refs, alive = [], []
-        real = estimation._exponentials
+        real = phasetype._exponentials
 
         def tracked(sub, x):
             alive.append(sum(ref() is not None for ref in refs))
@@ -1236,6 +1171,7 @@ class TestFit:
             return exps
 
         monkeypatch.setattr(estimation, "_exponentials", tracked)
+        monkeypatch.setattr(phasetype, "_exponentials", tracked)
         for obs in (self._synthetic(433, n=250),
                     self._far_censored(self._synthetic(389, 200))):
             alive.clear()
@@ -1301,6 +1237,13 @@ class TestFit:
             FitConfig(**{"p": 2, **kwargs})
         FitConfig(p=np.int64(2), max_iterations=np.int32(3), i_step_every=np.uint8(0),
                   seed=np.int64(7))
+
+    @pytest.mark.parametrize("seed", [-1, np.int64(-7)])
+    def test_config_rejects_a_negative_seed(self, seed):
+        # it used to construct, and the fit then failed in numpy's generator
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            FitConfig(p=2, seed=seed)
+        FitConfig(p=2, seed=0)
 
     @pytest.mark.parametrize("kwargs", [
         {"loglik_tolerance": True}, {"loglik_tolerance": "1e-7"},
