@@ -1,7 +1,7 @@
 """EM estimation for covariate-linked multivariate phase-type lifetimes.
 
 The observed data are right-censored joint lifetimes with per-subject
-covariates. One EM iteration runs four steps:
+covariates. One EM iteration maps one model to the next by four steps:
 
 * E: posterior expectations of start-state indicators (B), state occupancies
   (Z) and transition/exit counts (N) given the current parameters, on the
@@ -314,7 +314,7 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     over the deaths as :meth:`linalg.TaylorExpm.left_sum`, one contraction
     of the unsquared rows' Taylor weights with their c-rows against the
     shared powers, plus the squared rows' matrices; no (n, p, p) stack of
-    exponentials is built.
+    exponentials is built, and all are dropped before the first U is taken.
 
     A row whose evidence is exactly 0 in double precision raises
     :class:`NumericalError` naming it; no row is dropped. So does a row whose
@@ -347,7 +347,7 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     z = np.zeros((d, p))
     n_trans = np.zeros((d, p, p))
     n_exit = np.zeros((d, p))
-    offdiag = ~np.eye(p, dtype=bool)
+    directions = []
     for i, sub in enumerate(subs):
         # posterior over the start state given the *other* margins
         c = per_obs_pi.copy()
@@ -362,12 +362,16 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
             c /= denom[:, None]
             bound = v.max(axis=1) * c.max(axis=1) * x[:, i]
         _require_rows(np.isfinite(bound), f"margin {i}: posterior weights overflowed")
-        integral = expm_frechet_batch(sub.matrix, x[:, i], v, c)  # (n, p, p)
-
-        z[i] = np.einsum("mkk->k", integral)
-        n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)
         if np.any(died):
             n_exit[i] = sub.exit_rates * exps[i].left_sum(c[died], died)
+        directions.append((v, c))
+    del exps
+    offdiag = ~np.eye(p, dtype=bool)
+    for i, (sub, (v, c)) in enumerate(zip(subs, directions)):
+        integral = expm_frechet_batch(sub.matrix, x[:, i], v, c)  # (n, p, p)
+        z[i] = np.einsum("mkk->k", integral)
+        n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)
+        del integral
     # round tiny negatives from the Taylor and Padé approximants up to zero
     return SufficientStats(*(np.clip(v, 0.0, None) for v in (b, z, n_trans, n_exit)))
 
@@ -657,47 +661,51 @@ def _initial_sub_intensities(obs, mask, betas, rng):
     return subs
 
 
+def _em_step(obs: ObservationSet, model: MIPHModel, mask, run_i_step: bool):
+    """One EM iteration as a map on the point ``model``: E, R (warm at its
+    ``gamma``) and M from its start vectors, rates and transforms, then the
+    I-step if ``run_i_step``. Returns the next model and its observed
+    log-likelihood, the I-step's own value where it ran, else
+    :func:`observed_loglik`'s; nothing else passes between iterations."""
+    betas = np.array([m.transform.beta for m in model.margins])
+    stats = e_step(transform_data(obs, betas), obs.delta,
+                   model.initial_vectors(obs.covariates), [m.sub for m in model.margins])
+    gamma, per_obs_pi = r_step(stats.b, obs.covariates, model.gamma)
+    subs = m_step(stats, mask)
+    if run_i_step:
+        betas, ll = i_step(obs, per_obs_pi, subs, betas)
+    model = MIPHModel(margins=tuple(Margin(sub, GompertzTransform(float(beta)))
+                                    for sub, beta in zip(subs, betas)), gamma=gamma)
+    return model, (ll if run_i_step else observed_loglik(obs, model))
+
+
 def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
-    """Run the EM loop and return the fitted model plus its trace.
+    """Run the EM loop from a random start; return its last point and the trace.
 
-    Deterministic given ``(obs, config)``: the only randomness is the
-    rate initialization, seeded by ``config.seed``. Trace entry k is the
-    observed log-likelihood at the end of iteration k: the I-step's own value
-    where one ran, else one value pass.
-    A couple whose evidence or likelihood is 0 in double precision stops the
-    fit with a :class:`NumericalError` naming its row; no row is dropped.
+    Deterministic given ``(obs, config)``: the only randomness is the start's
+    rates, seeded by ``config.seed``; its initial vectors are uniform and its
+    transforms ``config.beta_init``. Iteration k is one :func:`_em_step`, with
+    the I-step where ``config.i_step_every`` divides k; trace entry k is its
+    log-likelihood. A couple whose evidence or likelihood is 0 in double
+    precision stops the fit with a :class:`NumericalError` naming its row.
     """
-    n, d = obs.y.shape
     mask = transition_mask(config.structure, config.p)
-    rng = np.random.default_rng(config.seed)
-    betas = _as_betas(config.beta_init, d)
-    subs = _initial_sub_intensities(obs, mask, betas, rng)
-    gamma = np.zeros((config.p, obs.covariates.shape[1]))
-    per_obs_pi = np.full((n, config.p), 1.0 / config.p)
-
+    betas = _as_betas(config.beta_init, obs.n_margins)
+    subs = _initial_sub_intensities(obs, mask, betas, np.random.default_rng(config.seed))
+    model = MIPHModel(margins=tuple(Margin(sub, GompertzTransform(float(beta)))
+                                    for sub, beta in zip(subs, betas)),
+                      gamma=np.zeros((config.p, obs.covariates.shape[1])))
     trace = []
     converged = False
-    prev = None
     for it in range(1, config.max_iterations + 1):
         try:
-            stats = e_step(transform_data(obs, betas), obs.delta, per_obs_pi, subs)
-            gamma, per_obs_pi = r_step(stats.b, obs.covariates, gamma)
-            subs = m_step(stats, mask)
-            if config.i_step_every and it % config.i_step_every == 0:
-                betas, ll = i_step(obs, per_obs_pi, subs, betas)
-            else:
-                ll = _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
-                                       derivatives=False)
+            model, ll = _em_step(obs, model, mask,
+                                 config.i_step_every > 0 and it % config.i_step_every == 0)
         except NumericalError as err:
             raise NumericalError(f"EM iteration {it}: {err}") from err
         trace.append(ll)
-        if (config.loglik_tolerance is not None and prev is not None
-                and abs(ll - prev) < config.loglik_tolerance * n):
+        if (config.loglik_tolerance is not None and len(trace) > 1
+                and abs(ll - trace[-2]) < config.loglik_tolerance * obs.n):
             converged = True
             break
-        prev = ll
-
-    margins = tuple(Margin(sub=sub, transform=GompertzTransform(float(beta)))
-                    for sub, beta in zip(subs, betas))
-    return FitReport(model=MIPHModel(margins=margins, gamma=gamma),
-                     loglik_trace=np.asarray(trace), converged=converged)
+    return FitReport(model=model, loglik_trace=np.asarray(trace), converged=converged)

@@ -22,6 +22,11 @@ as the package's linear systems go to numpy's solve. `linalg` alone starts
 threads, on a pool that each Fréchet call opens and joins; no module keeps
 state in a ``global`` or hooks ``fork``. No module imports scipy, so
 matrix exponentials never come from it.
+One EM iteration is `estimation._em_step`, a map from one model to the
+next: it alone runs the E-, R-, M- and I-steps, `fit` alone calls it, and
+`fit` carries nothing else from one iteration to the next. The
+likelihood's value pass for a model is `observed_loglik`; the I-step's
+trials are the only other evaluations.
 CSV text is read and written in `dataio` alone. Every keyword-only option
 of a package function is set by some caller outside the tests; one that no
 caller sets is a module constant. A public name is listed in its own
@@ -105,6 +110,27 @@ def test_exponentials_call_sites():
     assert _call_sites("_exponentials") == [
         ("estimation", "_initial_sub_intensities"), ("estimation", "e_step"),
         ("phasetype", "_age_factors")]
+
+
+def test_em_step_call_sites():
+    """The four steps run in `_em_step` alone and `fit` alone loops it; the
+    likelihood runs in `observed_loglik` and the I-step's trials alone."""
+    for step in ("e_step", "r_step", "m_step", "i_step"):
+        assert _call_sites(step) == [("estimation", "_em_step")], step
+    assert _call_sites("_em_step") == [("estimation", "fit")]
+    assert _call_sites("_age_scale_loglik") == [
+        ("estimation", "i_step.evaluate"), ("estimation", "observed_loglik")]
+
+
+def test_fit_carries_one_model_between_iterations():
+    """`fit`'s loop binds the model `_em_step` returns and its value alone: no
+    rates, coefficients, start vectors or transforms pass outside it."""
+    tree = dict(_modules())["estimation"]
+    body = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "fit")
+    loop = next(node for node in ast.walk(body) if isinstance(node, ast.For))
+    bound = {node.id for node in ast.walk(loop)
+             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
+    assert bound == {"it", "model", "ll", "converged"}
 
 
 def test_only_linalg_and_phasetype_bind_expm_batch():
