@@ -19,12 +19,12 @@ covariates. One EM iteration maps one model to the next by four steps:
 * I: guarded Newton ascent of the observed log-likelihood over
   theta = log(beta), on its analytic gradient and exact d x d Hessian.
 
-Each E-step and each likelihood evaluation exponentiates its own point:
-both take x from :func:`phasetype._operational_time`, so x is shared bit for
-bit, while the exponentials are not handed from one step to the next. They
-are :class:`linalg.TaylorExpm` carriers: the likelihood, the I-step and the
-E-step read their factor rows and absorption counts as products with a few
-vectors, and only rows that need squaring are held as p x p matrices.
+The E-step's normalising constants are the couples' likelihoods at its
+point (Asmussen, Nerman & Olsson, Scand. J. Stat. 23, 1996): one helper
+forms them for the E-step, :func:`observed_loglik` and the EM start, and the
+fit's trace comes from the E-steps. Each step exponentiates its own point
+at x from :func:`phasetype._operational_time`, as :class:`linalg.TaylorExpm`
+carriers in which only rows that need squaring hold p x p matrices.
 
 Times enter estimation on the internal scale (years / 100); see `dataio`.
 """
@@ -148,12 +148,15 @@ class SufficientStats:
         Expected transition counts (zero diagonal).
     n_exit : (d, p) ndarray
         Expected absorption counts, accumulated over uncensored entries only.
+    log_evidence : float
+        Sum of the log row evidence: the log-likelihood on the operational scale.
     """
 
     b: np.ndarray
     z: np.ndarray
     n_trans: np.ndarray
     n_exit: np.ndarray
+    log_evidence: float
 
     def __post_init__(self):
         b, z, nt, ne = (np.asarray(v, dtype=float)
@@ -216,8 +219,8 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class FitReport:
-    """Result of :func:`fit`: the fitted model, the per-iteration observed
-    log-likelihood trace, and whether the tolerance rule triggered."""
+    """Result of :func:`fit`: the fitted model, the trace (entry k is the observed
+    log-likelihood after iteration k), and whether the tolerance rule triggered."""
 
     model: MIPHModel
     loglik_trace: np.ndarray
@@ -275,22 +278,29 @@ def _require_rows(ok, what: str) -> None:
                              f"{' ...' if bad.size > 10 else ''}")
 
 
+def _evidence(x, delta, per_obs_pi, subs):
+    """Each margin's exponentials and evidence rows (density where ``delta``,
+    else survival, on the operational scale), ``w = pi * prod_i evidence_i``
+    and its row sums ``denom``. An overflowed x gives a zero row."""
+    exps = [_exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
+    evidence = [_exp_factors(sub, exps[i], delta[:, i])[0] for i, sub in enumerate(subs)]
+    w = per_obs_pi.copy()
+    for a_i in evidence:
+        w *= a_i
+    return exps, evidence, w, w.sum(axis=1)
+
+
+def _log_jacobian(obs: ObservationSet, betas) -> float:
+    """``sum delta beta y``, the log Jacobians ``exp(beta y)`` of the deaths' densities."""
+    return float((obs.delta * betas * obs.y).sum())
+
+
 def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
-    """Posterior expectations of the complete-data statistics.
+    """Posterior expectations of the complete-data statistics, given the (n, d)
+    operational times ``x``, the censoring indicators ``delta`` (1 = death
+    observed), each observation's start vector (rows of the (n, p)
+    ``per_obs_pi``) and one :class:`SubIntensity` per margin in ``subs``.
 
-    Parameters
-    ----------
-    x : (n, d) array_like
-        Operational times (already transformed).
-    delta : (n, d) array_like
-        Censoring indicators (1 = death observed).
-    per_obs_pi : (n, p) array_like
-        Initial vector for each observation (rows sum to 1).
-    subs : sequence of SubIntensity
-        One per margin.
-
-    Notes
-    -----
     For observation m and margin i, the occupancy and transition expectations
     are the diagonal/entries of
 
@@ -302,23 +312,18 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     exponential, the upper-right block of exp([[T_i, v c'], [0, T_i]] x_mi)
     (Van Loan's block form); linearity in the middle factor collapses the
     per-state integrals into one. :func:`linalg.expm_frechet_batch` takes
-    T_i, the times and the factors v, c, so no (n, p, p) stack is built
-    here, and scales each row like that 2p x 2p block, so large weights c
-    lose occupancy (ROADMAP E1): U is 8.8e-5 off at c near 4e10 on general
-    structures, and with one couple censored at 600 times the mean the EM
-    start's margin-0 occupancies sum to 99.3 where the operational times sum
-    to 304.8. The block's exp(T x) is as far off, 0 near c = 1e21, so the
-    kernel returns U alone, and the evidence and the absorption counts take
-    the exponentials of :func:`phasetype._exponentials`: the evidence as
-    its factor rows, the absorption counts ``t * sum_m c_m' exp(T_i x_m)``
-    over the deaths as :meth:`linalg.TaylorExpm.left_sum`, one contraction
-    of the unsquared rows' Taylor weights with their c-rows against the
-    shared powers, plus the squared rows' matrices; no (n, p, p) stack of
-    exponentials is built, and all are dropped before the first U is taken.
+    T_i, the times and the factors v, c, so no (n, p, p) stack is built,
+    and scales each row like that 2p x 2p block, so large weights c lose
+    occupancy (ROADMAP E1) and its exp(T x) cannot stand in for the
+    evidence. The evidence rows come from :func:`_evidence`, and the
+    absorption counts ``t * sum_m c_m' exp(T_i x_m)`` over the deaths from
+    :meth:`linalg.TaylorExpm.left_sum` on the same exponentials, which are
+    dropped before the first U is taken.
 
-    A row whose evidence is exactly 0 in double precision raises
-    :class:`NumericalError` naming it; no row is dropped. So does a row whose
-    posterior weights overflow, its own evidence in a margin being near 1e-308.
+    ``log_evidence`` is the sum of log ``denom``, the couples' likelihoods on
+    the operational scale. A row whose ``denom`` is exactly 0 in double
+    precision raises :class:`NumericalError` naming it; no row is dropped. So
+    does a row whose posterior weights overflow (its evidence near 1e-308).
     """
     x = np.asarray(x, dtype=float)
     delta = np.asarray(delta)
@@ -335,12 +340,7 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
         raise ValueError(f"per_obs_pi must be (n, p) = {(n, p)}")
     if not np.all(np.isfinite(x)) or (x.size and x.min() < 0.0):
         raise ValueError("x must be finite and >= 0")
-    exps = [_exponentials(sub, x[:, i]) for i, sub in enumerate(subs)]
-    evidence = [_exp_factors(sub, exps[i], delta[:, i])[0] for i, sub in enumerate(subs)]
-    w = per_obs_pi.copy()
-    for a_i in evidence:
-        w *= a_i
-    denom = w.sum(axis=1)
+    exps, evidence, w, denom = _evidence(x, delta, per_obs_pi, subs)
     _require_rows(denom > 0.0, "evidence underflowed to 0")
     b = d * w / denom[:, None]
 
@@ -373,7 +373,8 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
         n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)
         del integral
     # round tiny negatives from the Taylor and Padé approximants up to zero
-    return SufficientStats(*(np.clip(v, 0.0, None) for v in (b, z, n_trans, n_exit)))
+    return SufficientStats(*(np.clip(v, 0.0, None) for v in (b, z, n_trans, n_exit)),
+                           float(np.log(denom).sum()))
 
 
 def r_step(b, covariates, gamma_init=None):
@@ -503,25 +504,23 @@ def m_step(stats: SufficientStats, mask):
     return out
 
 
-def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
+def _age_scale_loglik(y, delta, per_obs_pi, subs, betas):
     """Observed log-likelihood with the transform Jacobians included, and its
-    gradient and Hessian in theta = log(beta).
+    gradient and Hessian in theta = log(beta): the I-step's objective.
 
     Returns ``(total, grad, hess)`` with the (d,) gradient and the (d, d)
-    Hessian, or ``total`` alone without ``derivatives``. Every row keeps
-    its exact log, however small; a row whose likelihood is 0 in double
-    precision raises :class:`NumericalError` naming it.
+    Hessian. Every row keeps its exact log, however small; a row whose
+    likelihood is 0 in double precision raises :class:`NumericalError`
+    naming it.
     Margin i's factor and its theta-derivatives come from
     :func:`phasetype._age_factors`: survival where censored, density with
     the Jacobian where the death was observed, all from the one product
-    ``exp(T x) [1, t, T t, T^2 t]`` per distinct x. The exponentials hold
-    each x's Taylor weights and p x p matrices for the squared rows alone:
-    at a paper-scale fitted point (n = 8834, p = 10) they take about 0.65
-    (n, p, p) stacks for both margins. Each margin's are dropped once its
-    factor rows are taken, and the evaluation peaks near 1.9.
+    ``exp(T x) [1, t, T t, T^2 t]`` per distinct x. At a paper-scale fitted
+    point (n = 8834, p = 10) both margins' exponentials take about 0.65
+    (n, p, p) stacks; each is dropped once its factor rows are taken.
     """
     d = y.shape[1]
-    parts = [_age_factors(sub, betas[i], y[:, i], delta[:, i].astype(bool), derivatives)
+    parts = [_age_factors(sub, betas[i], y[:, i], delta[:, i].astype(bool), derivatives=True)
              for i, sub in enumerate(subs)]
     lik = per_obs_pi.copy()
     for f, *_ in parts:
@@ -529,8 +528,6 @@ def _age_scale_loglik(y, delta, per_obs_pi, subs, betas, derivatives=True):
     rows = lik.sum(axis=1)
     _require_rows(rows > 0.0, "likelihood underflowed to 0")
     total = float(np.log(rows).sum())
-    if not derivatives:
-        return total
     factors, first, second = zip(*parts)  # per margin: f, df/dtheta, d2f/dtheta2
 
     def weighted(replace):
@@ -557,18 +554,18 @@ def observed_loglik(obs: ObservationSet, model: MIPHModel) -> float:
     """Observed-data log-likelihood of ``model`` on ``obs``.
 
     Censored margins contribute survival factors, uncensored margins density
-    factors (with the time-transform Jacobian). A row whose likelihood is 0
-    in double precision raises :class:`NumericalError` naming it.
+    factors: the E-step's log evidence plus the deaths' Jacobian term, bit for
+    bit as an E-step at ``model`` gives them. A row whose likelihood is 0 in
+    double precision (an overflowed x included) raises :class:`NumericalError`.
     """
     if model.n_margins != obs.n_margins:
-        raise ValueError(
-            f"model has {model.n_margins} margins, data has {obs.n_margins}"
-        )
-    per_obs_pi = model.initial_vectors(obs.covariates)
-    subs = [m.sub for m in model.margins]
+        raise ValueError(f"model has {model.n_margins} margins, data has {obs.n_margins}")
     betas = np.array([m.transform.beta for m in model.margins])
-    return _age_scale_loglik(obs.y, obs.delta, per_obs_pi, subs, betas,
-                             derivatives=False)
+    denom = _evidence(_operational_time(betas, obs.y), obs.delta,
+                      model.initial_vectors(obs.covariates),
+                      [m.sub for m in model.margins])[-1]
+    _require_rows(denom > 0.0, "likelihood underflowed to 0")
+    return float(np.log(denom).sum()) + _log_jacobian(obs, betas)
 
 
 def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init):
@@ -653,10 +650,7 @@ def _initial_sub_intensities(obs, mask, betas, rng):
     for doubling in range(65):
         subs = [SubIntensity(matrix * (mean / (target * 2.0 ** doubling)))
                 for matrix, mean, target in zip(raw, means, targets)]
-        w = np.full((obs.n, p), 1.0 / p)
-        for i, sub in enumerate(subs):
-            w *= _exp_factors(sub, _exponentials(sub, x[:, i]), obs.delta[:, i])[0]
-        if np.all(w.sum(axis=1) >= _START_EVIDENCE):
+        if _evidence(x, obs.delta, np.full((obs.n, p), 1.0 / p), subs)[-1].min() >= _START_EVIDENCE:
             break
     return subs
 
@@ -664,30 +658,32 @@ def _initial_sub_intensities(obs, mask, betas, rng):
 def _em_step(obs: ObservationSet, model: MIPHModel, mask, run_i_step: bool):
     """One EM iteration as a map on the point ``model``: E, R (warm at its
     ``gamma``) and M from its start vectors, rates and transforms, then the
-    I-step if ``run_i_step``. Returns the next model and its observed
-    log-likelihood, the I-step's own value where it ran, else
-    :func:`observed_loglik`'s; nothing else passes between iterations."""
+    I-step if ``run_i_step``. Returns the next model and the value of
+    ``model``, from the E-step's evidence bit for bit as :func:`observed_loglik`
+    gives it; nothing else passes between iterations."""
     betas = np.array([m.transform.beta for m in model.margins])
     stats = e_step(transform_data(obs, betas), obs.delta,
                    model.initial_vectors(obs.covariates), [m.sub for m in model.margins])
+    value = stats.log_evidence + _log_jacobian(obs, betas)
     gamma, per_obs_pi = r_step(stats.b, obs.covariates, model.gamma)
     subs = m_step(stats, mask)
     if run_i_step:
-        betas, ll = i_step(obs, per_obs_pi, subs, betas)
-    model = MIPHModel(margins=tuple(Margin(sub, GompertzTransform(float(beta)))
-                                    for sub, beta in zip(subs, betas)), gamma=gamma)
-    return model, (ll if run_i_step else observed_loglik(obs, model))
+        betas, _ = i_step(obs, per_obs_pi, subs, betas)
+    return MIPHModel(margins=tuple(Margin(sub, GompertzTransform(float(beta)))
+                                   for sub, beta in zip(subs, betas)), gamma=gamma), value
 
 
 def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     """Run the EM loop from a random start; return its last point and the trace.
 
-    Deterministic given ``(obs, config)``: the only randomness is the start's
-    rates, seeded by ``config.seed``; its initial vectors are uniform and its
-    transforms ``config.beta_init``. Iteration k is one :func:`_em_step`, with
-    the I-step where ``config.i_step_every`` divides k; trace entry k is its
-    log-likelihood. A couple whose evidence or likelihood is 0 in double
-    precision stops the fit with a :class:`NumericalError` naming its row.
+    Deterministic given ``(obs, config)`` on the same numpy build and CPU: the
+    only randomness is the start's rates, seeded by ``config.seed``. Iteration
+    k is one :func:`_em_step`, with the I-step where ``config.i_step_every``
+    divides k. Trace entry k, the value of the model after iteration k, comes
+    from the E-step of iteration k + 1, where the tolerance is checked: a fit
+    that stops there returns that model. One :func:`observed_loglik` pass
+    values the last model. A couple whose evidence or likelihood is 0 in
+    double precision stops the fit with a :class:`NumericalError` naming it.
     """
     mask = transition_mask(config.structure, config.p)
     betas = _as_betas(config.beta_init, obs.n_margins)
@@ -696,16 +692,19 @@ def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
                                     for sub, beta in zip(subs, betas)),
                       gamma=np.zeros((config.p, obs.covariates.shape[1])))
     trace = []
-    converged = False
-    for it in range(1, config.max_iterations + 1):
+    for it in range(1, config.max_iterations + 2):
         try:
-            model, ll = _em_step(obs, model, mask,
-                                 config.i_step_every > 0 and it % config.i_step_every == 0)
+            if it > config.max_iterations:  # no E-step left to value the last iterate
+                following, ll = model, observed_loglik(obs, model)
+            else:
+                following, ll = _em_step(obs, model, mask, config.i_step_every > 0
+                                         and it % config.i_step_every == 0)
         except NumericalError as err:
             raise NumericalError(f"EM iteration {it}: {err}") from err
-        trace.append(ll)
-        if (config.loglik_tolerance is not None and len(trace) > 1
-                and abs(ll - trace[-2]) < config.loglik_tolerance * obs.n):
-            converged = True
-            break
-    return FitReport(model=model, loglik_trace=np.asarray(trace), converged=converged)
+        if it > 1:  # ll is the value of the model after iteration it - 1
+            trace.append(ll)
+            if (config.loglik_tolerance is not None and len(trace) > 1
+                    and abs(ll - trace[-2]) < config.loglik_tolerance * obs.n):
+                return FitReport(model=model, loglik_trace=np.asarray(trace), converged=True)
+        model = following
+    return FitReport(model=model, loglik_trace=np.asarray(trace), converged=False)

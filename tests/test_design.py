@@ -4,8 +4,9 @@ Every exp(T x) is taken in `phasetype._exponentials`, once per distinct x,
 and every factor ``e_j' exp(T x) v`` comes from `phasetype._exp_factors`,
 the E-step's evidence included; the E-step's absorption counts contract the
 same exponentials, carriers of shared Taylor powers and per-x weights that
-hold p x p matrices for squared rows alone. Each E-step and each
-likelihood evaluation takes its own: they share x bit for bit, but no
+hold p x p matrices for squared rows alone. One evidence helper takes
+them for the E-step, the value pass and the EM start. Each E-step, value
+pass and I-step evaluation takes its own: they share x bit for bit, but no
 exponentials pass from one step to the next. The only other
 matrix exponential is the Fréchet derivative that gives the E-step's
 occupancy integrals. Its kernel takes the E-step's shape, one T, the times
@@ -24,9 +25,10 @@ state in a ``global`` or hooks ``fork``. No module imports scipy, so
 matrix exponentials never come from it.
 One EM iteration is `estimation._em_step`, a map from one model to the
 next: it alone runs the E-, R-, M- and I-steps, `fit` alone calls it, and
-`fit` carries nothing else from one iteration to the next. The
-likelihood's value pass for a model is `observed_loglik`; the I-step's
-trials are the only other evaluations.
+`fit` carries nothing else from one iteration to the next. The E-step
+values the model it starts from, so `fit` takes the trace from the E-steps
+and makes one value pass, `observed_loglik` of its last model; the I-step's
+trials are the only other likelihood evaluations.
 CSV text is read and written in `dataio` alone. Every keyword-only option
 of a package function is set by some caller outside the tests; one that no
 caller sets is a module constant. A public name is listed in its own
@@ -104,33 +106,40 @@ def test_expm_batch_call_sites():
 
 
 def test_exponentials_call_sites():
-    """Estimation exponentiates at the EM start and in each E-step;
-    `phasetype` in its age-scale factor kernel, which the likelihood and
-    every density and survival of the model layer go through."""
+    """Estimation exponentiates in its evidence helper alone; `phasetype`
+    in its age-scale factor kernel, which the I-step's likelihood and every
+    density and survival of the model layer go through."""
     assert _call_sites("_exponentials") == [
-        ("estimation", "_initial_sub_intensities"), ("estimation", "e_step"),
-        ("phasetype", "_age_factors")]
+        ("estimation", "_evidence"), ("phasetype", "_age_factors")]
 
 
 def test_em_step_call_sites():
-    """The four steps run in `_em_step` alone and `fit` alone loops it; the
-    likelihood runs in `observed_loglik` and the I-step's trials alone."""
+    """The four steps run in `_em_step` alone and `fit` alone loops it. One
+    evidence helper serves the E-step, the value pass and the EM start; the
+    I-step's trials alone run the age-scale likelihood with derivatives, and
+    `fit` makes its one value pass after the last iteration."""
     for step in ("e_step", "r_step", "m_step", "i_step"):
         assert _call_sites(step) == [("estimation", "_em_step")], step
     assert _call_sites("_em_step") == [("estimation", "fit")]
-    assert _call_sites("_age_scale_loglik") == [
-        ("estimation", "i_step.evaluate"), ("estimation", "observed_loglik")]
+    assert _call_sites("_evidence") == [
+        ("estimation", "_initial_sub_intensities"), ("estimation", "e_step"),
+        ("estimation", "observed_loglik")]
+    assert _call_sites("_age_scale_loglik") == [("estimation", "i_step.evaluate")]
+    assert _call_sites("observed_loglik") == [("estimation", "fit")]
+    assert _call_sites("_log_jacobian") == [
+        ("estimation", "_em_step"), ("estimation", "observed_loglik")]
 
 
 def test_fit_carries_one_model_between_iterations():
-    """`fit`'s loop binds the model `_em_step` returns and its value alone: no
-    rates, coefficients, start vectors or transforms pass outside it."""
+    """`fit`'s loop binds the model `_em_step` returns, the model it started
+    from and that model's value alone: no rates, coefficients, start vectors
+    or transforms pass outside it."""
     tree = dict(_modules())["estimation"]
     body = next(fn for fn in tree.body if isinstance(fn, ast.FunctionDef) and fn.name == "fit")
     loop = next(node for node in ast.walk(body) if isinstance(node, ast.For))
     bound = {node.id for node in ast.walk(loop)
              if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)}
-    assert bound == {"it", "model", "ll", "converged"}
+    assert bound == {"it", "model", "following", "ll"}
 
 
 def test_only_linalg_and_phasetype_bind_expm_batch():

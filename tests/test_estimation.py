@@ -290,6 +290,16 @@ class TestEStep:
             expected = stats.b[0, j] / (2 * pi_rows[0, j])
             np.testing.assert_allclose(fd, expected, rtol=1e-6)
 
+    def test_log_evidence_is_the_operational_loglik(self):
+        """The E-step's normalising constants are the couples' likelihoods
+        on the operational scale: their log sum is the likelihood coded
+        independently."""
+        for seed, p in ((307, 2), (331, 3)):
+            x, delta, pi_rows, subs = _toy_data(seed=seed, n=8, p=p)
+            stats = e_step(x, delta, pi_rows, subs)
+            np.testing.assert_allclose(stats.log_evidence,
+                                       direct_loglik(x, delta, pi_rows, subs), rtol=1e-12)
+
     def test_zero_evidence_rows_raise(self):
         rng = np.random.default_rng(347)
         subs = [random_chain(rng, 2) for _ in range(2)]
@@ -471,11 +481,13 @@ class TestSufficientStats:
             SufficientStats(
                 b=np.ones((3, 2)), z=np.ones((2, 2)),
                 n_trans=np.ones((2, 2, 2)), n_exit=-np.ones((2, 2)),
+                log_evidence=0.0,
             )
         with pytest.raises(ValueError):
             SufficientStats(
                 b=np.ones((3, 2)), z=np.ones((2, 3)),
                 n_trans=np.ones((2, 2, 2)), n_exit=np.ones((2, 2)),
+                log_evidence=0.0,
             )
 
 
@@ -569,6 +581,7 @@ class TestMStep:
             z=np.array([[2.0, 4.0]]),
             n_trans=np.array([[[0.0, 1.0], [0.0, 0.0]]]),
             n_exit=np.array([[0.5, 2.0]]),
+            log_evidence=0.0,
         )
         (sub,) = m_step(stats, transition_mask("coxian", 2))
         np.testing.assert_allclose(sub.matrix[0, 1], 0.5)   # 1.0 / 2.0
@@ -615,6 +628,7 @@ class TestMStep:
             z=np.array([[3.0, 0.0]]),
             n_trans=np.array([[[0.0, 0.6], [0.0, 0.0]]]),
             n_exit=np.array([[1.5, 0.0]]),
+            log_evidence=0.0,
         )
         with pytest.warns(RuntimeWarning, match="occupancy"):
             (sub,) = m_step(stats, transition_mask("coxian", 2))
@@ -627,9 +641,33 @@ class TestMStep:
             z=np.array([[2.0, 2.0]]),
             n_trans=np.array([[[0.0, 1.0], [0.8, 0.0]]]),  # lower entry too
             n_exit=np.array([[0.5, 0.5]]),
+            log_evidence=0.0,
         )
         (sub,) = m_step(stats, transition_mask("coxian", 2))
         assert sub.matrix[1, 0] == 0.0
+
+
+def mixed_case(rng, p, n=60):
+    """Two margins with their own rates, censored and observed rows, on the
+    age scale: ``(y, delta, pi_rows, subs, betas)``."""
+    subs = [random_chain(rng, p) for _ in range(2)]
+    y = rng.uniform(0.05, 1.5, size=(n, 2))
+    delta = (rng.random((n, 2)) < 0.5).astype(int)
+    delta[1], delta[2] = (1, 1), (0, 0)
+    pi_rows = np.vstack([random_pi(rng, p) for _ in range(n)])
+    return y, delta, pi_rows, subs, rng.uniform(0.5, 5.0, size=2)
+
+
+def row_below_the_old_floor():
+    """Two censored couples under diagonal rates at beta = 1 with start
+    weights 1/2; row 1's likelihood is about 1e-305. Returns the rates, the
+    ages and the exact log-likelihood."""
+    subs = [SubIntensity(np.diag([-1.0, -2.0]))] * 2
+    y = np.log1p([[0.5, 0.4], [351.0, 351.0]])  # operational times at beta = 1
+    x = np.expm1(y)
+    exact = np.logaddexp.reduce(np.log(0.5) - x.sum(axis=1)[:, None] * [1.0, 2.0],
+                                axis=1).sum()
+    return subs, y, exact
 
 
 def reference_age_scale_loglik(y, delta, per_obs_pi, subs, betas):
@@ -673,40 +711,25 @@ class TestIStep:
 
     def _loglik(self, obs, pi_rows, subs, betas):
         return _age_scale_loglik(obs.y, obs.delta, pi_rows, subs,
-                                 np.asarray(betas, dtype=float), derivatives=False)
-
-    def _mixed_case(self, rng, p, n=60):
-        """Two margins with their own rates, censored and observed rows."""
-        subs = [random_chain(rng, p) for _ in range(2)]
-        y = rng.uniform(0.05, 1.5, size=(n, 2))
-        delta = (rng.random((n, 2)) < 0.5).astype(int)
-        delta[1], delta[2] = (1, 1), (0, 0)
-        pi_rows = np.vstack([random_pi(rng, p) for _ in range(n)])
-        return y, delta, pi_rows, subs, rng.uniform(0.5, 5.0, size=2)
+                                 np.asarray(betas, dtype=float))[0]
 
     def test_zero_likelihood_rows_raise(self):
         """Row 0 is past the Gompertz overflow in margin 0, and row 3's
         operational time in margin 1 is finite but its likelihood is 0."""
         rng = np.random.default_rng(371)
         for p in (1, 3):
-            y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
+            y, delta, pi_rows, subs, betas = mixed_case(rng, p)
             y[0, 0] = 2000.0
             y[3, 1] = 100.0
-            for derivatives in (False, True):
-                with pytest.raises(NumericalError, match=r"rows \[0, 3\]$"):
-                    _age_scale_loglik(y, delta, pi_rows, subs, betas, derivatives)
+            with pytest.raises(NumericalError, match=r"rows \[0, 3\]$"):
+                _age_scale_loglik(y, delta, pi_rows, subs, betas)
 
     def test_row_below_the_old_floor_keeps_its_log(self):
         """Row 1's likelihood is about 1e-305, under the 1e-300 floor that
         once replaced its log by log(1e-300)."""
-        subs = [SubIntensity(np.diag([-1.0, -2.0]))] * 2
-        y = np.log1p([[0.5, 0.4], [351.0, 351.0]])  # operational times at beta = 1
-        x = np.expm1(y)
-        pi_rows = np.full((2, 2), 0.5)
-        exact = np.logaddexp.reduce(np.log(0.5) - x.sum(axis=1)[:, None] * [1.0, 2.0],
-                                    axis=1).sum()
-        total = _age_scale_loglik(y, np.zeros((2, 2), dtype=int), pi_rows, subs,
-                                  np.ones(2), derivatives=False)
+        subs, y, exact = row_below_the_old_floor()
+        total, _, _ = _age_scale_loglik(y, np.zeros((2, 2), dtype=int), np.full((2, 2), 0.5),
+                                        subs, np.ones(2))
         assert total < np.log(0.5 * 1e-300)
         np.testing.assert_allclose(total, exact, rtol=1e-12)
 
@@ -733,7 +756,7 @@ class TestIStep:
         rng = np.random.default_rng(367)
         h = 1e-5
         for p in (1, 2, 3, 4, 3, 2):
-            y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
+            y, delta, pi_rows, subs, betas = mixed_case(rng, p)
             total, grad, hess = _age_scale_loglik(y, delta, pi_rows, subs, betas)
             assert np.isfinite(total)
             theta = np.log(betas)
@@ -753,7 +776,7 @@ class TestIStep:
     def test_value_bit_equal_to_reference(self):
         rng = np.random.default_rng(373)
         for p in (1, 2, 3, 5):
-            y, delta, pi_rows, subs, betas = self._mixed_case(rng, p)
+            y, delta, pi_rows, subs, betas = mixed_case(rng, p)
             total, _, _ = _age_scale_loglik(y, delta, pi_rows, subs, betas)
             assert total == reference_age_scale_loglik(y, delta, pi_rows, subs, betas)
 
@@ -862,12 +885,12 @@ class TestIStep:
         trials = []
         real = estimation._age_scale_loglik
 
-        def zero_at_first_trial(y, delta, per_obs_pi, subs, betas, derivatives=True):
+        def zero_at_first_trial(y, delta, per_obs_pi, subs, betas):
             trials.append(betas)
             if len(trials) == 2:
                 per_obs_pi = per_obs_pi.copy()
                 per_obs_pi[7] = 0.0
-            return real(y, delta, per_obs_pi, subs, betas, derivatives)
+            return real(y, delta, per_obs_pi, subs, betas)
 
         monkeypatch.setattr(estimation, "_age_scale_loglik", zero_at_first_trial)
         got, ll = i_step(obs, pi_rows, subs, np.array([1.0, 1.0]))
@@ -918,6 +941,35 @@ class TestObservedLoglik:
         )
         with pytest.raises(NumericalError, match="rows"):
             observed_loglik(obs, model)
+
+    @staticmethod
+    def _model_and_data(y, delta, pi, subs, betas):
+        model = MIPHModel(tuple(Margin(sub, GompertzTransform(beta))
+                                for sub, beta in zip(subs, betas)), fixed_pi=pi)
+        obs = ObservationSet(y=y, delta=delta, covariates=np.ones((len(y), 1)))
+        return model, obs
+
+    def test_zero_likelihood_rows_raise(self):
+        """Row 0 is past the Gompertz overflow in margin 0, and row 3's
+        operational time in margin 1 is finite but its likelihood is 0."""
+        rng = np.random.default_rng(371)
+        for p in (1, 3):
+            y, delta, pi_rows, subs, betas = mixed_case(rng, p)
+            y[0, 0] = 2000.0
+            y[3, 1] = 100.0
+            model, obs = self._model_and_data(y, delta, pi_rows[0], subs, betas)
+            with pytest.raises(NumericalError, match=r"rows \[0, 3\]$"):
+                observed_loglik(obs, model)
+
+    def test_row_below_the_old_floor_keeps_its_log(self):
+        """Row 1's likelihood is about 1e-305, under the 1e-300 floor that
+        once replaced its log by log(1e-300)."""
+        subs, y, exact = row_below_the_old_floor()
+        model, obs = self._model_and_data(y, np.zeros((2, 2), dtype=int), np.full(2, 0.5),
+                                          subs, np.ones(2))
+        total = observed_loglik(obs, model)
+        assert total < np.log(0.5 * 1e-300)
+        np.testing.assert_allclose(total, exact, rtol=1e-12)
 
 
 class TestFit:
@@ -1094,18 +1146,20 @@ class TestFit:
                 np.testing.assert_allclose(-1.0 / sub.matrix[0, 0], target, rtol=1e-14)
 
     @pytest.mark.parametrize("i_step_every", [1, 0])
-    def test_one_likelihood_pass_per_iteration(self, monkeypatch, i_step_every):
-        """With an I-step its last evaluation is the iteration's value; without
-        one, one value pass per iteration."""
+    def test_one_value_pass_per_fit(self, monkeypatch, i_step_every):
+        """Each E-step values the iterate it starts from, so a fit that runs
+        to ``max_iterations`` makes one value pass, for its last iterate; the
+        I-step's evaluations are its own trials and serve no trace entry."""
         obs = self._synthetic(409, n=120)
-        outside = []
+        outside, values = [], []
         inside = [False]
         real_loglik, real_i_step = estimation._age_scale_loglik, estimation.i_step
+        real_value = estimation.observed_loglik
 
-        def counted(*args, **kwargs):
+        def counted(*args):
             if not inside[0]:
-                outside.append(kwargs.get("derivatives", True))
-            return real_loglik(*args, **kwargs)
+                outside.append(args)
+            return real_loglik(*args)
 
         def flagged(*args, **kwargs):
             inside[0] = True
@@ -1116,16 +1170,21 @@ class TestFit:
 
         monkeypatch.setattr(estimation, "_age_scale_loglik", counted)
         monkeypatch.setattr(estimation, "i_step", flagged)
+        monkeypatch.setattr(estimation, "observed_loglik",
+                            lambda *a: values.append(1) or real_value(*a))
         config = FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=11,
                            i_step_every=i_step_every, beta_init=(2.0, 3.0))
         report = fit(obs, config)
         assert report.iterations == 4
-        assert outside == ([] if i_step_every else [False] * 4)
+        assert outside == [] and len(values) == 1
 
     @pytest.mark.parametrize("i_step_every", [0, 1, 2])
     def test_matches_the_steps_run_one_by_one(self, i_step_every):
         """A loop of the public steps, run one by one from the start, gives
-        the fit's trace, coefficients, rates and transforms bit for bit."""
+        the fit's trace, coefficients, rates and transforms bit for bit:
+        trace entry k is the log evidence of the E-step that opens
+        iteration k + 1, plus the deaths' Jacobian term, and a fifth E-step
+        gives the last entry as the fit's one value pass does."""
         obs = self._synthetic(433, n=250)
         config = FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=5,
                            i_step_every=i_step_every, beta_init=1.0)
@@ -1135,16 +1194,16 @@ class TestFit:
                                                    np.random.default_rng(5))
         gamma, pi_rows = np.zeros((2, 2)), np.full((obs.n, 2), 0.5)
         trace = []
-        for it in range(1, 5):
+        for it in range(1, 6):
             stats = e_step(transform_data(obs, betas), obs.delta, pi_rows, subs)
+            if it > 1:
+                trace.append(stats.log_evidence + float((obs.delta * betas * obs.y).sum()))
+            if it == 5:
+                break
             gamma, pi_rows = r_step(stats.b, obs.covariates, gamma)
             subs = m_step(stats, mask)
             if i_step_every and it % i_step_every == 0:
-                betas, ll = i_step(obs, pi_rows, subs, betas)
-            else:
-                ll = _age_scale_loglik(obs.y, obs.delta, pi_rows, subs, betas,
-                                       derivatives=False)
-            trace.append(ll)
+                betas, _ = i_step(obs, pi_rows, subs, betas)
 
         report = fit(obs, config)
         np.testing.assert_array_equal(report.loglik_trace, trace)
@@ -1158,7 +1217,9 @@ class TestFit:
         """A 20-iteration fit's model, stepped 20 more times by `_em_step`
         on the same I-step schedule, is the 40-iteration fit bit for bit:
         trace, coefficients, rates and transforms. The model is the loop's
-        whole state."""
+        whole state. Each step returns the value of the model it started
+        from, so the first repeats the 20-iteration fit's last entry, and
+        `observed_loglik` values the last."""
         obs = self._synthetic(433, n=250)
 
         def run(iterations):
@@ -1166,11 +1227,13 @@ class TestFit:
                                       seed=5, i_step_every=i_step_every, beta_init=1.0))
 
         first = run(20)
-        model, trace = first.model, list(first.loglik_trace)
+        model, values = first.model, []
         for it in range(21, 41):
             model, ll = estimation._em_step(obs, model, transition_mask("coxian", 2),
                                             i_step_every > 0 and it % i_step_every == 0)
-            trace.append(ll)
+            values.append(ll)
+        assert values[0] == first.loglik_trace[-1]
+        trace = [*first.loglik_trace, *values[1:], observed_loglik(obs, model)]
         whole = run(40)
         np.testing.assert_array_equal(trace, whole.loglik_trace)
         np.testing.assert_array_equal(model.gamma, whole.model.gamma)
@@ -1180,22 +1243,25 @@ class TestFit:
 
     @pytest.mark.parametrize("i_step_every", [0, 1, 2])
     def test_each_step_exponentiates_its_own_point(self, monkeypatch, i_step_every):
-        """The start exponentiates once per margin, and so does every E-step
-        and every likelihood evaluation: nothing is handed from one to the
-        next."""
+        """The start exponentiates once per margin, and so does every E-step,
+        every I-step evaluation and the fit's one value pass: nothing is
+        handed from one to the next."""
         obs = self._synthetic(433, n=250)
-        calls, steps, evals = [], [], []
+        calls, steps, evals, values = [], [], [], []
         real_loglik, real_e_step = estimation._age_scale_loglik, estimation.e_step
+        real_value = estimation.observed_loglik
         monkeypatch.setattr(phasetype, "expm_batch",
                             lambda t, xs: calls.append(1) or expm_batch(t, xs))
         monkeypatch.setattr(estimation, "_age_scale_loglik",
                             lambda *a, **k: evals.append(1) or real_loglik(*a, **k))
         monkeypatch.setattr(estimation, "e_step",
                             lambda *a: steps.append(1) or real_e_step(*a))
+        monkeypatch.setattr(estimation, "observed_loglik",
+                            lambda *a: values.append(1) or real_value(*a))
         fit(obs, FitConfig(p=2, max_iterations=4, loglik_tolerance=None, seed=5,
                            i_step_every=i_step_every, beta_init=1.0))
-        assert len(steps) == 4 and evals
-        assert len(calls) == 2 + 2 * len(steps) + 2 * len(evals)
+        assert len(steps) == 4 and len(values) == 1 and bool(evals) == (i_step_every > 0)
+        assert len(calls) == 2 + 2 * len(steps) + 2 * len(evals) + 2 * len(values)
 
     def test_one_parameter_point_alive_at_a_time(self, monkeypatch):
         """Whenever the fit exponentiates, at most the other margin's
@@ -1221,6 +1287,43 @@ class TestFit:
                                i_step_every=1, beta_init=1.0))
             assert len(alive) > 8 and max(alive) == 1
             assert all(ref() is None for ref in refs)
+
+    @pytest.mark.parametrize("i_step_every", [0, 2])
+    def test_trace_entry_is_the_value_of_that_iterate(self, i_step_every):
+        """Entry k of a 4-iteration trace is the observed log-likelihood of
+        the k-iteration fit's model, bit for bit, whether the E-step that
+        opens iteration k + 1 gave it or the value pass after the last."""
+        obs = self._synthetic(433, n=250)
+
+        def run(iterations):
+            return fit(obs, FitConfig(p=2, max_iterations=iterations, loglik_tolerance=None,
+                                      seed=5, i_step_every=i_step_every, beta_init=1.0))
+
+        trace = run(4).loglik_trace
+        for k in range(1, 5):
+            assert trace[k - 1] == observed_loglik(obs, run(k).model), k
+
+    @pytest.mark.parametrize("i_step_every", [0, 2])
+    def test_tolerance_stop_returns_the_fixed_count_fit(self, i_step_every):
+        """A fit stopped by the tolerance returns the model, trace and
+        iteration count of the same fit run for that many iterations without
+        one: the iteration whose E-step showed the stop leaves no trace."""
+        obs = self._synthetic(431, n=150)
+
+        def run(iterations, tolerance):
+            return fit(obs, FitConfig(p=2, max_iterations=iterations,
+                                      loglik_tolerance=tolerance, i_step_every=i_step_every,
+                                      beta_init=(2.0, 3.0), seed=3))
+
+        stopped = run(400, 1e-5)
+        assert stopped.converged and stopped.iterations < 400
+        fixed = run(stopped.iterations, None)
+        assert not fixed.converged and fixed.iterations == stopped.iterations
+        np.testing.assert_array_equal(fixed.loglik_trace, stopped.loglik_trace)
+        np.testing.assert_array_equal(fixed.model.gamma, stopped.model.gamma)
+        for margin, other in zip(fixed.model.margins, stopped.model.margins):
+            np.testing.assert_array_equal(margin.sub.matrix, other.sub.matrix)
+            assert margin.transform.beta == other.transform.beta
 
     @pytest.mark.parametrize("iterations", [4, 3])
     def test_final_loglik_is_the_returned_model_value(self, iterations):
