@@ -421,15 +421,16 @@ def r_step(b, covariates, gamma_init=None):
     cur, probs = value_and_probs(gamma)
     for _ in range(_R_STEP_MAX_ITER):
         resid = b - weight[:, None] * probs  # (n, p)
-        grad = resid[:, 1:].T @ a  # (p-1, g)
+        # sums over the n rows in einsum: BLAS splits them by its thread count
+        grad = np.einsum("mk,mj->kj", resid[:, 1:], a)  # (p-1, g)
 
         # -Hessian = blockdiag_k(sum_m w pf_k a a') - X' W X with
         # X[m, k*g + j] = pf[m, k] a[m, j]
         pf = probs[:, 1:]  # (n, p-1)
         x = (pf[:, :, None] * a[:, None, :]).reshape(n, (p - 1) * g)
         wx = weight[:, None] * x
-        neg_hess = -(wx.T @ x).reshape(p - 1, g, p - 1, g)
-        neg_hess[kk, :, kk, :] += (wx.T @ a).reshape(p - 1, g, g)
+        neg_hess = -np.einsum("mi,mj->ij", wx, x).reshape(p - 1, g, p - 1, g)
+        neg_hess[kk, :, kk, :] += np.einsum("mi,mj->ij", wx, a).reshape(p - 1, g, g)
         neg_hess = neg_hess.reshape((p - 1) * g, (p - 1) * g)
 
         try:
@@ -676,14 +677,14 @@ def _em_step(obs: ObservationSet, model: MIPHModel, mask, run_i_step: bool):
 def fit(obs: ObservationSet, config: FitConfig) -> FitReport:
     """Run the EM loop from a random start; return its last point and the trace.
 
-    Deterministic given ``(obs, config)`` on the same numpy build and CPU: the
-    only randomness is the start's rates, seeded by ``config.seed``. Iteration
-    k is one :func:`_em_step`, with the I-step where ``config.i_step_every``
-    divides k. Trace entry k, the value of the model after iteration k, comes
-    from the E-step of iteration k + 1, where the tolerance is checked: a fit
-    that stops there returns that model. One :func:`observed_loglik` pass
-    values the last model. A couple whose evidence or likelihood is 0 in
-    double precision stops the fit with a :class:`NumericalError` naming it.
+    Deterministic given ``(obs, config)`` on the same numpy build and CPU, at
+    any BLAS thread count; the only randomness is the start's rates, seeded by
+    ``config.seed``. Iteration k is one :func:`_em_step`, with the I-step where
+    ``config.i_step_every`` divides k. Trace entry k, the value of the model
+    after iteration k, comes from the E-step of iteration k + 1, where the
+    tolerance is checked: a fit that stops there returns that model; else one
+    :func:`observed_loglik` pass values the last. A couple of zero likelihood
+    stops the fit with a :class:`NumericalError` naming its row.
     """
     mask = transition_mask(config.structure, config.p)
     betas = _as_betas(config.beta_init, obs.n_margins)

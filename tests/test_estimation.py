@@ -12,9 +12,14 @@ Oracles, in increasing strength:
 * a quasi-Newton reference optimizer for the initial-vector regression.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 import warnings
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -1358,6 +1363,46 @@ class TestFit:
                                     max_iterations=iterations, i_step_every=i_step_every))
         assert observed_loglik(obs, report.model) == report.final_loglik
         assert np.array_equal(report.model.initial_vectors(obs.covariates), probs[-1])
+
+    def test_same_fit_at_one_and_two_blas_threads(self):
+        """The paper-scale fit (8834 couples drawn from the published model,
+        p = 10, beta = 45, two iterations with an I-step at the second) in
+        child processes with one and two OpenBLAS threads: trace, beta,
+        gamma and rates hash alike. Sums over the couples must not go
+        through BLAS, whose split of a long inner dimension, and with it the
+        rounding, follows the thread count."""
+        root = Path(__file__).resolve().parent.parent
+        script = textwrap.dedent(f"""
+            import hashlib
+            import numpy as np
+            from miph import dataio, estimation
+
+            model = dataio.load_model({str(root / "demos" / "models" / "spousal_reference.json")!r})
+
+            def sampler(rng, size):
+                ages = rng.uniform(60.0, 75.0, size=(size, 2)) / dataio.TIME_SCALE
+                return dataio.standard_design(ages[:, 0], ages[:, 1])
+
+            obs = dataio.generate_synthetic(model, sampler, 0.6, 8834, 8834)
+            report = estimation.fit(obs, estimation.FitConfig(
+                p=10, i_step_every=2, beta_init=45.0, max_iterations=2))
+            digest = hashlib.sha256()
+            for values in (report.loglik_trace,
+                           [m.transform.beta for m in report.model.margins],
+                           report.model.gamma,
+                           [m.sub.matrix for m in report.model.margins]):
+                digest.update(np.ascontiguousarray(values, dtype=float).tobytes())
+            print(digest.hexdigest())
+        """)
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+                [str(root / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+            run = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                                 text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            digests.append(run.stdout.strip())
+        assert digests[0] == digests[1]
 
     @pytest.mark.parametrize("kwargs", [
         {"loglik_tolerance": -1.0}, {"loglik_tolerance": 0.0},
