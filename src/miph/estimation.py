@@ -7,9 +7,8 @@ covariates. One EM iteration maps one model to the next by four steps:
   (Z) and transition/exit counts (N) given the current parameters, on the
   operational time scale. Censored margins contribute survival kernels,
   uncensored margins density kernels; all occupation/transition integrals
-  reduce to one Fréchet derivative of exp(T x) per (observation, margin),
-  computed on p x p matrices, because the integrand's middle factor is rank
-  one.
+  reduce to one sum of Fréchet derivatives of exp(T x) per margin, computed
+  on p x p matrices, because the integrand's middle factor is rank one.
 * R: weighted multinomial-logistic regression of the B-weights on the
   covariates (softmax link, state 0 is the zero reference row), by damped
   Newton iteration that stops once the Newton decrement falls to the
@@ -311,14 +310,17 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     margins. U is the Fréchet derivative L(T_i x_mi, v c' x_mi) of the
     exponential, the upper-right block of exp([[T_i, v c'], [0, T_i]] x_mi)
     (Van Loan's block form); linearity in the middle factor collapses the
-    per-state integrals into one. :func:`linalg.expm_frechet_batch` takes
-    T_i, the times and the factors v, c, so no (n, p, p) stack is built,
-    and scales each row like that 2p x 2p block, so large weights c lose
-    occupancy (ROADMAP E1) and its exp(T x) cannot stand in for the
-    evidence. The evidence rows come from :func:`_evidence`, and the
-    absorption counts ``t * sum_m c_m' exp(T_i x_m)`` over the deaths from
-    :meth:`linalg.TaylorExpm.left_sum` on the same exponentials, which are
-    dropped before the first U is taken.
+    per-state integrals into one, and only their sum S_i over m is read:
+    z_i = diag(S_i), and the transitions are T_i * S_i' off the diagonal.
+    The evidence rows come from :func:`_evidence`; on the same
+    exponentials, :meth:`linalg.TaylorExpm.left_sum` gives the absorption
+    counts ``t * sum_m c_m' exp(T_i x_m)`` over the deaths, and
+    :meth:`linalg.TaylorExpm.frechet_sum` the part of S_i over the rows it
+    does not square, once for the deaths and once for the censorings.
+    The exponentials are then dropped, and
+    :func:`linalg.expm_frechet_batch` adds the squared rows. It scales each
+    of them like that 2p x 2p block, so a squared row with large weights c
+    loses occupancy (ROADMAP E1).
 
     ``log_evidence`` is the sum of log ``denom``, the couples' likelihoods on
     the operational scale. A row whose ``denom`` is exactly 0 in double
@@ -344,10 +346,9 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     _require_rows(denom > 0.0, "evidence underflowed to 0")
     b = d * w / denom[:, None]
 
-    z = np.zeros((d, p))
-    n_trans = np.zeros((d, p, p))
+    sums = np.zeros((d, p, p))  # S_i = sum_m L(T_i x_mi, x_mi v c')
     n_exit = np.zeros((d, p))
-    directions = []
+    squared = []
     for i, sub in enumerate(subs):
         # posterior over the start state given the *other* margins
         c = per_obs_pi.copy()
@@ -364,14 +365,16 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
         _require_rows(np.isfinite(bound), f"margin {i}: posterior weights overflowed")
         if np.any(died):
             n_exit[i] = sub.exit_rates * exps[i].left_sum(c[died], died)
-        directions.append((v, c))
+        sums[i] = (exps[i].frechet_sum(sub.exit_rates, x[died, i], c[died], died)
+                   + exps[i].frechet_sum(np.ones(p), x[~died, i], c[~died], ~died))
+        sq = exps[i].scaling[exps[i].index] > 0  # every index is a row: denom > 0
+        squared.append((sq, v[sq], c[sq]))
     del exps
-    offdiag = ~np.eye(p, dtype=bool)
-    for i, (sub, (v, c)) in enumerate(zip(subs, directions)):
-        integral = expm_frechet_batch(sub.matrix, x[:, i], v, c)  # (n, p, p)
-        z[i] = np.einsum("mkk->k", integral)
-        n_trans[i] = np.where(offdiag, sub.matrix * integral.sum(axis=0).T, 0.0)
-        del integral
+    for i, (sub, (sq, v, c)) in enumerate(zip(subs, squared)):
+        sums[i] += expm_frechet_batch(sub.matrix, x[sq, i], v, c).sum(axis=0)
+    z = np.einsum("ikk->ik", sums)
+    rates = np.array([sub.matrix for sub in subs])
+    n_trans = np.where(~np.eye(p, dtype=bool), rates * sums.transpose(0, 2, 1), 0.0)
     # round tiny negatives from the Taylor and Padé approximants up to zero
     return SufficientStats(*(np.clip(v, 0.0, None) for v in (b, z, n_trans, n_exit)),
                            float(np.log(denom).sum()))
@@ -582,8 +585,8 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init):
     counts as -inf and is rejected; at the incumbent such a row raises
     :class:`NumericalError`. The step never lowers the likelihood.
 
-    Returns ``(betas, loglik)``: ``betas = exp(theta)`` at the last accepted
-    point (the incumbent if none was) and the log-likelihood evaluated there.
+    Returns ``betas = exp(theta)`` at the last accepted point, or the
+    incumbent if none was.
     """
     betas_init = _as_betas(betas_init, obs.n_margins)
     per_obs_pi = np.asarray(per_obs_pi, dtype=float)
@@ -626,7 +629,7 @@ def i_step(obs: ObservationSet, per_obs_pi, subs, betas_init):
             step *= 0.5
         if not accepted:
             break
-    return np.exp(theta), cur
+    return np.exp(theta)
 
 
 def _initial_sub_intensities(obs, mask, betas, rng):
@@ -669,7 +672,7 @@ def _em_step(obs: ObservationSet, model: MIPHModel, mask, run_i_step: bool):
     gamma, per_obs_pi = r_step(stats.b, obs.covariates, model.gamma)
     subs = m_step(stats, mask)
     if run_i_step:
-        betas, _ = i_step(obs, per_obs_pi, subs, betas)
+        betas = i_step(obs, per_obs_pi, subs, betas)
     return MIPHModel(margins=tuple(Margin(sub, GompertzTransform(float(beta)))
                                    for sub, beta in zip(subs, betas)), gamma=gamma), value
 

@@ -6,16 +6,18 @@ Fréchet derivative, are implemented here since the fitting loop
 exponentiates thousands of small matrices per iteration.
 
 The exponential returns no stack of matrices: callers need exp(x T) times a
-few vectors, or a weighted sum of its rows, and for the x it does not square
-both come from the shared powers of T and each x's Taylor weights
-(:class:`TaylorExpm`).
+few vectors, a weighted sum of its rows, or a sum of its Fréchet derivatives
+in rank-one directions, and for the x it does not square all three come from
+the shared powers of T and each x's Taylor weights (:class:`TaylorExpm`).
 
-The Fréchet kernel is row-wise, with a Padé solve per pair (x T, x v c').
-So it cuts its rows into blocks of at most ``_BLOCK_ENTRIES`` matrix
-entries, each building its own pairs, which stay in cache, and runs them on
-a thread pool opened for that call and joined before it returns (numpy
-releases the GIL in ``matmul`` and the ``linalg`` gufuncs). Rows of one
-block run inline. The split changes no bit of the result.
+The Fréchet kernel serves the squared rows. It is row-wise, with a Padé
+solve per pair (x T, x v c') scaled by the pair's block norm, so a large
+direction sets the scaling of these rows alone. It cuts its rows into
+blocks of at most ``_BLOCK_ENTRIES`` matrix entries, each building its own
+pairs, which stay in cache, and runs them on a thread pool opened for that
+call and joined before it returns (numpy releases the GIL in ``matmul`` and
+the ``linalg`` gufuncs). Rows of one block run inline. The split changes no
+bit of the result.
 """
 
 from __future__ import annotations
@@ -205,6 +207,31 @@ class TaylorExpm:
         slot = np.cumsum(self.scaling > 0) - 1
         return total + np.einsum("mj,mjl->l", c[~plain], self.squared[slot[rows[~plain]]])
 
+    def frechet_sum(self, v, x, c, entries) -> np.ndarray:
+        """``sum_j L(x[j] t, x[j] v c[j]')``, (p, p), over the entries selected
+        by ``entries`` whose row has s = 0, with one scalar ``x[j]`` (its
+        row's) and one (p,) row ``c[j]`` each, a shared (p,) ``v`` and ``L``
+        as in :func:`expm_frechet_batch`; squared rows and index -1 add nothing.
+
+        The derivative of the Taylor polynomial, ``sum_k (1/k!) sum_{j<k}
+        (T**j v)(q_k' T**(k-1-j))`` with ``q_k = sum_m x_m h_m**(k-1) c_m``
+        and ``h = x |t|_1``: one (n x 18) (n x p) ``einsum`` of the weights
+        and c-rows (no GEMM over n, as in :meth:`left_sum`), then Horner on
+        T. The degree-1 term is formed from x, so t = 0 gives x v c' exactly.
+        """
+        rows = self.index[entries]
+        plain = rows >= 0
+        plain[plain] = self.scaling[rows[plain]] == 0
+        x = np.asarray(x, dtype=float)[plain]
+        a = np.empty((x.size, _TAYLOR_DEGREE))
+        a[:, 0] = x
+        a[:, 1:] = x[:, None] * self.weights[rows[plain], :-1] / np.arange(2, _TAYLOR_DEGREE + 1)
+        q = np.einsum("mk,mj->kj", a, np.asarray(c, dtype=float)[plain])
+        for k in range(_TAYLOR_DEGREE - 2, -1, -1):  # q_k <- sum_{i >= k} q_i' T**(i-k)
+            q[k] += q[k + 1] @ self.powers[0]
+        v = np.asarray(v, dtype=float)
+        return np.outer(v, q[0]) + np.einsum("kj,kl->jl", self.powers[:-1] @ v, q[1:])
+
 
 def expm_batch(t, xs) -> TaylorExpm:
     """Matrix exponential of one square matrix at many scalar multiples.
@@ -221,8 +248,9 @@ def expm_batch(t, xs) -> TaylorExpm:
     TaylorExpm
         ``exp(xs[i] * t)`` for each scalar, as the products
         ``exp(xs[i] t) @ v`` (:meth:`TaylorExpm.times`; ``v`` the identity
-        gives the (n, p, p) matrices) and the sums
-        ``sum_j c[j]' exp(xs[j] t)`` (:meth:`TaylorExpm.left_sum`).
+        gives the (n, p, p) matrices), the sums ``sum_j c[j]' exp(xs[j] t)``
+        (:meth:`TaylorExpm.left_sum`) and, over the unsquared rows, the sums
+        of Fréchet derivatives (:meth:`TaylorExpm.frechet_sum`).
 
     Notes
     -----
@@ -312,7 +340,9 @@ def expm_frechet_batch(t, xs, v, c) -> np.ndarray:
     and the squaring loop ``L <- R L + L R, R <- R R`` act on ``[R | L]``
     as on the block matrix [[R, L], [0, R]]. Each pair is scaled by the
     1-norm of that 2p x 2p block; ``exp(x t)``, the block's other half, is
-    not returned, since a large direction sets its scaling too. A zero pair
+    not returned, since a large direction sets its scaling too. The E-step
+    runs it on the rows :func:`expm_batch` squares alone, and takes the
+    others from :meth:`TaylorExpm.frechet_sum`, scaled by x |t|_1. A zero pair
     maps to the exact 0. A pair whose block norm is not finite, from a
     non-finite input or an overflowing ``x v c'``, raises ValueError.
     """

@@ -7,17 +7,18 @@ same exponentials, carriers of shared Taylor powers and per-x weights that
 hold p x p matrices for squared rows alone. One evidence helper takes
 them for the E-step, the value pass and the EM start. Each E-step, value
 pass and I-step evaluation takes its own: they share x bit for bit, but no
-exponentials pass from one step to the next. The only other
-matrix exponential is the Fréchet derivative that gives the E-step's
-occupancy integrals. Its kernel takes the E-step's shape, one T, the times
-and the factors of the rank-one directions, builds each row block's pairs
-itself, so no (n, p, p) input stack is formed, and returns the derivative
-alone. Until ROADMAP E1 the posterior weights set that derivative's
-scaling, so the exp(T x) it carries cannot stand in: on general structures
-it is 8.8e-5 off at weights near 4e10, and with one couple censored at 600
-times the mean a margin's occupancies sum to 99.3 where its operational
-times sum to 304.8. The exponential takes the powers of one T per call and
-runs no row blocks. One Padé-13 table serves the Fréchet kernel alone, read in its
+exponentials pass from one step to the next. The E-step's occupancy
+integrals over the rows a carrier does not square are its Fréchet sums,
+from the same powers and weights. The only other matrix exponential is the
+Fréchet derivative of the squared rows. Its kernel takes the E-step's
+shape, one T, the times and the factors of the rank-one directions,
+builds each row block's pairs itself, so no (n, p, p) input stack is
+formed, and returns the derivative alone. Until ROADMAP E1 the posterior
+weights set that derivative's scaling, so the exp(T x) it carries cannot
+stand in: on general structures it is 8.8e-5 off at weights near 4e10, and
+with one couple censored at 600 times the mean a margin's occupancies sum
+to 99.3 where its operational times sum to 304.8. The exponential takes
+the powers of one T per call and runs no row blocks. One Padé-13 table serves the Fréchet kernel alone, read in its
 per-block kernel. `linalg` exports these two exponential kernels alone,
 as the package's linear systems go to numpy's solve. `linalg` alone starts
 threads, on a pool that each Fréchet call opens and joins; no module keeps
@@ -101,7 +102,11 @@ def test_linalg_exports_the_two_exponential_kernels_alone():
 
 
 def test_expm_batch_call_sites():
+    """The E-step alone takes occupancy integrals: the carriers' sums over
+    the rows they do not square, once for the deaths and once for the
+    censorings, and the Fréchet kernel on the squared rows."""
     assert _call_sites("expm_batch") == [("phasetype", "_exponentials")]
+    assert _call_sites("frechet_sum") == [("estimation", "e_step")] * 2
     assert _call_sites("expm_frechet_batch") == [("estimation", "e_step")]
 
 

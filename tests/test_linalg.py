@@ -548,6 +548,90 @@ class TestExpmFrechetBatch:
             expm_frechet_batch(t * 1e300, xs * 1e10, np.ones((3, 3)), np.ones((3, 3)))
 
 
+def mpmath_frechet(t, x, v, c):
+    """``L(x t, x v c')`` at 40 digits, the upper-right block of the
+    exponential of [[t, v c'], [0, t]] x, rounded to float64."""
+    mp.mp.dps = 40
+    p = t.shape[0]
+    block = np.zeros((2 * p, 2 * p), dtype=object)
+    block[:p, :p] = block[p:, p:] = t
+    block[:p, p:] = np.outer(v, c)
+    exact = mp.expm(mp.matrix(block.tolist()) * mp.mpf(x))
+    return np.array(exact.tolist(), dtype=float)[:p, p:]
+
+
+class TestFrechetSum:
+    """``TaylorExpm.frechet_sum``, the E-step's occupancy sum over the rows
+    it does not square: the Fréchet kernel's rows summed where the kernel's
+    block-norm scaling leaves them unscaled, mpmath at the theta_18 edge,
+    and the trace identity tr L(x t, x v c') = x c' exp(x t) v where the
+    kernel's scaling misses it."""
+
+    @pytest.mark.parametrize("structure", ["coxian", "general"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
+    def test_matches_the_kernel_on_well_scaled_rows(self, structure, p):
+        # about half the rows squared, and entries reading no row (index
+        # -1): neither adds to the sum
+        rng = np.random.default_rng(163 + p)
+        t = random_sub_intensity(transition_mask(structure, p), rng).matrix
+        n = 40
+        xs = rng.uniform(0.0, 2.0, size=n) * linalg._THETA18 / np.abs(t).sum(axis=0).max()
+        exps = dataclasses.replace(expm_batch(t, xs), index=np.r_[np.arange(n), -1, -1])
+        xs = np.r_[xs, 1.0, np.inf]
+        c = rng.uniform(0.0, 1.0, size=(n + 2, p))
+        plain = np.r_[squarings(t, xs[:n]) == 0, False, False]
+        for v in (-t.sum(axis=1), np.ones(p)):
+            block = (np.abs(t).sum(axis=0) + np.abs(v).sum() * c[:n]).max(axis=1) * xs[:n]
+            unscaled = plain & np.r_[linalg._scaling_power(block, linalg._THETA13) == 0, False, False]
+            assert unscaled.sum() >= n // 4
+            entries = unscaled | ~plain
+            got = exps.frechet_sum(v, xs[entries], c[entries], entries)
+            want = expm_frechet_batch(t, xs[unscaled], np.tile(v, (unscaled.sum(), 1)),
+                                      c[unscaled]).sum(axis=0)
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    @pytest.mark.parametrize("diag, superdiag", [(DIAG_1, SUPER_1),
+                                                 (DIAG_2, SUPER_2)])
+    def test_stiff_reference_chains_at_the_edge(self, diag, superdiag):
+        t = chain_matrix(diag, superdiag)
+        xs = np.array([1.0 - 1e-12, 1.0 + 1e-12]) * linalg._THETA18 / np.abs(t).sum(axis=0).max()
+        np.testing.assert_array_equal(squarings(t, xs), [0, 1])
+        c = np.random.default_rng(167).uniform(0.1, 1.0, size=(2, 10))
+        for v in (-t.sum(axis=1), np.ones(10)):
+            got = expm_batch(t, xs).frechet_sum(v, xs, c, np.ones(2, dtype=bool))
+            want = mpmath_frechet(t, xs[0], v, c[0])
+            assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+
+    @pytest.mark.parametrize("structure", ["coxian", "general"])
+    @pytest.mark.parametrize("p", [3, 10])
+    def test_trace_identity_at_huge_weights(self, structure, p):
+        """Posterior weights c from 1 to 1e80, one row per sum. The
+        block-norm kernel scales these rows by c: from c near 1e40 on its
+        trace is 0, a relative error of -1."""
+        rng = np.random.default_rng(173 + p)
+        t = random_sub_intensity(transition_mask(structure, p), rng).matrix
+        n = 17
+        xs = rng.uniform(0.05, 1.0, size=n) * linalg._THETA18 / np.abs(t).sum(axis=0).max()
+        c = rng.uniform(0.1, 1.0, size=(n, p)) * 10.0 ** np.linspace(0.0, 80.0, n)[:, None]
+        exps = expm_batch(t, xs)
+        for v in (-t.sum(axis=1), np.ones(p)):
+            want = xs * np.einsum("mj,mj->m", c, exps.times(v[:, None])[..., 0])
+            got = [np.trace(exps.frechet_sum(v, xs[m:m + 1], c[m:m + 1], np.arange(n) == m))
+                   for m in range(n)]
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+
+    def test_exact_at_zero_matrix_and_zero_time(self):
+        v, c = np.array([1.0, 2.0, 3.0]), np.array([[0.25, 4.0, 1.0]])
+        one = np.ones(1, dtype=bool)
+        got = expm_batch(np.zeros((3, 3)), [0.5]).frechet_sum(v, [0.5], c, one)
+        np.testing.assert_array_equal(got, 0.5 * np.outer(v, c[0]))
+        t = random_chain(np.random.default_rng(179), 3).matrix
+        np.testing.assert_array_equal(expm_batch(t, [0.0]).frechet_sum(v, [0.0], c, one),
+                                      np.zeros((3, 3)))
+        np.testing.assert_array_equal(
+            expm_batch(t, [0.5]).frechet_sum(v, [], c[:0], ~one), np.zeros((3, 3)))
+
+
 class TestFrozenKernel:
     """The kernel that builds its pairs block by block equals the frozen
     two-stack kernel, run as one block on the same pairs, bit for bit: on
