@@ -4,26 +4,27 @@ Every exp(T x) is taken in `phasetype._exponentials`, once per distinct x,
 and every factor ``e_j' exp(T x) v`` comes from `phasetype._exp_factors`,
 the E-step's evidence included; the E-step's absorption counts contract the
 same exponentials, carriers of shared Taylor powers and per-x weights that
-hold p x p matrices for squared rows alone. One evidence helper takes
-them for the E-step, the value pass and the EM start. Each E-step, value
-pass and I-step evaluation takes its own: they share x bit for bit, but no
+hold p x p matrices for squared rows alone. One evidence helper takes them
+for the E-step, the value pass and the EM start. Each E-step, value pass
+and I-step evaluation takes its own: they share x bit for bit, but no
 exponentials pass from one step to the next. The E-step's occupancy
 integrals over the rows a carrier does not square are its Fréchet sums,
 from the same powers and weights. The only other matrix exponential is the
 Fréchet derivative of the squared rows. Its kernel takes the E-step's
-shape, one T, the times and the factors of the rank-one directions,
-builds each row block's pairs itself, so no (n, p, p) input stack is
-formed, and returns the derivative alone. Until ROADMAP E1 the posterior
-weights set that derivative's scaling, so the exp(T x) it carries cannot
-stand in: on general structures it is 8.8e-5 off at weights near 4e10, and
-with one couple censored at 600 times the mean a margin's occupancies sum
-to 99.3 where its operational times sum to 304.8. The exponential takes
-the powers of one T per call and runs no row blocks. One Padé-13 table serves the Fréchet kernel alone, read in its
-per-block kernel. `linalg` exports these two exponential kernels alone,
-as the package's linear systems go to numpy's solve. `linalg` alone starts
-threads, on a pool that each Fréchet call opens and joins; no module keeps
-state in a ``global`` or hooks ``fork``. No module imports scipy, so
-matrix exponentials never come from it.
+shape, one T, the times and the factors of the rank-one directions, builds
+each row block's pairs itself, so no (n, p, p) input stack is formed, and
+returns the derivative alone. Until ROADMAP E1 the posterior weights set
+that derivative's scaling, so the exp(T x) it carries cannot stand in: on
+general structures it is 8.8e-5 off at weights near 4e10, and with one
+couple censored at 600 times the mean a margin's occupancies sum to 99.3
+where its operational times sum to 304.8. The exponential takes the powers
+of one T per call and runs no row blocks. One Padé-13 table serves the
+Fréchet kernel alone, read in its per-block kernel. `linalg` exports these
+two exponential kernels alone, as the package's linear systems go to
+numpy's solve. `linalg` alone starts threads, on a pool that each Fréchet
+call opens and joins; no module keeps state in a ``global`` or hooks
+``fork``. No module imports scipy, so matrix exponentials never come from
+it.
 One EM iteration is `estimation._em_step`, a map from one model to the
 next: it alone runs the E-, R-, M- and I-steps, `fit` alone calls it, and
 `fit` carries nothing else from one iteration to the next. The E-step

@@ -582,7 +582,8 @@ class TestFrechetSum:
         plain = np.r_[squarings(t, xs[:n]) == 0, False, False]
         for v in (-t.sum(axis=1), np.ones(p)):
             block = (np.abs(t).sum(axis=0) + np.abs(v).sum() * c[:n]).max(axis=1) * xs[:n]
-            unscaled = plain & np.r_[linalg._scaling_power(block, linalg._THETA13) == 0, False, False]
+            unscaled = plain.copy()
+            unscaled[:n] &= linalg._scaling_power(block, linalg._THETA13) == 0
             assert unscaled.sum() >= n // 4
             entries = unscaled | ~plain
             got = exps.frechet_sum(v, xs[entries], c[entries], entries)
