@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import NumericalError
-from .linalg import expm_frechet_batch
+from .linalg import _frechet_rows
 from .model import Margin, MIPHModel, _softmax
 from .phasetype import (
     GompertzTransform,
@@ -316,10 +316,12 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
     exponentials, :meth:`linalg.TaylorExpm.left_sum` gives the absorption
     counts ``t * sum_m c_m' exp(T_i x_m)`` over the deaths, and
     :meth:`linalg.TaylorExpm.frechet_sum` the part of S_i over the rows it
-    does not square, once for the deaths and once for the censorings.
-    The exponentials are then dropped, and
-    :func:`linalg.expm_frechet_batch` adds the squared rows. It scales each
-    of them like that 2p x 2p block, so a squared row with large weights c
+    does not square. Both Fréchet kernels take v as ``vs[kind]`` with
+    ``vs = [1, t]`` and ``kind = died``, the rule by which
+    :func:`phasetype._exp_factors` picks its columns, so no (n, p) array of
+    directions is formed. The exponentials are then dropped, and
+    :func:`linalg._frechet_rows` adds the squared rows. It scales each of
+    them like that 2p x 2p block, so a squared row with large weights c
     loses occupancy (ROADMAP E1).
 
     ``log_evidence`` is the sum of log ``denom``, the couples' likelihoods on
@@ -356,22 +358,22 @@ def e_step(x, delta, per_obs_pi, subs) -> SufficientStats:
             if l != i:
                 c *= evidence[l]
         died = delta[:, i].astype(bool)
-        v = np.where(died[:, None], sub.exit_rates, np.ones(p))
+        # entry m's direction is vs[kind[m]], as _exp_factors picks its columns
+        vs, kind = np.array([np.ones(p), sub.exit_rates]), died.astype(np.intp)
 
         # v, c, x >= 0 and rounding is monotone, so v c' x overflows where its top entry does
         with np.errstate(over="ignore", invalid="ignore"):
             c /= denom[:, None]
-            bound = v.max(axis=1) * c.max(axis=1) * x[:, i]
+            bound = vs.max(axis=1)[kind] * c.max(axis=1) * x[:, i]
         _require_rows(np.isfinite(bound), f"margin {i}: posterior weights overflowed")
         if np.any(died):
             n_exit[i] = sub.exit_rates * exps[i].left_sum(c[died], died)
-        sums[i] = (exps[i].frechet_sum(sub.exit_rates, x[died, i], c[died], died)
-                   + exps[i].frechet_sum(np.ones(p), x[~died, i], c[~died], ~died))
+        sums[i] = exps[i].frechet_sum(vs, kind, x[:, i], c)
         sq = exps[i].scaling[exps[i].index] > 0  # every index is a row: denom > 0
-        squared.append((sq, v[sq], c[sq]))
+        squared.append((sq, vs, kind[sq], c[sq]))
     del exps
-    for i, (sub, (sq, v, c)) in enumerate(zip(subs, squared)):
-        sums[i] += expm_frechet_batch(sub.matrix, x[sq, i], v, c).sum(axis=0)
+    for i, (sub, (sq, vs, kind, c)) in enumerate(zip(subs, squared)):
+        sums[i] += _frechet_rows(sub.matrix, x[sq, i], vs, kind, c).sum(axis=0)
     z = np.einsum("ikk->ik", sums)
     rates = np.array([sub.matrix for sub in subs])
     n_trans = np.where(~np.eye(p, dtype=bool), rates * sums.transpose(0, 2, 1), 0.0)

@@ -3,14 +3,18 @@
 Matrices are plain float64 ``numpy.ndarray`` objects (row-major). The
 kernels numpy lacks, exp(x T) for one T at many scalars x and a *batched*
 Fréchet derivative, are implemented here since the fitting loop
-exponentiates thousands of small matrices per iteration.
+exponentiates thousands of small matrices per iteration. The exponential,
+:func:`expm_batch`, is the module's one export.
 
 The exponential returns no stack of matrices: callers need exp(x T) times a
 few vectors, a weighted sum of its rows, or a sum of its Fréchet derivatives
 in rank-one directions, and for the x it does not square all three come from
 the shared powers of T and each x's Taylor weights (:class:`TaylorExpm`).
 
-The Fréchet kernel serves the squared rows. It is row-wise, with a Padé
+Both Fréchet kernels take their rank-one directions by one rule: a (q, p)
+table ``vs`` of directions and each entry's number ``kind`` into it, the
+E-step's ``vs = [1, t]`` and ``kind = died``. The private row kernel,
+:func:`_frechet_rows`, serves the squared rows. It is row-wise, with a Padé
 solve per pair (x T, x v c') scaled by the pair's block norm, so a large
 direction sets the scaling of these rows alone. It cuts its rows into
 blocks of at most ``_BLOCK_ENTRIES`` matrix entries, each building its own
@@ -22,16 +26,14 @@ bit of the result.
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = [
-    "expm_batch",
-    "expm_frechet_batch",
-]
+__all__ = ["expm_batch"]
 
 
 # Padé-13 coefficients and the 1-norm threshold above which scaling kicks in
@@ -207,30 +209,37 @@ class TaylorExpm:
         slot = np.cumsum(self.scaling > 0) - 1
         return total + np.einsum("mj,mjl->l", c[~plain], self.squared[slot[rows[~plain]]])
 
-    def frechet_sum(self, v, x, c, entries) -> np.ndarray:
-        """``sum_j L(x[j] t, x[j] v c[j]')``, (p, p), over the entries selected
-        by ``entries`` whose row has s = 0, with one scalar ``x[j]`` (its
-        row's) and one (p,) row ``c[j]`` each, a shared (p,) ``v`` and ``L``
-        as in :func:`expm_frechet_batch`; squared rows and index -1 add nothing.
+    def frechet_sum(self, vs, kind, x, c) -> np.ndarray:
+        """``sum_j L(x[j] t, x[j] vs[kind[j]] c[j]')``, (p, p), over the
+        entries whose row has s = 0, with one scalar ``x[j]`` (its row's),
+        one (p,) row ``c[j]`` and one direction number ``kind[j]`` into the
+        (q, p) ``vs`` each, and ``L`` as in :func:`_frechet_rows`; squared
+        rows and index -1 add nothing.
 
-        The derivative of the Taylor polynomial, ``sum_k (1/k!) sum_{j<k}
-        (T**j v)(q_k' T**(k-1-j))`` with ``q_k = sum_m x_m h_m**(k-1) c_m``
-        and ``h = x |t|_1``: one (n x 18) (n x p) ``einsum`` of the weights
-        and c-rows (no GEMM over n, as in :meth:`left_sum`), then Horner on
-        T. The degree-1 term is formed from x, so t = 0 gives x v c' exactly.
+        Per direction v, the derivative of the Taylor polynomial, ``sum_k
+        (1/k!) sum_{j<k} (T**j v)(q_k' T**(k-1-j))`` with ``q_k = sum_m x_m
+        h_m**(k-1) c_m`` over that direction's entries and ``h = x |t|_1``:
+        one (n x 18) (n x p) ``einsum`` of the weights and c-rows (no GEMM
+        over n, as in :meth:`left_sum`), then Horner on T. The degree-1 term
+        is formed from x, so t = 0 gives x v c' exactly.
         """
-        rows = self.index[entries]
-        plain = rows >= 0
-        plain[plain] = self.scaling[rows[plain]] == 0
-        x = np.asarray(x, dtype=float)[plain]
-        a = np.empty((x.size, _TAYLOR_DEGREE))
-        a[:, 0] = x
-        a[:, 1:] = x[:, None] * self.weights[rows[plain], :-1] / np.arange(2, _TAYLOR_DEGREE + 1)
-        q = np.einsum("mk,mj->kj", a, np.asarray(c, dtype=float)[plain])
-        for k in range(_TAYLOR_DEGREE - 2, -1, -1):  # q_k <- sum_{i >= k} q_i' T**(i-k)
-            q[k] += q[k + 1] @ self.powers[0]
-        v = np.asarray(v, dtype=float)
-        return np.outer(v, q[0]) + np.einsum("kj,kl->jl", self.powers[:-1] @ v, q[1:])
+        kind = np.asarray(kind)
+        x, c = np.asarray(x, dtype=float), np.asarray(c, dtype=float)
+        plain = self.index >= 0
+        plain[plain] = self.scaling[self.index[plain]] == 0
+        sums = []
+        for k, v in enumerate(np.asarray(vs, dtype=float)):
+            use = plain & (kind == k)
+            xk = x[use]
+            a = np.empty((xk.size, _TAYLOR_DEGREE))
+            a[:, 0] = xk
+            w = self.weights[self.index[use], :-1]
+            a[:, 1:] = xk[:, None] * w / np.arange(2, _TAYLOR_DEGREE + 1)
+            q = np.einsum("mk,mj->kj", a, c[use])
+            for j in range(_TAYLOR_DEGREE - 2, -1, -1):  # q_j <- sum_{i >= j} q_i' T**(i-j)
+                q[j] += q[j + 1] @ self.powers[0]
+            sums.append(np.outer(v, q[0]) + np.einsum("kj,kl->jl", self.powers[:-1] @ v, q[1:]))
+        return functools.reduce(np.add, sums)
 
 
 def expm_batch(t, xs) -> TaylorExpm:
@@ -250,7 +259,8 @@ def expm_batch(t, xs) -> TaylorExpm:
         ``exp(xs[i] t) @ v`` (:meth:`TaylorExpm.times`; ``v`` the identity
         gives the (n, p, p) matrices), the sums ``sum_j c[j]' exp(xs[j] t)``
         (:meth:`TaylorExpm.left_sum`) and, over the unsquared rows, the sums
-        of Fréchet derivatives (:meth:`TaylorExpm.frechet_sum`).
+        of Fréchet derivatives in rank-one directions
+        (:meth:`TaylorExpm.frechet_sum`).
 
     Notes
     -----
@@ -312,28 +322,14 @@ def _expm_frechet_block(t, xs, v, c) -> np.ndarray:
     return _square(r, s, _block_mul)[..., p:]
 
 
-def expm_frechet_batch(t, xs, v, c) -> np.ndarray:
-    """Fréchet derivatives of the matrix exponential of one matrix at many
-    scalar multiples, each in a rank-one direction.
+def _frechet_rows(t, xs, vs, kind, c) -> np.ndarray:
+    """Fréchet derivatives of the matrix exponential of one (p, p) ``t`` at
+    the (n,) scalars ``xs``, each in a rank-one direction: the (n, p, p)
+    ``L(xs[i] t, xs[i] vs[kind[i]] c[i]')`` for the (q, p) directions ``vs``,
+    each row's direction number ``kind[i]`` and its (p,) row ``c[i]``, where
+    ``L(a, e) = integral_0^1 exp(a (1 - s)) e exp(a s) ds`` is the
+    upper-right block of ``exp([[a, e], [0, a]])``.
 
-    Parameters
-    ----------
-    t : (p, p) array_like
-        Square matrix.
-    xs : (n,) array_like
-        Scalars.
-    v, c : (n, p) array_like
-        Factors of the directions.
-
-    Returns
-    -------
-    (n, p, p) ndarray
-        ``L(xs[i] t, xs[i] v[i] c[i]')``, where ``L(a, e) = integral_0^1
-        exp(a (1 - s)) e exp(a s) ds`` is the upper-right block of
-        ``exp([[a, e], [0, a]])``.
-
-    Notes
-    -----
     Al-Mohy & Higham, "Computing the Fréchet derivative of the matrix
     exponential", SIAM J. Matrix Anal. Appl. 30 (2009), Alg. 6.4, batched
     and always at degree 13. It runs on p x p matrices: the Padé polynomial
@@ -342,22 +338,18 @@ def expm_frechet_batch(t, xs, v, c) -> np.ndarray:
     1-norm of that 2p x 2p block; ``exp(x t)``, the block's other half, is
     not returned, since a large direction sets its scaling too. The E-step
     runs it on the rows :func:`expm_batch` squares alone, and takes the
-    others from :meth:`TaylorExpm.frechet_sum`, scaled by x |t|_1. A zero pair
-    maps to the exact 0. A pair whose block norm is not finite, from a
-    non-finite input or an overflowing ``x v c'``, raises ValueError.
+    others from :meth:`TaylorExpm.frechet_sum`, scaled by x |t|_1, with the
+    same directions. A zero pair maps to the exact 0. A pair whose block
+    norm is not finite, from a non-finite input or an overflowing ``x v
+    c'``, raises ValueError.
     """
-    t, xs, v, c = (np.asarray(arg, dtype=float) for arg in (t, xs, v, c))
-    if (t.ndim != 2 or t.shape[0] != t.shape[1] or xs.ndim != 1
-            or v.shape != (xs.size, t.shape[0]) or c.shape != v.shape):
-        raise ValueError("expected a square matrix, 1-d scalars and two (n, p) factors, "
-                         f"got {t.shape}, {xs.shape}, {v.shape}, {c.shape}")
-    n, p = v.shape
+    n, p = c.shape
     rows = max(1, _BLOCK_ENTRIES // max(1, p * p))
     out = np.empty((n, p, p))
 
     def block(i):
         j = slice(i, i + rows)
-        out[j] = _expm_frechet_block(t, xs[j], v[j], c[j])
+        out[j] = _expm_frechet_block(t, xs[j], vs[kind[j]], c[j])
 
     if n <= rows:
         block(0)

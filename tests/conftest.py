@@ -160,10 +160,11 @@ def frozen_expm_batch(a):
 
 def frozen_expm_frechet_batch(a, e):
     """Fréchet derivatives ``L(a[i], e[i])`` for (n, p, p) stacks ``a`` and
-    ``e``: ``linalg.expm_frechet_batch`` as it was while it took two stacks
-    of unrelated matrices, kept verbatim and run as one block. The kernel
-    that builds its pairs ``x t`` and ``x v c'`` itself must match it bit for
-    bit until the Fréchet arithmetic is changed on purpose."""
+    ``e``: the Fréchet row kernel (now ``linalg._frechet_rows``) as it was
+    while it took two stacks of unrelated matrices, kept verbatim and run
+    as one block. The kernel that builds its pairs ``x t`` and ``x v c'``
+    itself must match it bit for bit until the Fréchet arithmetic is
+    changed on purpose."""
     b = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
          1187353796428800.0, 129060195264000.0, 10559470521600.0,
          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,

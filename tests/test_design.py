@@ -9,22 +9,23 @@ for the E-step, the value pass and the EM start. Each E-step, value pass
 and I-step evaluation takes its own: they share x bit for bit, but no
 exponentials pass from one step to the next. The E-step's occupancy
 integrals over the rows a carrier does not square are its Fréchet sums,
-from the same powers and weights. The only other matrix exponential is the
-Fréchet derivative of the squared rows. Its kernel takes the E-step's
-shape, one T, the times and the factors of the rank-one directions, builds
-each row block's pairs itself, so no (n, p, p) input stack is formed, and
+from the same powers and weights, one call per margin for every direction.
+The only other matrix exponential is the Fréchet derivative of the squared
+rows. Its kernel, private to `linalg`, takes the E-step's shape, one T, the
+times, the table of directions with each row's number into it and the
+posterior rows, the same direction rule as the carrier sums; it builds each
+row block's pairs itself, so no (n, p, p) input stack is formed, and
 returns the derivative alone. Until ROADMAP E1 the posterior weights set
 that derivative's scaling, so the exp(T x) it carries cannot stand in: on
 general structures it is 8.8e-5 off at weights near 4e10, and with one
 couple censored at 600 times the mean a margin's occupancies sum to 99.3
 where its operational times sum to 304.8. The exponential takes the powers
 of one T per call and runs no row blocks. One Padé-13 table serves the
-Fréchet kernel alone, read in its per-block kernel. `linalg` exports these
-two exponential kernels alone, as the package's linear systems go to
-numpy's solve. `linalg` alone starts threads, on a pool that each Fréchet
-call opens and joins; no module keeps state in a ``global`` or hooks
-``fork``. No module imports scipy, so matrix exponentials never come from
-it.
+Fréchet kernel alone, read in its per-block kernel. `linalg` exports the
+exponential alone, as the package's linear systems go to numpy's solve.
+`linalg` alone starts threads, on a pool that each Fréchet call opens and
+joins; no module keeps state in a ``global`` or hooks ``fork``. No module
+imports scipy, so matrix exponentials never come from it.
 One EM iteration is `estimation._em_step`, a map from one model to the
 next: it alone runs the E-, R-, M- and I-steps, `fit` alone calls it, and
 `fit` carries nothing else from one iteration to the next. The E-step
@@ -95,20 +96,20 @@ def _call_sites(name):
     return sorted(sites)
 
 
-def test_linalg_exports_the_two_exponential_kernels_alone():
-    """`linalg` holds the kernels numpy lacks; the package's linear systems
-    go to ``np.linalg.solve`` directly."""
-    assert importlib.import_module("miph.linalg").__all__ == [
-        "expm_batch", "expm_frechet_batch"]
+def test_linalg_exports_the_exponential_alone():
+    """`linalg` holds the kernels numpy lacks and exports the exponential
+    alone; the Fréchet row kernel is private to the E-step, and the
+    package's linear systems go to ``np.linalg.solve`` directly."""
+    assert importlib.import_module("miph.linalg").__all__ == ["expm_batch"]
 
 
 def test_expm_batch_call_sites():
-    """The E-step alone takes occupancy integrals: the carriers' sums over
-    the rows they do not square, once for the deaths and once for the
-    censorings, and the Fréchet kernel on the squared rows."""
+    """The E-step alone takes occupancy integrals: one carrier sum per
+    margin over the rows it does not square, every direction in one call,
+    and the Fréchet row kernel on the squared rows."""
     assert _call_sites("expm_batch") == [("phasetype", "_exponentials")]
-    assert _call_sites("frechet_sum") == [("estimation", "e_step")] * 2
-    assert _call_sites("expm_frechet_batch") == [("estimation", "e_step")]
+    assert _call_sites("frechet_sum") == [("estimation", "e_step")]
+    assert _call_sites("_frechet_rows") == [("estimation", "e_step")]
 
 
 def test_exponentials_call_sites():
@@ -160,7 +161,7 @@ def test_expm_batch_runs_no_row_blocks():
     """The exponential is one stack of products against shared powers, which
     BLAS runs; only the per-row Fréchet kernel cuts its rows into blocks, on
     the one pool the package opens."""
-    assert _call_sites("ThreadPoolExecutor") == [("linalg", "expm_frechet_batch")]
+    assert _call_sites("ThreadPoolExecutor") == [("linalg", "_frechet_rows")]
 
 
 def test_one_pade_table_behind_the_frechet_kernel_only():

@@ -438,23 +438,24 @@ class TestEStep:
 
     def test_kernel_takes_the_squared_entries_alone(self, monkeypatch):
         """The Padé Fréchet kernel gets each margin's entries whose carrier
-        row is squared, in entry order, with their own directions; the
-        other rows' occupancies come from ``TaylorExpm.frechet_sum``."""
+        row is squared, in entry order, with the directions ``[1, t]`` and
+        each entry's death indicator as its direction number; the other
+        rows' occupancies come from ``TaylorExpm.frechet_sum``."""
         x, delta, pi_rows, subs = self._mostly_unsquared(n=2000, p=4)
         calls = []
-        monkeypatch.setattr(estimation, "expm_frechet_batch",
-                            lambda *args: calls.append(args) or linalg.expm_frechet_batch(*args))
+        monkeypatch.setattr(estimation, "_frechet_rows",
+                            lambda *args: calls.append(args) or linalg._frechet_rows(*args))
         stats = e_step(x, delta, pi_rows, subs)
         assert len(calls) == 2
-        for i, (sub, (t, xs, v, c)) in enumerate(zip(subs, calls)):
+        for i, (sub, (t, xs, vs, kind, c)) in enumerate(zip(subs, calls)):
             exps = phasetype._exponentials(sub, x[:, i])
             squared = exps.scaling[exps.index] > 0
             assert 0 < squared.sum() <= 0.1 * len(x)
             np.testing.assert_array_equal(t, sub.matrix)
             np.testing.assert_array_equal(xs, x[squared, i])
-            np.testing.assert_array_equal(
-                v, np.where(delta[squared, i, None] == 1, sub.exit_rates, 1.0))
-            assert c.shape == v.shape
+            np.testing.assert_array_equal(vs, [np.ones(4), sub.exit_rates])
+            np.testing.assert_array_equal(kind, delta[squared, i])
+            assert c.shape == (squared.sum(), 4)
         np.testing.assert_allclose(stats.z.sum(axis=1), x.sum(axis=0), rtol=1e-12)
 
     def test_unsquared_rows_build_no_stacks(self, monkeypatch):
@@ -1410,11 +1411,13 @@ class TestFit:
 
     def test_same_fit_at_one_and_two_blas_threads(self):
         """The paper-scale fit (8834 couples drawn from the published model,
-        p = 10, beta = 45, two iterations with an I-step at the second) in
-        child processes with one and two OpenBLAS threads: trace, beta,
-        gamma and rates hash alike. Sums over the couples must not go
+        p = 10, beta = 45, four iterations with I-steps at the second and
+        fourth) in child processes with one and two OpenBLAS threads: trace,
+        beta, gamma and rates hash alike. Sums over the couples must not go
         through BLAS, whose split of a long inner dimension, and with it the
-        rounding, follows the thread count."""
+        rounding, follows the thread count. From the third E-step on, the
+        Fréchet row kernel gets more than one row block, so its pool runs
+        under both thread counts."""
         root = Path(__file__).resolve().parent.parent
         script = textwrap.dedent(f"""
             import hashlib
@@ -1429,7 +1432,7 @@ class TestFit:
 
             obs = dataio.generate_synthetic(model, sampler, 0.6, 8834, 8834)
             report = estimation.fit(obs, estimation.FitConfig(
-                p=10, i_step_every=2, beta_init=45.0, max_iterations=2))
+                p=10, i_step_every=2, beta_init=45.0, max_iterations=4))
             digest = hashlib.sha256()
             for values in (report.loglik_trace,
                            [m.transform.beta for m in report.model.margins],

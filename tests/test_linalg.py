@@ -26,7 +26,7 @@ import scipy.integrate
 import scipy.linalg
 
 from miph import SubIntensity, e_step, linalg, transition_mask
-from miph.linalg import expm_batch, expm_frechet_batch
+from miph.linalg import _frechet_rows, expm_batch
 from miph.phasetype import random_sub_intensity
 
 from conftest import (DIAG_1, DIAG_2, SUPER_1, SUPER_2, chain_matrix, frozen_expm_batch,
@@ -456,6 +456,12 @@ def random_sub_intensities(rng, n, p):
                      for k in range(n)])
 
 
+def per_row(t, xs, v, c):
+    """The Fréchet row kernel with a direction of its own per row:
+    ``vs = v`` and ``kind = arange(n)``."""
+    return _frechet_rows(t, xs, v, np.arange(len(xs)), c)
+
+
 def rank_one(t, xs, v, c):
     """The stacks ``xs[i] t`` and ``xs[i] v[i] c[i]'`` that the Fréchet
     kernel builds block by block, with its elementwise operations in its
@@ -485,7 +491,7 @@ class TestExpmFrechetBatch:
             xs = 10.0 ** rng.uniform(-3.0, 3.0, size=n)
             v = rng.uniform(0.0, 1.0, size=(n, p))
             c = rng.uniform(0.0, 1.0, size=(n, p))
-            frechet = expm_frechet_batch(t, xs, v, c)
+            frechet = per_row(t, xs, v, c)
             for k in range(n):
                 _, ref_frechet = scipy.linalg.expm_frechet(t * xs[k], np.outer(v[k], c[k]) * xs[k])
                 assert norm_rel_err(frechet[k], ref_frechet) <= 1e-12, (k, xs[k])
@@ -504,7 +510,7 @@ class TestExpmFrechetBatch:
                 xs = rng.uniform(0.05, 30.0, size=n)
                 v = rng.uniform(0.0, 2.0, size=(n, p))
                 c = rng.uniform(0.1, 1.0, size=(n, p)) * 10.0 ** np.linspace(0, 80, n)[:, None]
-                frechet = expm_frechet_batch(t, xs, v, c)
+                frechet = per_row(t, xs, v, c)
                 for m in range(n):
                     _, ref_frechet = van_loan(t, np.outer(v[m], c[m]), xs[m])
                     assert norm_rel_err(frechet[m], ref_frechet) <= 1e-13, (p, k, m)
@@ -513,26 +519,21 @@ class TestExpmFrechetBatch:
         rng = np.random.default_rng(72)
         t, xs, v, c = random_chain(rng, 4).matrix, rng.uniform(0.1, 2.0, 3), np.ones((3, 4)), np.ones((3, 4))
         for args in ((np.zeros((4, 4)), xs, np.zeros((3, 4)), c), (t, np.zeros(3), v, c)):
-            np.testing.assert_array_equal(expm_frechet_batch(*args), np.zeros((3, 4, 4)))
+            np.testing.assert_array_equal(per_row(*args), np.zeros((3, 4, 4)))
 
     def test_empty_stack(self):
         for n, p in ((0, 3), (2, 0)):
-            got = expm_frechet_batch(np.zeros((p, p)), np.zeros(n), np.zeros((n, p)), np.zeros((n, p)))
+            got = per_row(np.zeros((p, p)), np.zeros(n), np.zeros((n, p)), np.zeros((n, p)))
             assert got.shape == (n, p, p)
 
     def test_rejects_bad_input(self):
         t, xs, v = np.zeros((3, 3)), np.zeros(2), np.zeros((2, 3))
-        for args in ((np.zeros((3, 2)), xs, v, v), (np.zeros(3), xs, v, v),
-                     (t, np.zeros((2, 1)), v, v), (t, xs, np.zeros((2, 2)), v),
-                     (t, xs, v, np.zeros((3, 3))), (t, np.zeros(3), v, v)):
-            with pytest.raises(ValueError):
-                expm_frechet_batch(*args)
         for bad in (np.nan, np.inf):
             for k in range(4):
                 args = [t.copy(), xs.copy(), v.copy(), v.copy()]
                 args[k].flat[1] = bad
                 with pytest.raises(ValueError, match="not finite"):
-                    expm_frechet_batch(*args)
+                    per_row(*args)
 
     def test_overflowing_direction_raises(self):
         # finite factors whose product x v c' overflows give a ValueError from
@@ -543,9 +544,9 @@ class TestExpmFrechetBatch:
         c[1] = 1e200
         v[1, 2] = 1e200
         with pytest.raises(ValueError, match="not finite"):
-            expm_frechet_batch(t, xs, v, c)
+            per_row(t, xs, v, c)
         with pytest.raises(ValueError, match="not finite"):
-            expm_frechet_batch(t * 1e300, xs * 1e10, np.ones((3, 3)), np.ones((3, 3)))
+            per_row(t * 1e300, xs * 1e10, np.ones((3, 3)), np.ones((3, 3)))
 
 
 def mpmath_frechet(t, x, v, c):
@@ -586,10 +587,22 @@ class TestFrechetSum:
             unscaled[:n] &= linalg._scaling_power(block, linalg._THETA13) == 0
             assert unscaled.sum() >= n // 4
             entries = unscaled | ~plain
-            got = exps.frechet_sum(v, xs[entries], c[entries], entries)
-            want = expm_frechet_batch(t, xs[unscaled], np.tile(v, (unscaled.sum(), 1)),
-                                      c[unscaled]).sum(axis=0)
+            got = exps.frechet_sum(v[None], np.where(entries, 0, 1), xs, c)
+            want = _frechet_rows(t, xs[unscaled], v[None], np.zeros(unscaled.sum(), int),
+                                 c[unscaled]).sum(axis=0)
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+    def test_one_call_sums_every_direction(self):
+        """The E-step's two directions in one call, their entries
+        interleaved, give the sum of one call per direction bit for bit."""
+        rng = np.random.default_rng(181)
+        t = random_sub_intensity(transition_mask("coxian", 5), rng).matrix
+        xs = rng.uniform(0.0, 2.0, size=30) * linalg._THETA18 / np.abs(t).sum(axis=0).max()
+        c = rng.uniform(0.0, 1.0, size=(30, 5))
+        exps = expm_batch(t, xs)
+        vs, died = np.array([np.ones(5), -t.sum(axis=1)]), rng.random(30) < 0.4
+        alone = [exps.frechet_sum(vs[k:k + 1], died != k, xs, c) for k in (0, 1)]
+        np.testing.assert_array_equal(exps.frechet_sum(vs, died, xs, c), alone[0] + alone[1])
 
     @pytest.mark.parametrize("diag, superdiag", [(DIAG_1, SUPER_1),
                                                  (DIAG_2, SUPER_2)])
@@ -599,7 +612,7 @@ class TestFrechetSum:
         np.testing.assert_array_equal(squarings(t, xs), [0, 1])
         c = np.random.default_rng(167).uniform(0.1, 1.0, size=(2, 10))
         for v in (-t.sum(axis=1), np.ones(10)):
-            got = expm_batch(t, xs).frechet_sum(v, xs, c, np.ones(2, dtype=bool))
+            got = expm_batch(t, xs).frechet_sum(v[None], [0, 0], xs, c)
             want = mpmath_frechet(t, xs[0], v, c[0])
             assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
 
@@ -617,20 +630,21 @@ class TestFrechetSum:
         exps = expm_batch(t, xs)
         for v in (-t.sum(axis=1), np.ones(p)):
             want = xs * np.einsum("mj,mj->m", c, exps.times(v[:, None])[..., 0])
-            got = [np.trace(exps.frechet_sum(v, xs[m:m + 1], c[m:m + 1], np.arange(n) == m))
+            # direction 0 is row m's alone
+            got = [np.trace(exps.frechet_sum(v[None], np.arange(n) != m, xs, c))
                    for m in range(n)]
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
     def test_exact_at_zero_matrix_and_zero_time(self):
-        v, c = np.array([1.0, 2.0, 3.0]), np.array([[0.25, 4.0, 1.0]])
-        one = np.ones(1, dtype=bool)
-        got = expm_batch(np.zeros((3, 3)), [0.5]).frechet_sum(v, [0.5], c, one)
-        np.testing.assert_array_equal(got, 0.5 * np.outer(v, c[0]))
+        vs, c = np.array([[1.0, 2.0, 3.0]]), np.array([[0.25, 4.0, 1.0]])
+        got = expm_batch(np.zeros((3, 3)), [0.5]).frechet_sum(vs, [0], [0.5], c)
+        np.testing.assert_array_equal(got, 0.5 * np.outer(vs[0], c[0]))
         t = random_chain(np.random.default_rng(179), 3).matrix
-        np.testing.assert_array_equal(expm_batch(t, [0.0]).frechet_sum(v, [0.0], c, one),
+        np.testing.assert_array_equal(expm_batch(t, [0.0]).frechet_sum(vs, [0], [0.0], c),
                                       np.zeros((3, 3)))
+        # no entry takes direction 0
         np.testing.assert_array_equal(
-            expm_batch(t, [0.5]).frechet_sum(v, [], c[:0], ~one), np.zeros((3, 3)))
+            expm_batch(t, [0.5]).frechet_sum(vs, [1], [0.5], c), np.zeros((3, 3)))
 
 
 class TestFrozenKernel:
@@ -647,7 +661,7 @@ class TestFrozenKernel:
         for rows, workers in ((10 ** 12, 1), (3, 1), (3, 3), (1, 4)):
             monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", rows * p * p)
             monkeypatch.setattr(linalg, "_worker_count", lambda workers=workers: workers)
-            np.testing.assert_array_equal(expm_frechet_batch(t, xs, v, c), want)
+            np.testing.assert_array_equal(per_row(t, xs, v, c), want)
 
     @pytest.mark.parametrize("structure", ["coxian", "general"])
     @pytest.mark.parametrize("p", [1, 2, 3, 5, 10])
@@ -674,9 +688,9 @@ class TestFrozenKernel:
 
 @pytest.fixture
 def split_run(monkeypatch):
-    """``split_run(t, xs, v, c, rows=r)`` returns ``expm_frechet_batch(t, xs,
-    v, c)`` run in row blocks of r rows on the call's pool, and run in one
-    block inline."""
+    """``split_run(t, xs, v, c, rows=r)`` returns ``per_row(t, xs, v, c)``
+    run in row blocks of r rows on the call's pool, and run in one block
+    inline."""
     threads = []
 
     def spy(*args, kernel=linalg._expm_frechet_block):
@@ -689,11 +703,11 @@ def split_run(monkeypatch):
         n, p = v.shape
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 10 ** 12)
         threads.clear()
-        whole = expm_frechet_batch(t, xs, v, c)
+        whole = per_row(t, xs, v, c)
         assert threads == [threading.current_thread().name]
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", rows * p * p)
         threads.clear()
-        split = expm_frechet_batch(t, xs, v, c)
+        split = per_row(t, xs, v, c)
         assert len(threads) == -(-n // rows) > 1
         assert all(name.startswith("miph-linalg") for name in threads)
         return split, whole
@@ -788,7 +802,7 @@ class TestSharedPool:
         monkeypatch.setattr(linalg, "_expm_frechet_block", failing)
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 4 * 3 * 3)
         with pytest.raises(RuntimeError, match="block kernel failed"):
-            expm_frechet_batch(t, xs, ones, ones)
+            per_row(t, xs, ones, ones)
         assert len(raised_in) == 1
         assert raised_in[0].startswith("miph-linalg")
         assert linalg_threads() == []
@@ -807,7 +821,7 @@ class TestSharedPool:
         monkeypatch.setattr(linalg, "_expm_frechet_block", spy)
         rng = np.random.default_rng(103)
         ones = np.ones((200, 3))
-        expm_frechet_batch(random_chain(rng, 3).matrix, rng.uniform(0.1, 5.0, 200), ones, ones)
+        per_row(random_chain(rng, 3).matrix, rng.uniform(0.1, 5.0, 200), ones, ones)
         assert [pool._max_workers for pool in built_pools] == [linalg._MAX_WORKERS]
         assert 1 <= len(threads) <= linalg._MAX_WORKERS
         assert linalg_threads() == []
@@ -823,7 +837,7 @@ class TestSharedPool:
         rng = np.random.default_rng(109)
         calls = [(t, rng.uniform(0.1, 50.0, size=30), *rng.uniform(0.0, 1.0, size=(2, 30, 3)))
                  for t in random_sub_intensities(rng, 6, 3)]
-        expected = [expm_frechet_batch(*args) for args in calls]  # one block each
+        expected = [per_row(*args) for args in calls]  # one block each
         assert built_pools == []
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 2 * 3 * 3)
         ran_on = set()
@@ -838,7 +852,7 @@ class TestSharedPool:
 
         def call(k):
             start.wait()
-            results[k] = expm_frechet_batch(*calls[k])
+            results[k] = per_row(*calls[k])
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -865,11 +879,11 @@ class TestSharedPool:
         monkeypatch.setattr(linalg, "_BLOCK_ENTRIES", 3 * 3)
         rng = np.random.default_rng(113)
         ones = np.ones((40, 3))
-        args = (random_chain(rng, 3).matrix, rng.uniform(0.1, 5.0, 40), ones, ones)
-        expected = expm_frechet_batch(*args)
+        args = (random_chain(rng, 3).matrix, rng.uniform(0.1, 5.0, 40), ones, np.arange(40), ones)
+        expected = _frechet_rows(*args)
         assert linalg_threads() == []
         with multiprocessing.get_context("fork").Pool(1) as children:
-            got = children.apply_async(expm_frechet_batch, args).get(timeout=60)
+            got = children.apply_async(_frechet_rows, args).get(timeout=60)
         np.testing.assert_array_equal(got, expected)
 
     def test_stacks_of_one_block_never_build_the_pool(self, monkeypatch):
@@ -887,6 +901,6 @@ class TestSharedPool:
         for n, p in ((0, 3), (2, 0), (rows, 10), (2000, 3)):
             t = rng.uniform(-1.0, 1.0, size=(p, p))
             v = rng.uniform(-1.0, 1.0, size=(n, p))
-            assert expm_frechet_batch(t, rng.uniform(0.0, 2.0, n), v, v).shape == (n, p, p)
+            assert per_row(t, rng.uniform(0.0, 2.0, n), v, v).shape == (n, p, p)
         t = random_chain(rng, 10).matrix
         assert expm_stack(t, rng.uniform(0.0, 50.0, size=4 * rows)).shape == (4 * rows, 10, 10)
